@@ -24,6 +24,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EMPTY = 3
 
+POLICIES = ("min-max", "min-median", "min-p95")
+
 
 class CliError(Exception):
     def __init__(self, msg, code):
@@ -50,8 +52,16 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _floats(text, flag):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} expects comma-separated numbers, got {text!r}",
+                       EXIT_USAGE) from None
+
+
 def _parse_beta(text):
-    parts = [float(v) for v in text.split(",")]
+    parts = _floats(text, "--beta")
     if len(parts) == 2:
         parts.append(0.0)
     if len(parts) != 3:
@@ -71,18 +81,42 @@ def _problem_overrides(args):
         kw["grid"] = args.grid
     if getattr(args, "lam", None) is not None:
         kw["lam"] = args.lam
+    if getattr(args, "seed", None) is not None:
+        kw["seed"] = args.seed
     return kw
+
+
+def _usage_errors(make, *a, **kw):
+    """make(*a, **kw), reporting its ValueError (a rejected setting) as a
+    usage error."""
+    try:
+        return make(*a, **kw)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
+
+
+# overrides that only some problem factories take
+_DGSEM_PROBLEMS = ("advection2d", "vortex2d", "source1d")
+_PROBLEM_ONLY = {"lam": ("dahlquist",), "grid": ("advection2d",),
+                 "seed": ("advection2d",), "elements": _DGSEM_PROBLEMS,
+                 "degree": _DGSEM_PROBLEMS}
+
+
+def _make_problem(name, args):
+    kw = _problem_overrides(args)
+    for key, takers in _PROBLEM_ONLY.items():
+        if name not in takers:
+            kw.pop(key, None)
+    problem = _usage_errors(problems.make_problem, name, **kw)
+    if not problem.t_end > problem.t0:
+        raise CliError(f"--t-end must exceed the start time {problem.t0:g}", EXIT_USAGE)
+    return problem
 
 
 def _build_problem(args):
     if args.problem is None:
         raise CliError("--problem is required", EXIT_USAGE)
-    kw = _problem_overrides(args)
-    if args.problem != "dahlquist":
-        kw.pop("lam", None)
-    if args.problem not in ("advection2d",):
-        kw.pop("grid", None)
-    return problems.make_problem(args.problem, **kw)
+    return _make_problem(args.problem, args)
 
 
 def _resolve(args):
@@ -92,17 +126,25 @@ def _resolve(args):
         raise CliError(str(exc), EXIT_USAGE) from None
 
 
+def _cfl_controller(args, problem, nu):
+    if not hasattr(problem.semi, "cfl_timescale"):
+        raise CliError(f"CFL control needs a DGSEM problem, not {problem.name}",
+                       EXIT_USAGE)
+    sigma = args.sigma if args.sigma is not None else problems.cfl_sigma(problem)
+    return _usage_errors(CflConfig, nu=nu, sigma=sigma)
+
+
 def _controller(args, scheme, problem, tol=None):
     tol = tol if tol is not None else args.tol
     if getattr(args, "cfl", None) is not None:
-        sigma = args.sigma if args.sigma is not None else problems.cfl_sigma(problem)
-        return CflConfig(nu=args.cfl, sigma=sigma)
+        return _cfl_controller(args, problem, args.cfl)
     atol = args.atol if args.atol is not None else tol
     rtol = args.rtol if args.rtol is not None else tol
     if atol is None or rtol is None:
         raise CliError("give --tol (or --atol/--rtol) or --cfl", EXIT_USAGE)
     beta = _parse_beta(args.beta) if args.beta else (0.60, -0.20, 0.00)
-    return ControllerConfig.for_scheme(scheme, atol=atol, rtol=rtol, beta=beta)
+    return _usage_errors(ControllerConfig.for_scheme, scheme, atol=atol, rtol=rtol,
+                         beta=beta)
 
 
 def _run_report(scheme, problem, controller, record_history=False):
@@ -157,16 +199,16 @@ def cmd_sweep(args):
     problem = _build_problem(args)
     if (args.tols is None) == (args.nus is None):
         raise CliError("give exactly one of --tols or --nus", EXIT_USAGE)
-    settings = [float(v) for v in (args.tols or args.nus).split(",")]
+    settings = _floats(args.tols or args.nus, "--tols" if args.tols else "--nus")
     rows = []
     failed_any = False
     for val in settings:
         if args.nus is not None:
-            controller = CflConfig(nu=val, sigma=args.sigma
-                                   if args.sigma is not None else problems.cfl_sigma(problem))
+            controller = _cfl_controller(args, problem, val)
         else:
             beta = _parse_beta(args.beta) if args.beta else (0.60, -0.20, 0.00)
-            controller = ControllerConfig.for_scheme(scheme, tol=val, beta=beta)
+            controller = _usage_errors(ControllerConfig.for_scheme, scheme, tol=val,
+                                       beta=beta)
         try:
             rep = _run_report(scheme, problem, controller)
             err = max(rep.errors.values()) if rep.errors else math.nan
@@ -188,10 +230,13 @@ def cmd_stability(args):
     polys = stability.stability_polynomials(scheme)
     scale = polys.s_eff if args.scaled else 1.0
     out = args.out or "stability"
+    if args.points < 64:
+        raise CliError("--points must be at least 64", EXIT_USAGE)
+    if args.grid_map is not None and args.grid_map < 0:
+        raise CliError("--grid-map must not be negative", EXIT_USAGE)
     code = EXIT_OK
     try:
-        trace = stability.trace_boundary(polys, n_points=args.points)
-        pts = trace.points
+        pts = stability._boundary(polys, args.points).points
     except stability.TraceError:
         pts = stability.grid_boundary(polys, n_points=args.points)
         code = EXIT_NUMERICAL
@@ -202,8 +247,7 @@ def cmd_stability(args):
     emb_polys = stability.StabilityPolynomials(
         main=polys.embedded, embedded=polys.embedded, diff=polys.diff, s_eff=polys.s_eff)
     try:
-        etrace = stability.trace_boundary(emb_polys, n_points=args.points)
-        epts = etrace.points
+        epts = stability._boundary(emb_polys, args.points).points
     except stability.TraceError:
         epts = stability.grid_boundary(emb_polys, n_points=args.points)
         code = EXIT_NUMERICAL
@@ -242,11 +286,17 @@ def cmd_search(args):
             elif name == "source1d":
                 probs.append(problems.make_problem("source1d"))
             else:
-                probs.append(problems.make_problem(name, **_problem_overrides(args)))
+                probs.append(_make_problem(name, args))
     else:
         probs = problems.search_suite()
-    tols = ([float(v) for v in args.tols.split(",")]
-            if args.tols else ([args.tol] if args.tol else None))
+    tols = (_floats(args.tols, "--tols")
+            if args.tols else ([args.tol] if args.tol is not None else None))
+    if tols is not None and not all(t > 0 for t in tols):
+        raise CliError("tolerances must be positive", EXIT_USAGE)
+    if args.budget is not None and args.budget < 1:
+        raise CliError("--budget must be at least 1", EXIT_USAGE)
+    if args.policy not in POLICIES:     # a config file bypasses the choices
+        raise CliError(f"--policy must be one of {', '.join(POLICIES)}", EXIT_USAGE)
     result = search.run_search(scheme, probs, budget=args.budget,
                                tolerances=tols, seed=args.seed)
     try:
@@ -279,7 +329,7 @@ def cmd_search(args):
             "beta": list(best.beta),
             "aggregate": best.aggregate(args.policy),
             "aggregates": {p: best.aggregate(p)
-                           for p in ("min-max", "min-median", "min-p95")},
+                           for p in POLICIES},
         },
         "out": out + ".csv",
     }
@@ -293,6 +343,7 @@ def cmd_search(args):
 def build_parser():
     parser = _Parser(prog="rkadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, problem=True):
         p.add_argument("--scheme")
@@ -343,7 +394,7 @@ def build_parser():
     p_search.add_argument("--tol", type=float)
     p_search.add_argument("--tols")
     p_search.add_argument("--policy", default="min-max",
-                          choices=("min-max", "min-median", "min-p95"))
+                          choices=POLICIES)
     p_search.add_argument("--budget", type=int)
     p_search.set_defaults(func=cmd_search)
     return parser
@@ -353,16 +404,22 @@ def main(argv=None):
     parser = build_parser()
     try:
         args, remaining = parser.parse_known_args(argv)
+        if getattr(args, "config", None):
+            # the config file's values become the subcommand's defaults, so
+            # flags given on the command line win
+            try:
+                with open(args.config) as fh:
+                    defaults = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise CliError(f"--config {args.config}: {exc}", EXIT_USAGE) from None
+            if not isinstance(defaults, dict):
+                raise CliError(f"--config {args.config}: expected a JSON object",
+                               EXIT_USAGE)
+            parser.commands[args.command].set_defaults(
+                **{key.replace("-", "_"): value for key, value in defaults.items()})
+            args, remaining = parser.parse_known_args(argv)
         if remaining:
             raise CliError(f"unrecognized arguments: {' '.join(remaining)}", EXIT_USAGE)
-        if getattr(args, "config", None):
-            # config supplies defaults; explicitly-given flags win
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-            for key, value in defaults.items():
-                key = key.replace("-", "_")
-                if getattr(args, key, None) is None:
-                    setattr(args, key, value)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

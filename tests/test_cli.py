@@ -182,3 +182,59 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     report = json.loads(out)
     assert report["errors"]["u"] <= 1e-6
     assert report["scheme"] == "RK3(2)5 3S*+"
+
+    # flags whose parser default is not None come from the config too
+    cfgfile.write_text(json.dumps({"scheme": "bs3", "points": 128, "scaled": True}))
+    out_prefix = str(tmp_path / "stab")
+    code, out, _ = run(capsys, "stability", "--config", str(cfgfile),
+                       "--out", out_prefix)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["points"] == 128 and summary["scaled_by"] == 3
+    assert len((tmp_path / "stab.main.csv").read_text().splitlines()) == 129
+
+    # an explicit flag wins over the config
+    code, out, _ = run(capsys, "stability", "--config", str(cfgfile),
+                       "--points", "256", "--out", out_prefix)
+    assert code == 0
+    assert json.loads(out)["points"] == 256
+
+
+@pytest.mark.parametrize("grid, differ", [("perturbed", True), ("uniform", False)])
+def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
+    snaps = []
+    for seed in ("0", "3"):
+        snap = tmp_path / f"seed{seed}.csv"
+        code, _, _ = run(capsys, "integrate", "--scheme", "bs3",
+                         "--problem", "advection2d", "--grid", grid,
+                         "--t-end", "0.1", "--tol", "1e-4", "--seed", seed,
+                         "--solution-out", str(snap))
+        assert code == 0
+        snaps.append(snap.read_bytes())
+    assert (snaps[0] != snaps[1]) == differ
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--scheme", "bs3", "--problem", "source1d", "--tol", "1e-5",
+     "--degree", "0"],
+    ["integrate", "--scheme", "bs3", "--problem", "source1d", "--tol", "-1"],
+    ["integrate", "--scheme", "bs3", "--problem", "source1d", "--tol", "1e-5",
+     "--t-end", "-1"],
+    ["stability", "--scheme", "bs3", "--beta", "a,b", "--control-map"],
+    ["stability", "--scheme", "bs3", "--points", "10"],
+    ["sweep", "--scheme", "bs3", "--problem", "dahlquist", "--tols", "1e-4,x"],
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--cfl", "1"],
+    ["integrate", "--scheme", "bs3", "--config", "missing.json"],
+    ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "1e-3",
+     "--budget", "1", "--config", "bad_policy.json"],
+    ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "0",
+     "--budget", "1"],
+])
+def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
+                                                          capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad_policy.json").write_text(json.dumps({"policy": "bogus"}))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") or "\nerror: " in err
+    assert "Traceback" not in err

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from rkadapt import stability
 from rkadapt.butcher import ButcherPair
 from rkadapt.catalog import catalog_get, catalog_names
+from rkadapt.cli import main
 from rkadapt.stability import (DegeneratePointError, StabilityPolynomials,
                                boundary_samples, contains_region,
                                control_jacobian, control_stability_scan,
@@ -183,3 +187,134 @@ def test_control_stability_dense_map_consistent_with_scan():
     # near the unstable boundary spot (~ -3.99) the map must exceed 1 too
     mask = (np.abs(Z.real + 3.9) < 0.5) & (np.abs(Z.imag) < 0.3)
     assert np.nanmax(rho[mask]) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the scalar continuation kernel reproduces numpy's arithmetic bit for bit
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _same(x, y):
+    """Equal bit for bit, except that any two nans match."""
+    return (math.isnan(x) and math.isnan(y)) or x.hex() == y.hex()
+
+
+def _numpy_div(a, b):
+    with np.errstate(all="ignore"):
+        return complex(np.complex128(a) / np.complex128(b))
+
+
+@given(ar=finite, ai=finite, x=finite, y=finite, swap=st.booleans())
+def test_cdiv_matches_numpy_division(ar, ai, x, y, swap):
+    # |Re b| >= |Im b| takes the first branch of the division, swap the other
+    big, small = (x, y) if abs(x) >= abs(y) else (y, x)
+    a, b = complex(ar, ai), complex(small, big) if swap else complex(big, small)
+    got, want = stability._cdiv(a, b), _numpy_div(a, b)
+    assert _same(got.real, want.real) and _same(got.imag, want.imag)
+
+
+@given(ar=st.floats(), ai=st.floats(),
+       br=st.one_of(st.just(0.0), st.just(-0.0), st.floats()),
+       bi=st.one_of(st.just(0.0), st.just(-0.0), st.floats()))
+@example(ar=1.0, ai=-0.0, br=0.0, bi=-0.0)
+@example(ar=-0.0, ai=math.nan, br=-0.0, bi=0.0)
+@example(ar=1.0, ai=1.0, br=math.nan, bi=0.0)
+def test_cdiv_zero_and_non_finite_divisors_match_numpy(ar, ai, br, bi):
+    # a zero divisor gives numpy's inf/nan, which the trace relies on to
+    # halve its step, and must not raise ZeroDivisionError
+    a, b = complex(ar, ai), complex(br, bi)
+    got, want = stability._cdiv(a, b), _numpy_div(a, b)
+    assert _same(got.real, want.real) and _same(got.imag, want.imag)
+
+
+def _numpy_trace(polys, n_points, dtheta=2 * np.pi / 4096, max_winding=64):
+    """Reference: the continuation on numpy scalars (polyval, np.exp and
+    numpy's complex division), with trace_boundary's resampling."""
+    R, Rp = polys.main, np.polynomial.polynomial.polyder(polys.main)
+    zs, ths = [0j], [0.0]
+    z, th, step = 0j, 0.0, dtheta
+    while th < 2 * np.pi * max_winding:
+        th_new = th + step
+        target = np.exp(1j * th_new)
+        z0 = z + (target - np.exp(1j * th)) / polyval(z, Rp)
+        converged = False
+        for _ in range(60):
+            resid = polyval(z0, R) - target
+            if abs(resid) < 1e-12:
+                converged = True
+                break
+            delta = resid / polyval(z0, Rp)
+            lam = 1.0
+            while (abs(polyval(z0 - lam * delta, R) - target) >= abs(resid)
+                   and lam > 1e-8):
+                lam *= 0.5
+            z0 = z0 - lam * delta
+        dz = abs(z0 - z)
+        if not converged or dz > 0.2:
+            step *= 0.5
+            continue
+        z, th = z0, th_new
+        zs.append(z)
+        ths.append(th)
+        if dz < 0.05:
+            step = min(step * 1.5, dtheta)
+        if th > np.pi and abs(z) < 1e-6:
+            break
+    zs, ths = np.asarray(zs), np.asarray(ths)
+    t_out = ths[-1] * (np.arange(n_points) + 0.5) / n_points
+    idx = np.clip(np.searchsorted(ths, t_out), 0, len(zs) - 1)
+    return zs[idx], t_out, ths[-1]
+
+
+@pytest.mark.parametrize("name", ["BS3(2)3 FSAL", "SSP3(2)4", "RK3(2)5 3S*+ FSAL"])
+@pytest.mark.parametrize("which", ["main", "embedded"])
+def test_trace_equals_numpy_scalar_continuation(name, which):
+    polys = stability_polynomials(catalog_get(name))
+    if which == "embedded":
+        polys = StabilityPolynomials(main=polys.embedded, embedded=polys.embedded,
+                                     diff=polys.diff, s_eff=polys.s_eff)
+    trace = trace_boundary(polys, n_points=256)
+    points, thetas, total = _numpy_trace(polys, 256)
+    assert np.array_equal(trace.points, points)
+    assert np.array_equal(trace.thetas, thetas)
+    assert trace.total_theta == total
+
+
+@given(c=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+       xr=st.floats(-1e3, 1e3), xi=st.floats(-1e3, 1e3))
+def test_horner_matches_polyval(c, xr, xi):
+    x = complex(xr, xi)
+    with np.errstate(all="ignore"):
+        want = complex(polyval(x, np.array(c)))
+    got = stability._horner(c, x)
+    assert _same(got.real, want.real) and _same(got.imag, want.imag)
+
+
+def test_stability_command_traces_each_polynomial_once(tmp_path, monkeypatch, capsys):
+    traced = []
+    trace = stability.trace_boundary
+
+    def counted(polys, *args, **kwargs):
+        traced.append(polys.main.tobytes())
+        return trace(polys, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "trace_boundary", counted)
+    monkeypatch.setattr(stability, "_SAMPLE_CACHE", {})
+    code = main(["stability", "--scheme", "bs3", "--beta", "0.6,-0.2",
+                 "--control-map", "--grid-map", "21", "--out", str(tmp_path / "s")])
+    assert code == 0
+    # the main and the embedded polynomial, once each
+    assert len(traced) == 2 and traced[0] != traced[1]
+
+
+def test_cached_boundary_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(stability, "_SAMPLE_CACHE", {})
+    scheme = catalog_get("BS3(2)3 FSAL")
+    samples = boundary_samples(scheme, n_points=128)
+    trace = stability._boundary(stability_polynomials(scheme), 128)
+    assert samples[0] is trace.points
+    for arr in (*samples, trace.thetas):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
