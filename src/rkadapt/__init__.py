@@ -6,7 +6,7 @@ small discontinuous Galerkin spectral element problem suite.
 """
 
 from .butcher import ButcherPair, InvariantViolation, order_residuals
-from .catalog import (SspScheme, UnknownMethodError, catalog_get, catalog_names,
+from .catalog import (UnknownMethodError, catalog_get, catalog_names,
                       export_coefficients, load_coefficients)
 from .control import (CflConfig, ControllerConfig, ControllerState,
                       accept_or_reject, cfl_dt, error_norm, initial_step,
@@ -22,7 +22,7 @@ from .stability import (BoundaryTrace, ControlStabilityReport, StabilityPolynomi
 from .stepping import StepResult, butcher_step, lowstorage_step, step
 
 __all__ = [
-    "ButcherPair", "LowStorageScheme", "SspScheme", "StepResult", "RunReport",
+    "ButcherPair", "LowStorageScheme", "StepResult", "RunReport",
     "ControllerConfig", "ControllerState", "CflConfig", "Problem",
     "SearchSpace", "StabilityPolynomials", "BoundaryTrace",
     "ControlStabilityReport", "InvariantViolation", "ReconstructionError",

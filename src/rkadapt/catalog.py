@@ -1,17 +1,17 @@
-"""Built-in method catalog, SSP register programs, and coefficient files.
+"""Built-in method catalog and coefficient files.
 
 The optimized 3S*+ coefficient sets are stored as the double-precision
-decimal strings of their published tables; SSP and Bogacki-Shampine pairs
-are exact rationals.  Coefficient files are JSON documents against the
-schema documented in the README (decimal strings, A row-major); the loader
-rejects unknown fields and enforces all structural invariants.
+decimal strings of their published tables; the SSP pairs (as 3S*+ sets) and
+the Bogacki-Shampine pairs are exact rationals.  Coefficient files are JSON
+documents against the schema documented in the README (decimal strings, A
+row-major); the loader rejects unknown fields and enforces all structural
+invariants.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,91 +26,6 @@ F = Fraction
 
 class UnknownMethodError(KeyError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class SspScheme:
-    """SSP pair with a dedicated three-register step sequence."""
-
-    name: str
-    pair: ButcherPair
-    program: callable
-
-    @property
-    def s(self):
-        return self.pair.s
-
-    @property
-    def q(self):
-        return self.pair.q
-
-    @property
-    def qhat(self):
-        return self.pair.qhat
-
-    @property
-    def fsal(self):
-        return self.pair.fsal
-
-    @property
-    def c(self):
-        return self.pair.c
-
-    @property
-    def k(self):
-        return self.pair.k
-
-
-def _ssp33_program(rhs, t, dt, u, frac):
-    """Shu-Osher sweep of SSP3(2)3 with the averaged second-order estimator.
-
-    Three registers: u^n, the working state, and the embedded accumulator.
-    """
-    un = u
-    u = un + dt * rhs(t, un)                      # u^n + dt k1
-    u = u + dt * rhs(t + dt, u)                   # + dt k2
-    uhat = frac(1, 2) * un + frac(1, 2) * u
-    u = frac(3, 4) * un + frac(1, 4) * u
-    u = u + dt * rhs(t + frac(1, 2) * dt, u)      # + dt k3
-    u = frac(1, 3) * un + frac(2, 3) * u
-    return u, u - uhat
-
-
-def _ssp34_program(rhs, t, dt, u, frac):
-    """Memory-friendly sweep of SSP3(2)4: three registers u^n, u, uhat."""
-    half = frac(1, 2)
-    un = u
-    u = un + half * dt * rhs(t, un)
-    u = u + half * dt * rhs(t + half * dt, u)
-    u = u + half * dt * rhs(t + dt, u)
-    uhat = frac(1, 3) * un + frac(2, 3) * u
-    u = frac(2, 3) * un + frac(1, 3) * u
-    u = u + half * dt * rhs(t + half * dt, u)
-    uhat = half * (uhat + u)
-    return u, u - uhat
-
-
-def _ssp33() -> SspScheme:
-    A = [[0, 0, 0], [1, 0, 0], [F(1, 4), F(1, 4), 0]]
-    b = [F(1, 6), F(1, 6), F(2, 3)]
-    c = [0, 1, F(1, 2)]
-    bhat = [F(1, 2), F(1, 2), 0, 0]
-    pair = ButcherPair("SSP3(2)3", A, b, c, bhat, q=3, qhat=2, fsal=False,
-                       exact={"A": A, "b": b, "c": c, "bhat": bhat})
-    return SspScheme("SSP3(2)3", pair, _ssp33_program)
-
-
-def _ssp34() -> SspScheme:
-    A = [[0, 0, 0, 0],
-         [F(1, 2), 0, 0, 0],
-         [F(1, 2), F(1, 2), 0, 0],
-         [F(1, 6), F(1, 6), F(1, 6), 0]]
-    b = [F(1, 6), F(1, 6), F(1, 6), F(1, 2)]
-    c = [0, F(1, 2), 1, F(1, 2)]
-    bhat = [F(1, 4), F(1, 4), F(1, 4), F(1, 4), 0]
-    pair = ButcherPair("SSP3(2)4", A, b, c, bhat, q=3, qhat=2, fsal=False,
-                       exact={"A": A, "b": b, "c": c, "bhat": bhat})
-    return SspScheme("SSP3(2)4", pair, _ssp34_program)
 
 
 def _bs32() -> ButcherPair:
@@ -141,17 +56,30 @@ def _bs54() -> ButcherPair:
                        exact={"A": A, "b": b, "c": c, "bhat": bhat})
 
 
-def _threestar_plus(name, q, qhat, fsal, gamma1, gamma2, gamma3, delta, beta, bhat):
-    g1 = [float(x) for x in gamma1]
-    g2 = [float(x) for x in gamma2]
-    g3 = [float(x) for x in gamma3]
-    de = [float(x) for x in delta]
-    be = [float(x) for x in beta]
-    bh = [float(x) for x in bhat]
-    bh.append(1.0 - sum(bh) if fsal else 0.0)
-    return LowStorageScheme(
-        name=name, scheme_class="3s*+", gamma1=g1, gamma2=g2, gamma3=g3,
-        beta=be, delta=de, bhat=bh, q=q, qhat=qhat, fsal=fsal)
+def _threestar_plus(name, q, qhat, fsal, exact=False, **table):
+    co = {attr: [float(x) for x in vals] for attr, vals in table.items()}
+    co["bhat"].append(1.0 - sum(co["bhat"]) if fsal else 0.0)
+    rationals = None
+    if exact:
+        rationals = {attr: [F(x) for x in vals] for attr, vals in table.items()}
+        rationals["bhat"].append(1 - sum(rationals["bhat"]) if fsal else F(0))
+    return LowStorageScheme(name=name, scheme_class="3s*+", q=q, qhat=qhat,
+                            fsal=fsal, exact=rationals, **co)
+
+
+# The SSP pairs as exact-rational 3S*+ sets (Ketcheson, JCP 2010): SSP3(2)3
+# is the Shu-Osher sweep with the averaged second-order estimator, SSP3(2)4
+# the four-stage half-step sweep.
+
+_SSP33_TABLE = dict(
+    gamma1=[0, F(1, 4), F(2, 3)], gamma2=[1, F(3, 4), 0], gamma3=[0, 0, F(1, 3)],
+    delta=[1, 0, 0], beta=[F(1, 6), F(1, 6), F(2, 3)], bhat=[F(1, 2), F(1, 2), 0],
+)
+
+_SSP34_TABLE = dict(
+    gamma1=[0, 1, F(1, 3), 1], gamma2=[1, 0, 0, 0], gamma3=[0, 0, F(2, 3), 0],
+    delta=[1, 0, 0, 0], beta=[F(1, 6), F(1, 6), F(1, 6), F(1, 2)], bhat=[F(1, 4)] * 4,
+)
 
 
 # Published double-precision tables of the optimized 3S*+ pairs, verbatim.
@@ -338,8 +266,8 @@ _BUILDERS = {
     "RK4(3)9 3S*+ FSAL": lambda: _threestar_plus("RK4(3)9 3S*+ FSAL", 4, 3, True, **_RK49F_TABLE),
     "RK5(4)10 3S*+": lambda: _threestar_plus("RK5(4)10 3S*+", 5, 4, False, **_RK510_TABLE),
     "RK5(4)10 3S*+ FSAL": lambda: _threestar_plus("RK5(4)10 3S*+ FSAL", 5, 4, True, **_RK510F_TABLE),
-    "SSP3(2)3": _ssp33,
-    "SSP3(2)4": _ssp34,
+    "SSP3(2)3": lambda: _threestar_plus("SSP3(2)3", 3, 2, False, exact=True, **_SSP33_TABLE),
+    "SSP3(2)4": lambda: _threestar_plus("SSP3(2)4", 3, 2, False, exact=True, **_SSP34_TABLE),
     "BS3(2)3 FSAL": _bs32,
     "BS5(4)7 FSAL": _bs54,
 }
@@ -390,20 +318,24 @@ class CoefficientParseError(ValueError):
     pass
 
 
-def _floats(doc, field, n):
+def _floats(doc, field, *lengths):
     try:
         vals = doc[field]
     except KeyError:
         raise CoefficientParseError(f"missing field {field!r}") from None
-    if len(vals) != n:
-        raise CoefficientParseError(f"field {field!r} must have {n} entries, got {len(vals)}")
-    out = []
-    for i, v in enumerate(vals):
-        try:
-            out.append(float(v))
-        except (TypeError, ValueError):
-            raise CoefficientParseError(f"field {field!r}[{i}]: cannot parse {v!r}") from None
-    return out
+    if not isinstance(vals, list):
+        raise CoefficientParseError(f"field {field!r} must be a list, got {vals!r}")
+    if len(vals) not in lengths:
+        raise CoefficientParseError(
+            f"field {field!r} must have {' or '.join(map(str, lengths))} entries, got {len(vals)}")
+    return [_float(f"{field!r}[{i}]", v) for i, v in enumerate(vals)]
+
+
+def _float(field, v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise CoefficientParseError(f"field {field}: cannot parse {v!r}") from None
 
 
 def load_coefficients(path):
@@ -413,6 +345,8 @@ def load_coefficients(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CoefficientParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise CoefficientParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     cls = doc.get("class")
     if cls not in _FIELDS:
         raise CoefficientParseError(f"{path}: class must be one of {sorted(_FIELDS)}, got {cls!r}")
@@ -421,12 +355,14 @@ def load_coefficients(path):
         raise CoefficientParseError(f"{path}: unknown fields {sorted(unknown)}")
     try:
         name = str(doc["name"])
-        s = int(doc["s"])
-        q = int(doc["q"])
-        qhat = int(doc["qhat"])
-        fsal = bool(doc["fsal"])
+        s, q, qhat, fsal = doc["s"], doc["q"], doc["qhat"], doc["fsal"]
     except KeyError as exc:
         raise CoefficientParseError(f"{path}: missing field {exc.args[0]!r}") from None
+    for field, v in (("s", s), ("q", q), ("qhat", qhat)):
+        if type(v) is not int or v < 1:
+            raise CoefficientParseError(f"{path}: {field} must be a positive integer, got {v!r}")
+    if type(fsal) is not bool:
+        raise CoefficientParseError(f"{path}: fsal must be true or false, got {fsal!r}")
     if name in _BUILDERS:
         log.warning("coefficient file %s shadows catalog method %r; file wins", path, name)
     if cls == "butcher":
@@ -441,7 +377,7 @@ def load_coefficients(path):
         gamma3=_floats(doc, "gamma3", s), beta=_floats(doc, "beta", s),
         delta=_floats(doc, "delta", ndelta), q=q, qhat=qhat, fsal=fsal)
     if cls == "3s*":
-        tail = float(doc.get("bhat_fsal", 0.0))
+        tail = _float("'bhat_fsal'", doc.get("bhat_fsal", 0.0))
         scheme = LowStorageScheme(bhat=[0.0] * s + [tail], **kwargs)
         # entries 1..s of bhat are implied by delta; fill them from the
         # reconstructed tableau so analysis code sees the true weights
@@ -449,7 +385,7 @@ def load_coefficients(path):
         pair = to_butcher(scheme)
         object.__setattr__(scheme, "bhat", pair.bhat.copy())
         return scheme
-    bh = _floats(doc, "bhat", s + 1 if len(doc.get("bhat", [])) == s + 1 else s)
+    bh = _floats(doc, "bhat", s, s + 1)
     if len(bh) == s:
         bh.append(1.0 - sum(bh) if fsal else 0.0)
     return LowStorageScheme(bhat=bh, **kwargs)
@@ -458,8 +394,6 @@ def load_coefficients(path):
 def export_coefficients(scheme, path):
     """Write a scheme to the JSON coefficient schema, round-trip exact."""
     r = lambda x: repr(float(x))
-    if isinstance(scheme, SspScheme):
-        scheme = scheme.pair
     if isinstance(scheme, ButcherPair):
         doc = {
             "name": scheme.name, "class": "butcher", "s": scheme.s,

@@ -15,9 +15,11 @@ import sys
 import numpy as np
 
 from . import dgsem, problems, search, stability
+from .butcher import InvariantViolation
 from .catalog import (CoefficientParseError, UnknownMethodError, resolve_scheme)
 from .control import CflConfig, ControllerConfig
 from .integrate import IntegrationAbort, integrate
+from .lowstorage import ReconstructionError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,7 +124,8 @@ def _build_problem(args):
 def _resolve(args):
     try:
         return resolve_scheme(args.scheme, getattr(args, "coeff_file", None))
-    except (UnknownMethodError, CoefficientParseError, FileNotFoundError) as exc:
+    except (UnknownMethodError, CoefficientParseError, InvariantViolation,
+            ReconstructionError, OSError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -73,8 +72,9 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
 
     `controller` is either a ControllerConfig (embedded-error PID control
     with rejections) or a CflConfig (wave-speed-proportional steps, no error
-    estimate).  The final step is clipped to land on t_end bitwise.  Raises
-    IntegrationAbort if dt underflows below 1e-14 times the horizon.
+    estimate; a non-finite or inadmissible step aborts the run).  The final
+    step is clipped to land on t_end bitwise.  Raises IntegrationAbort if dt
+    underflows below 1e-14 times the horizon.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -82,24 +82,71 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
     admissible = getattr(rhs, "is_admissible", None)
     if admissible is not None and not admissible(u0):
         raise ValueError("initial state is not admissible")
-
-    if isinstance(controller, CflConfig):
-        report = _integrate_cfl(scheme, rhs, controller, t0, t_end, u0,
-                                record_history, max_attempts)
-    elif isinstance(controller, ControllerConfig):
-        report = _integrate_pid(scheme, rhs, controller, t0, t_end, u0, dt0,
-                                record_history, max_attempts)
-    else:
+    cfl = isinstance(controller, CflConfig)
+    if not cfl and not isinstance(controller, ControllerConfig):
         raise TypeError(f"unsupported controller {type(controller).__name__}")
 
-    if error_fn is not None and not report.aborted:
+    start = time.perf_counter()
+    report = RunReport(scheme=getattr(scheme, "name", type(scheme).__name__),
+                       controller=controller.describe(), t0=t0, t_end=t_end)
+    horizon = t_end - t0
+    if not cfl and dt0 is None:
+        dt0 = ctrl.initial_step(rhs, t0, u0, controller, q=scheme.q, horizon=horizon,
+                                admissible=admissible)
+        report.nfe += 2
+    state = ControllerState(dt_current=None if cfl else min(dt0, horizon))
+
+    t, u = t0, u0
+    fcache = None
+    attempts = 0
+    while t < t_end:
+        attempts += 1
+        if attempts > max_attempts:
+            _abort(report, "attempt budget exhausted", t, u, start)
+        if cfl:
+            state.dt_current = ctrl.cfl_dt(rhs, u, controller)
+        clipped = t + state.dt_current >= t_end
+        dt_try = t_end - t if clipped else state.dt_current
+        state.dt_current = dt_try
+
+        res = step(scheme, rhs, t, dt_try, u, f0=fcache, need_estimate=not cfl)
+        report.nfe += res.nfe
+        ok = res.finite and (admissible is None or admissible(res.u_new))
+        if cfl:
+            if not ok:
+                _abort(report, "solution left the admissible set under CFL control",
+                       t, u, start)
+            accept = True
+        else:
+            if ok:
+                w = ctrl.error_norm(res.u_new, res.u_new - res.err_diff, controller)
+                state.push(ctrl.inverse_error(w))
+                dt_next, factor = ctrl.pid_propose(state, controller)
+            else:
+                # same robustness path for NaN stages and physical-bounds failures
+                dt_next, factor = dt_try, 0.0
+            decision = ctrl.accept_or_reject(factor, dt_try, dt_next, ok, controller)
+            accept = decision.accept
+            state.dt_current = decision.dt_next
+        if accept:
+            t = t_end if clipped else t + dt_try
+            u = res.u_new
+            fcache = res.fsal_f
+            report.n_accepted += 1
+            if record_history:
+                report.accepted_dts.append(dt_try)
+        else:
+            report.n_rejected += 1
+            if record_history:
+                report.rejected_dts.append(dt_try)
+        if t < t_end and state.dt_current < DT_UNDERFLOW * horizon:
+            _abort(report, "step size underflow" if ok else
+                   "step size underflow after bounds rejection", t, u, start)
+
+    _finish(report, t, u, start)
+    if error_fn is not None:
         report.errors = error_fn(report.t_final, report.u_final)
     return report
-
-
-def _new_report(scheme, controller, t0, t_end):
-    name = getattr(scheme, "name", type(scheme).__name__)
-    return RunReport(scheme=name, controller=controller.describe(), t0=t0, t_end=t_end)
 
 
 def _finish(report, t, u, start):
@@ -114,95 +161,3 @@ def _abort(report, reason, t, u, start):
     report.abort_reason = reason
     _finish(report, t, u, start)
     raise IntegrationAbort(reason, report)
-
-
-def _integrate_pid(scheme, rhs, cfg, t0, t_end, u0, dt0, record_history, max_attempts):
-    start = time.perf_counter()
-    report = _new_report(scheme, cfg, t0, t_end)
-    horizon = t_end - t0
-    admissible = getattr(rhs, "is_admissible", None)
-
-    if dt0 is None:
-        dt0 = ctrl.initial_step(rhs, t0, u0, cfg, q=scheme.q, horizon=horizon,
-                                admissible=admissible)
-        report.nfe += 2
-    dt0 = min(dt0, horizon)
-    state = ControllerState(dt_current=dt0)
-
-    t, u = t0, u0
-    fcache = None
-    attempts = 0
-    while t < t_end:
-        attempts += 1
-        if attempts > max_attempts:
-            _abort(report, "attempt budget exhausted", t, u, start)
-        clipped = t + state.dt_current >= t_end
-        dt_try = t_end - t if clipped else state.dt_current
-        state.dt_current = dt_try
-
-        res = step(scheme, rhs, t, dt_try, u, f0=fcache, need_estimate=True)
-        report.nfe += res.nfe
-        ok = res.finite and (admissible is None or admissible(res.u_new))
-        if not ok:
-            # same robustness path for NaN stages and physical-bounds failures
-            decision = ctrl.accept_or_reject(0.0, dt_try, dt_try, False, cfg)
-            report.n_rejected += 1
-            if record_history:
-                report.rejected_dts.append(dt_try)
-            state.dt_current = decision.dt_next
-            if state.dt_current < DT_UNDERFLOW * horizon:
-                _abort(report, "step size underflow after bounds rejection", t, u, start)
-            continue
-
-        w = ctrl.error_norm(res.u_new, res.u_new - res.err_diff, cfg)
-        state.push(ctrl.inverse_error(w))
-        dt_next, factor = ctrl.pid_propose(state, cfg)
-        decision = ctrl.accept_or_reject(factor, dt_try, dt_next, True, cfg)
-        if decision.accept:
-            t = t_end if clipped else t + dt_try
-            u = res.u_new
-            fcache = res.fsal_f
-            report.n_accepted += 1
-            if record_history:
-                report.accepted_dts.append(dt_try)
-        else:
-            report.n_rejected += 1
-            if record_history:
-                report.rejected_dts.append(dt_try)
-        state.dt_current = decision.dt_next
-        if t < t_end and state.dt_current < DT_UNDERFLOW * horizon:
-            _abort(report, "step size underflow", t, u, start)
-
-    return _finish(report, t, u, start)
-
-
-def _integrate_cfl(scheme, rhs, cfg, t0, t_end, u0, record_history, max_attempts):
-    start = time.perf_counter()
-    report = _new_report(scheme, cfg, t0, t_end)
-    horizon = t_end - t0
-    admissible = getattr(rhs, "is_admissible", None)
-
-    t, u = t0, u0
-    steps = 0
-    while t < t_end:
-        steps += 1
-        if steps > max_attempts:
-            _abort(report, "attempt budget exhausted", t, u, start)
-        dt = ctrl.cfl_dt(rhs, u, cfg)
-        clipped = t + dt >= t_end
-        if clipped:
-            dt = t_end - t
-        res = step(scheme, rhs, t, dt, u, need_estimate=False)
-        report.nfe += res.nfe
-        if not res.finite or (admissible is not None and not admissible(res.u_new)):
-            _abort(report, "solution left the admissible set under CFL control",
-                   t, u, start)
-        t = t_end if clipped else t + dt
-        u = res.u_new
-        report.n_accepted += 1
-        if record_history:
-            report.accepted_dts.append(dt)
-        if t < t_end and dt < DT_UNDERFLOW * horizon:
-            _abort(report, "step size underflow", t, u, start)
-
-    return _finish(report, t, u, start)

@@ -41,7 +41,11 @@ class ReconstructionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LowStorageScheme:
-    """3S*/3S*+ coefficient set; compiles to a ButcherPair via to_butcher."""
+    """3S*/3S*+ coefficient set; compiles to a ButcherPair via to_butcher.
+
+    `exact` optionally holds the same coefficients as rationals (keys gamma1,
+    gamma2, gamma3, beta, delta, bhat) for exact tableau reconstruction.
+    """
 
     name: str
     scheme_class: str          # "3s*" or "3s*+"
@@ -56,9 +60,10 @@ class LowStorageScheme:
     fsal: bool = False
     c: np.ndarray = None       # abscissae; derived from the recurrence if omitted
     stage_increments: np.ndarray = field(default=None, repr=False, compare=False)
+    exact: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for attr in ("gamma1", "gamma2", "gamma3", "beta", "delta", "bhat"):
+        for attr in _COEFFICIENTS:
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
         s = self.s
         if self.scheme_class not in ("3s*", "3s*+"):
@@ -79,8 +84,8 @@ class LowStorageScheme:
             raise InvariantViolation(f"{self.name}: sum(delta) = 0, embedded solution undefined")
         if not self.fsal and self.bhat[s] != 0.0:
             raise InvariantViolation(f"{self.name}: bhat[{s}] must be zero for non-FSAL schemes")
-        w = _solve_stage_increments(self)
-        object.__setattr__(self, "stage_increments", w)
+        w = _solve_stage_increments(self.name, self.gamma1, self.gamma2, self.delta, self.beta)
+        object.__setattr__(self, "stage_increments", np.array(w))
         if self.c is None:
             pair = to_butcher(self)
             object.__setattr__(self, "c", pair.c)
@@ -96,26 +101,29 @@ class LowStorageScheme:
         return min(self.q, self.qhat) + 1
 
 
-def _solve_stage_increments(scheme: LowStorageScheme) -> np.ndarray:
+_COEFFICIENTS = ("gamma1", "gamma2", "gamma3", "beta", "delta", "bhat")
+
+
+def _solve_stage_increments(name, gamma1, gamma2, delta, beta):
     """Back-solve per-stage increment coefficients from the output weights.
 
     A unit k injected into S1 at stage i propagates linearly through the
     remaining gamma/delta updates; its final weight is beta_i by convention,
-    so w_i = beta_i / P_i with P_i the propagation factor.
+    so w_i = beta_i / P_i with P_i the propagation factor.  Exact for
+    rational coefficients.
     """
-    s = scheme.s
-    g1, g2, de = scheme.gamma1, scheme.gamma2, scheme.delta
-    w = np.empty(s)
+    s = len(beta)
+    w = []
     for i in range(s):
-        p1, p2 = 1.0, 0.0       # weight of k_i in S1, S2
+        p1, p2 = 1, 0           # weight of k_i in S1, S2
         for j in range(i + 1, s):
-            p2 = p2 + de[j] * p1
-            p1 = g1[j] * p1 + g2[j] * p2
+            p2 = p2 + delta[j] * p1
+            p1 = gamma1[j] * p1 + gamma2[j] * p2
         if abs(p1) < 1e-14:
             raise InvariantViolation(
-                f"{scheme.name}: stage {i + 1} increment does not reach the output "
+                f"{name}: stage {i + 1} increment does not reach the output "
                 "(zero propagation factor); beta cannot be realized")
-        w[i] = scheme.beta[i] / p1
+        w.append(beta[i] / p1)
     return w
 
 
@@ -221,33 +229,48 @@ def symbolic_step(stepper, n_stages, exact=False):
     return A, b, bhat, c
 
 
-def _lowstorage_core(scheme, rhs, t, dt, u, with_estimate=True):
-    """Shared register program for 3s*/3s*+; generic over the state algebra."""
+def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True, exact=False):
+    """Shared register program for 3s*/3s*+; generic over the state algebra.
+
+    `f0`, when given, is the first-stage value f(t, u).  Returns (u_new, err,
+    fsal_f), where fsal_f = f(t+dt, u_new) is the FSAL evaluation when the
+    estimate makes one.  With exact=True the sweep runs on the scheme's
+    rational coefficients.
+    """
     s = scheme.s
-    g1, g2, g3 = scheme.gamma1, scheme.gamma2, scheme.gamma3
-    de, bh, w = scheme.delta, scheme.bhat, scheme.stage_increments
+    if exact:
+        if scheme.exact is None:
+            raise ValueError(f"{scheme.name}: no exact coefficients")
+        g1, g2, g3, be, de, bh = (scheme.exact[attr] for attr in _COEFFICIENTS)
+        w = _solve_stage_increments(scheme.name, g1, g2, de, be)
+    else:
+        g1, g2, g3, be, de, bh = (getattr(scheme, attr) for attr in _COEFFICIENTS)
+        w = scheme.stage_increments
     S1 = u
-    S2 = u * 0.0
+    S2 = u * 0
     S3 = u
     plus = scheme.scheme_class == "3s*+"
-    E = u * 0.0 if (plus and with_estimate) else None
+    E = u * 0 if (plus and with_estimate) else None
     for i in range(s):
         S2 = S2 + de[i] * S1
-        k = dt * rhs(t + scheme_c(scheme, i) * dt, S1)
+        f = f0 if (i == 0 and f0 is not None) else rhs(t + scheme_c(scheme, i) * dt, S1)
+        k = dt * f
         if E is not None:
-            E = E + (scheme.beta[i] - bh[i]) * k
+            E = E + (be[i] - bh[i]) * k
         S1 = g1[i] * S1 + g2[i] * S2 + g3[i] * S3 + w[i] * k
     u_new = S1
     if not with_estimate:
-        return u_new, None
+        return u_new, None, None
     if plus:
         err = E
     else:
-        uhat = (S2 + de[s - 1] * S1 + de[s] * S3) / sum_delta(scheme)
+        uhat = (S2 + de[s - 1] * S1 + de[s] * S3) / np.sum(de)
         err = u_new - uhat
-    if scheme.fsal and bh[s] != 0.0:
-        err = err - bh[s] * (dt * rhs(t + dt, u_new))
-    return u_new, err
+    fsal_f = None
+    if scheme.fsal and bh[s] != 0:
+        fsal_f = rhs(t + dt, u_new)
+        err = err - bh[s] * (dt * fsal_f)
+    return u_new, err, fsal_f
 
 
 def scheme_c(scheme, i):
@@ -257,10 +280,6 @@ def scheme_c(scheme, i):
     return 0.0 if c is None else c[i]
 
 
-def sum_delta(scheme):
-    return float(scheme.delta.sum())
-
-
 def to_butcher(scheme, exact=False) -> ButcherPair:
     """Reconstruct the ButcherPair realized by a low-storage register program.
 
@@ -268,27 +287,15 @@ def to_butcher(scheme, exact=False) -> ButcherPair:
     (available for the SSP catalog schemes) and the exact rows are attached to
     the returned pair as `pair.exact`.
     """
-    from . import catalog  # SSP register programs live with their data
-
     if isinstance(scheme, ButcherPair):
         return scheme
-
-    if isinstance(scheme, catalog.SspScheme):
-        program = scheme.program
-        n_stages = scheme.pair.s + (1 if scheme.pair.fsal else 0)
-        def stepper(rhs, t, dt, u):
-            frac = Fraction if exact else (lambda p, q: p / q)
-            return program(rhs, t, dt, u, frac)
-        A, b, bhat, c = symbolic_step(stepper, n_stages, exact=exact)
-        return _assemble_pair(scheme.name, scheme.pair.q, scheme.pair.qhat,
-                              scheme.pair.fsal, scheme.pair.s, A, b, bhat, c, exact)
-
     n_stages = scheme.s + (1 if scheme.fsal else 0)
     def stepper(rhs, t, dt, u):
-        return _lowstorage_core(scheme, rhs, t, dt, u, with_estimate=True)
-    A, b, bhat, c = symbolic_step(stepper, n_stages, exact=False)
+        u_new, err, _ = _lowstorage_core(scheme, rhs, t, dt, u, exact=exact)
+        return u_new, err
+    A, b, bhat, c = symbolic_step(stepper, n_stages, exact=exact)
     return _assemble_pair(scheme.name, scheme.q, scheme.qhat, scheme.fsal,
-                          scheme.s, A, b, bhat, c, exact=False)
+                          scheme.s, A, b, bhat, c, exact)
 
 
 def _assemble_pair(name, q, qhat, fsal, s, A, b, bhat, c, exact):

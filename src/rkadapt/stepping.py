@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .butcher import ButcherPair
-from .catalog import SspScheme
-from .lowstorage import LowStorageScheme, _lowstorage_core
+from .lowstorage import _lowstorage_core
 
 
 @dataclass
@@ -29,7 +28,20 @@ class StepResult:
     finite: bool                  # False if any stage went NaN/Inf
 
 
+class _NonFiniteState(Exception):
+    pass
+
+
+def _require_finite(state):
+    """Ends the attempt, by raising _NonFiniteState, at a NaN/Inf state."""
+    if not np.all(np.isfinite(state)):
+        raise _NonFiniteState
+    return state
+
+
 class _CountingRhs:
+    """Counts RHS evaluations; never evaluates at a NaN/Inf state."""
+
     __slots__ = ("rhs", "nfe")
 
     def __init__(self, rhs):
@@ -37,6 +49,7 @@ class _CountingRhs:
         self.nfe = 0
 
     def __call__(self, t, u):
+        _require_finite(u)
         self.nfe += 1
         return self.rhs(t, u)
 
@@ -56,90 +69,48 @@ def butcher_step(pair: ButcherPair, rhs, t, dt, u, f0=None, need_estimate=True) 
     s = pair.s
     A, b, c, bhat = pair.A, pair.b, pair.c, pair.bhat
     ks = []
-    for i in range(s):
-        if i == 0:
-            y = u
-            f = f0 if f0 is not None else cr(t, u)
-        else:
-            y = u + dt * sum(A[i, j] * ks[j] for j in range(i) if A[i, j] != 0.0)
-            if not np.all(np.isfinite(y)):
-                return _bad(u, cr.nfe)
-            f = cr(t + c[i] * dt, y)
-        ks.append(f)
-    u_new = u + dt * sum(b[i] * ks[i] for i in range(s) if b[i] != 0.0)
-    if not np.all(np.isfinite(u_new)):
+    err = fsal_f = None
+    try:
+        for i in range(s):
+            if i == 0:
+                f = f0 if f0 is not None else cr(t, u)
+            else:
+                y = u + dt * sum(A[i, j] * ks[j] for j in range(i) if A[i, j] != 0.0)
+                f = cr(t + c[i] * dt, y)
+            ks.append(f)
+        u_new = _require_finite(u + dt * sum(b[i] * ks[i] for i in range(s) if b[i] != 0.0))
+        if need_estimate:
+            err = dt * sum((b[i] - bhat[i]) * ks[i] for i in range(s))
+            if pair.fsal:
+                fsal_f = cr(t + dt, u_new)
+                err = err - dt * bhat[s] * fsal_f
+    except _NonFiniteState:
         return _bad(u, cr.nfe)
-    if not need_estimate:
-        return StepResult(u_new, None, cr.nfe, None, True)
-    err = dt * sum((b[i] - bhat[i]) * ks[i] for i in range(s))
-    fsal_f = None
-    if pair.fsal:
-        fsal_f = cr(t + dt, u_new)
-        err = err - dt * bhat[s] * fsal_f
-    return StepResult(u_new, err, cr.nfe, fsal_f, bool(np.all(np.isfinite(err))))
+    return _result(u_new, err, cr.nfe, fsal_f)
 
 
 def lowstorage_step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
     """One step of the memory-minimal register form of a scheme.
 
-    Dispatches on the scheme kind: the gamma/delta sweep for 3S*/3S*+ sets,
-    the dedicated register sequences for the SSP pairs, and the dense form
-    for plain ButcherPairs (which have no special low-storage structure).
+    The gamma/delta sweep for 3S*/3S*+ sets; plain ButcherPairs, which have
+    no special low-storage structure, take the dense form.
     """
     if isinstance(scheme, ButcherPair):
         return butcher_step(scheme, rhs, t, dt, u, f0=f0, need_estimate=need_estimate)
-
     cr = _CountingRhs(rhs)
-    guarded = _GuardedRhs(cr, f0)
     try:
-        if isinstance(scheme, SspScheme):
-            frac = lambda p, q: p / q
-            u_new, err = scheme.program(guarded, t, dt, u, frac)
-            if not need_estimate:
-                err = None
-            fsal_f = None
-        else:
-            if not isinstance(scheme, LowStorageScheme):
-                raise TypeError(f"cannot step {type(scheme).__name__}")
-            u_new, err = _lowstorage_core(scheme, guarded, t, dt, u,
-                                          with_estimate=need_estimate)
-            fsal_f = guarded.last_f if (scheme.fsal and need_estimate
-                                        and scheme.bhat[scheme.s] != 0.0) else None
+        u_new, err, fsal_f = _lowstorage_core(scheme, cr, t, dt, u, f0=f0,
+                                              with_estimate=need_estimate)
+        _require_finite(u_new)
     except _NonFiniteState:
         return _bad(u, cr.nfe)
-    if not np.all(np.isfinite(u_new)):
-        return _bad(u, cr.nfe)
-    if err is not None and not np.all(np.isfinite(err)):
-        return StepResult(u_new, err, cr.nfe, fsal_f, False)
-    return StepResult(u_new, err, cr.nfe, fsal_f, True)
+    return _result(u_new, err, cr.nfe, fsal_f)
 
 
-class _NonFiniteState(Exception):
-    pass
+def _result(u_new, err, nfe, fsal_f):
+    finite = err is None or bool(np.all(np.isfinite(err)))
+    return StepResult(u_new, err, nfe, fsal_f, finite)
 
 
-class _GuardedRhs:
-    """Wraps a counting RHS: serves the cached first evaluation, checks states."""
-
-    __slots__ = ("cr", "f0", "calls", "last_f")
-
-    def __init__(self, cr, f0):
-        self.cr = cr
-        self.f0 = f0
-        self.calls = 0
-        self.last_f = None
-
-    def __call__(self, t, state):
-        self.calls += 1
-        if not np.all(np.isfinite(state)):
-            raise _NonFiniteState
-        if self.calls == 1 and self.f0 is not None:
-            self.last_f = self.f0
-            return self.f0
-        self.last_f = self.cr(t, state)
-        return self.last_f
-
-
-def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
-    """Step with a scheme's native form (low-storage when it has one)."""
-    return lowstorage_step(scheme, rhs, t, dt, u, f0=f0, need_estimate=need_estimate)
+# every scheme steps in its native form (low-storage when it has one)
+step = lowstorage_step

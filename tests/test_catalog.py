@@ -15,9 +15,9 @@ from rkadapt.lowstorage import LowStorageScheme, to_butcher
 def test_published_digits():
     rk35 = catalog_get("RK3(2)5 3S*+")
     assert rk35.beta[0] == 1.1479315633699007e-01
-    ssp34 = catalog_get("SSP3(2)4")
-    assert ssp34.pair.exact["b"] == [F(1, 6), F(1, 6), F(1, 6), F(1, 2)]
-    assert ssp34.pair.exact["bhat"][:4] == [F(1, 4)] * 4
+    ssp34 = to_butcher(catalog_get("SSP3(2)4"), exact=True)
+    assert ssp34.exact["b"] == [F(1, 6), F(1, 6), F(1, 6), F(1, 2)]
+    assert ssp34.exact["bhat"][:4] == [F(1, 4)] * 4
     rk510f = catalog_get("RK5(4)10 3S*+ FSAL")
     assert rk510f.delta[9] == 0.0
 
@@ -39,10 +39,11 @@ def test_export_load_roundtrip_bit_identical(name, tmp_path):
     path = tmp_path / "method.json"
     export_coefficients(scheme, path)
     loaded = load_coefficients(path)
+    if name.startswith("SSP"):
+        assert json.loads(path.read_text())["class"] == "3s*+"
     if isinstance(loaded, ButcherPair):
-        orig = scheme.pair if hasattr(scheme, "pair") else scheme
         for attr in ("A", "b", "c", "bhat"):
-            assert np.array_equal(getattr(loaded, attr), getattr(orig, attr))
+            assert np.array_equal(getattr(loaded, attr), getattr(scheme, attr))
     else:
         for attr in ("gamma1", "gamma2", "gamma3", "beta", "delta", "bhat"):
             assert np.array_equal(getattr(loaded, attr), getattr(scheme, attr))

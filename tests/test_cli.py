@@ -214,6 +214,21 @@ def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
     assert (snaps[0] != snaps[1]) == differ
 
 
+# malformed coefficient files: a structural invariant, a scalar array field,
+# a document that is not an object, a non-integer stage count and a string
+# where the FSAL flag belongs
+BAD_COEFF_FILES = {
+    "gamma1.json": {"name": "x", "class": "3s*+", "s": 1, "q": 1, "qhat": 1,
+                    "fsal": False, "gamma1": ["1"], "gamma2": ["1"],
+                    "gamma3": ["0"], "beta": ["1"], "delta": ["1"],
+                    "bhat": ["1"]},
+    "scalar_a.json": dict(FORWARD_EULER_DOC, A=5),
+    "list.json": [FORWARD_EULER_DOC],
+    "stages.json": dict(FORWARD_EULER_DOC, s="two"),
+    "fsal.json": dict(FORWARD_EULER_DOC, fsal="false"),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["integrate", "--scheme", "bs3", "--problem", "source1d", "--tol", "1e-5",
      "--degree", "0"],
@@ -229,11 +244,13 @@ def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
      "--budget", "1", "--config", "bad_policy.json"],
     ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "0",
      "--budget", "1"],
-])
+] + [["stability", "--coeff-file", name] for name in BAD_COEFF_FILES])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad_policy.json").write_text(json.dumps({"policy": "bogus"}))
+    for name, doc in BAD_COEFF_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") or "\nerror: " in err

@@ -106,3 +106,19 @@ def test_nonfinite_stage_flags_not_raises():
     rhs = lambda t, u: u * np.inf
     res = step(scheme, rhs, 0.0, 0.1, np.ones(3))
     assert not res.finite
+
+    # an RHS that turns NaN at its second call leaves the third stage state
+    # non-finite: the attempt stops there, after two evaluations, in both the
+    # register and the dense form
+    for name in ("RK3(2)5 3S*+", "RK4(3)9 3S*+ FSAL", "SSP3(2)4",
+                 "BS3(2)3 FSAL", "BS5(4)7 FSAL"):
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return np.full_like(u, np.nan) if len(calls) == 2 else -u
+
+        res = step(catalog_get(name), rhs, 0.0, 0.1, np.ones(3))
+        assert not res.finite, name
+        assert res.nfe == 2 and len(calls) == 2, (name, res.nfe, len(calls))
+        assert np.all(np.isnan(res.u_new)), name
