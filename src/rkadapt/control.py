@@ -170,6 +170,10 @@ class CflConfig:
         return f"CFL(nu={self.nu:g}, sigma={self.sigma:g})"
 
 
+class _CflUndefined(ValueError):
+    """No finite positive timescale; integrate turns it into an abort."""
+
+
 def cfl_dt(semi, u, cfg: CflConfig) -> float:
     """Stability-proxy step from the semidiscretization's local timescale.
 
@@ -178,5 +182,5 @@ def cfl_dt(semi, u, cfg: CflConfig) -> float:
     """
     ts = semi.cfl_timescale(u)
     if not math.isfinite(ts) or ts <= 0:
-        raise ValueError("CFL control undefined: no finite positive wave-speed timescale")
+        raise _CflUndefined("CFL control undefined: no finite positive wave-speed timescale")
     return cfg.nu * cfg.sigma * ts

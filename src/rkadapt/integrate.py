@@ -72,9 +72,10 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
 
     `controller` is either a ControllerConfig (embedded-error PID control
     with rejections) or a CflConfig (wave-speed-proportional steps, no error
-    estimate; a non-finite or inadmissible step aborts the run).  The final
-    step is clipped to land on t_end bitwise.  Raises IntegrationAbort if dt
-    underflows below 1e-14 times the horizon.
+    estimate; a non-finite or inadmissible step, or a timescale that is not
+    finite and positive, aborts the run).  The final step is clipped to land
+    on t_end bitwise.  Raises IntegrationAbort if dt underflows below 1e-14
+    times the horizon.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -104,7 +105,10 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
         if attempts > max_attempts:
             _abort(report, "attempt budget exhausted", t, u, start)
         if cfl:
-            state.dt_current = ctrl.cfl_dt(rhs, u, controller)
+            try:
+                state.dt_current = ctrl.cfl_dt(rhs, u, controller)
+            except ctrl._CflUndefined as exc:
+                _abort(report, str(exc), t, u, start)
         clipped = t + state.dt_current >= t_end
         dt_try = t_end - t if clipped else state.dt_current
         state.dt_current = dt_try

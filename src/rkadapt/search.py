@@ -117,22 +117,24 @@ class SearchResult:
 
 
 def filter_stable(scheme, candidates, n_points=512):
-    """Split candidates into control-stable, unstable, and indeterminate."""
+    """Split candidates into control-stable, unstable, and indeterminate
+    (no usable boundary samples) by the Schur-Cohn test on the control
+    quartic at the retained boundary samples."""
     if isinstance(candidates, SearchSpace):
-        candidates = list(candidates.candidates())
+        candidates = candidates.candidates()
+    candidates = list(candidates)
     k = min(scheme.q, scheme.qhat) + 1
     try:
         z, r, e, keep = stability.boundary_samples(scheme, n_points=n_points)
     except stability.TraceError:
-        return [], [], list(candidates)
+        return [], [], candidates
     rk, ek = r[keep], e[keep]
-    stable, unstable, indeterminate = [], [], []
     if len(rk) == 0:
-        return [], [], list(candidates)
-    for beta in candidates:
-        rho = stability._rho_batch(rk, ek, beta, k)
-        (stable if np.all(rho < 1.0) else unstable).append(beta)
-    return stable, unstable, indeterminate
+        return [], [], candidates
+    verdicts = stability._stable_batch(rk, ek, candidates, k)
+    stable = [b for b, ok in zip(candidates, verdicts) if ok]
+    unstable = [b for b, ok in zip(candidates, verdicts) if not ok]
+    return stable, unstable, []
 
 
 def run_search(scheme, problems, space=None, budget=None, tolerances=None,

@@ -5,11 +5,18 @@ R(z) = e^{i theta} through the origin, continued in theta until the curve
 closes (theta winds through several multiples of 2 pi for higher-order
 methods whose boundary hugs the imaginary axis).
 
-Step-size-control stability samples the 6x6 Jacobian of the coupled
-(log step, log error) recursion at boundary points and requires spectral
-radius below one.  Its entries use the real parts of the logarithmic
-derivatives z R'(z)/R(z) and z E'(z)/E(z), since the recursion governs the
-moduli.  Samples are excluded when they carry no controller information:
+Step-size-control stability linearizes the coupled (log step, log error)
+recursion at boundary points (control_jacobian, 6x6).  Its entries use the
+real parts r and e of the logarithmic derivatives z R'(z)/R(z) and
+z E'(z)/E(z), since the recursion governs the moduli.  Its eigenvalues are
+{0, 0} and the roots of the control quartic
+
+    p(lam) = lam^2 (lam - 1)^2 + ((lam - 1) e + r)(b1 lam^2 + b2 lam + b3) / k.
+
+The stability filter and the boundary scan share one criterion, a Schur-Cohn
+test that every root of p lies strictly inside the unit circle at every
+retained sample; reported radii come from 4x4 companion matrices of p.
+Samples are excluded when they carry no controller information:
 
 * degenerate points, |R(z)| or |E(z)| below 1e-14 (E always vanishes at the
   origin);
@@ -63,18 +70,6 @@ class StabilityPolynomials:
         for attr in ("main", "embedded", "diff"):
             object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
 
-    def R(self, z):
-        return polyval(z, self.main)
-
-    def Rprime(self, z):
-        return polyval(z, polyder(self.main))
-
-    def E(self, z):
-        return polyval(z, self.diff)
-
-    def Eprime(self, z):
-        return polyval(z, polyder(self.diff))
-
 
 @dataclass(frozen=True)
 class BoundaryTrace:
@@ -89,7 +84,6 @@ class ControlStabilityReport:
     max_rho: float
     stable: bool
     n_skipped: int
-    margin: float = 0.0
 
 
 def _weight_polynomial(A, w):
@@ -267,18 +261,26 @@ def contains_region(outer: StabilityPolynomials, inner: StabilityPolynomials,
     return not violations.size, violations
 
 
+def _log_derivatives(polys: StabilityPolynomials, z):
+    """R(z), E(z), and r, e = Re(z R'/R), Re(z E'/E) (0 where R or E is 0)."""
+    Rz = polyval(z, polys.main)
+    Ez = polyval(z, polys.diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(np.abs(Rz) > 0, (z * polyval(z, polyder(polys.main)) / Rz).real, 0.0)
+        e = np.where(np.abs(Ez) > 0, (z * polyval(z, polyder(polys.diff)) / Ez).real, 0.0)
+    return Rz, Ez, r, e
+
+
 def control_jacobian(polys: StabilityPolynomials, z, beta, k) -> np.ndarray:
     """6x6 Jacobian of the boundary fixed-point recursion for a PID controller.
 
     Entries use Re(z R'/R) and Re(z E'/E); raises DegeneratePointError when
-    R or E vanishes at z.
+    R or E vanishes at z.  Its characteristic polynomial is lam^2 times the
+    control quartic (_quartic), on which the analysis runs.
     """
-    Rz = polys.R(z)
-    Ez = polys.E(z)
+    Rz, Ez, r, e = _log_derivatives(polys, z)
     if abs(Rz) < DEGENERATE_TOL or abs(Ez) < DEGENERATE_TOL:
         raise DegeneratePointError(f"R or E degenerate at z = {z}")
-    r = (z * polys.Rprime(z) / Rz).real
-    e = (z * polys.Eprime(z) / Ez).real
     b1, b2, b3 = beta
     J = np.zeros((6, 6))
     J[0, 0] = 1.0
@@ -326,11 +328,7 @@ def boundary_samples(scheme, n_points=512):
     if data is not None:
         return data
     z = _boundary(polys, n_points).points
-    Rz = polyval(z, polys.main)
-    Ez = polyval(z, polys.diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(np.abs(Rz) > 0, (z * polyval(z, polyder(polys.main)) / Rz).real, 0.0)
-        e = np.where(np.abs(Ez) > 0, (z * polyval(z, polyder(polys.diff)) / Ez).real, 0.0)
+    Rz, Ez, r, e = _log_derivatives(polys, z)
     keep = ((np.abs(Rz) >= DEGENERATE_TOL)
             & (np.abs(Ez) >= DEGENERATE_TOL)
             & (np.abs(r) >= TANGENTIAL_TOL)
@@ -340,32 +338,56 @@ def boundary_samples(scheme, n_points=512):
     return data
 
 
-def _rho_batch(r, e, beta, k):
-    """Spectral radii of the control Jacobians for arrays of (r, e) samples."""
-    n = len(r)
+def _quartic(r, e, beta, k):
+    """Monic coefficients (a3, a2, a1, a0) of the control quartic p (module
+    docstring); r, e and the beta entries broadcast against each other."""
     b1, b2, b3 = beta
-    J = np.zeros((n, 6, 6))
-    J[:, 0, 0] = 1.0
-    J[:, 0, 1] = r
-    J[:, 1, 0] = -b1 / k
-    J[:, 1, 1] = 1.0 - (b1 / k) * e
-    J[:, 1, 2] = -b2 / k
-    J[:, 1, 3] = -(b2 / k) * e
-    J[:, 1, 4] = -b3 / k
-    J[:, 1, 5] = -(b3 / k) * e
-    J[:, 2, 0] = 1.0
-    J[:, 3, 1] = 1.0
-    J[:, 4, 2] = 1.0
-    J[:, 5, 3] = 1.0
-    return np.max(np.abs(np.linalg.eigvals(J)), axis=1)
+    a3 = -2.0 + e * b1 / k
+    a2 = 1.0 + (e * b2 + (r - e) * b1) / k
+    a1 = (e * b3 + (r - e) * b2) / k
+    a0 = (r - e) * b3 / k
+    return a3, a2, a1, a0
 
 
-def control_stability_scan(scheme, beta, k=None, n_points=512,
-                           margin=0.0) -> ControlStabilityReport:
+_BLOCK = 1024   # candidates per Schur-Cohn pass: 4 MB per temporary at 512 samples
+
+
+def _stable_batch(r, e, betas, k):
+    """Per candidate beta: every root of the control quartic strictly inside
+    the unit circle at every (r, e) sample.
+
+    Schur-Cohn reduction: p of degree n passes a step iff |c0| < |cn|, and
+    is then replaced by (cn p - c0 p*) / lam, p*(lam) = lam^n p(1/lam).
+    """
+    betas = np.asarray(betas, dtype=float).reshape(-1, 3)
+    out = np.empty(len(betas), dtype=bool)
+    for lo in range(0, len(betas), _BLOCK):
+        beta = betas[lo:lo + _BLOCK].T[:, :, None]     # (3, block, 1) x samples
+        c = [1.0, *_quartic(r, e, beta, k)]             # descending powers
+        ok = True
+        while len(c) > 1:
+            cn, c0 = c[0], c[-1]
+            ok = ok & (np.abs(c0) < np.abs(cn))
+            c = [cn * c[i] - c0 * c[-1 - i] for i in range(len(c) - 1)]
+        out[lo:lo + _BLOCK] = np.all(ok, axis=1)
+    return out
+
+
+def _rho_batch(r, e, beta, k):
+    """Spectral radii of the control Jacobians for arrays of (r, e) samples:
+    the largest root modulus of the control quartic, from 4x4 companions."""
+    C = np.zeros((len(r), 4, 4))
+    C[:, 0] = -np.stack(_quartic(r, e, beta, k), axis=1)
+    C[:, 1, 0] = C[:, 2, 1] = C[:, 3, 2] = 1.0
+    return np.max(np.abs(np.linalg.eigvals(C)), axis=1)
+
+
+def control_stability_scan(scheme, beta, k=None, n_points=512) -> ControlStabilityReport:
     """Spectral radius of the control Jacobian along the stability boundary.
 
-    stable is True iff rho < 1 - margin at every retained sample (and at
-    least one sample was retained).
+    stable is the Schur-Cohn verdict of the stability filter: every root of
+    the control quartic strictly inside the unit circle at every retained
+    sample (and at least one sample retained).  The samples carry the radii.
     """
     if k is None:
         k = min(scheme.q, scheme.qhat) + 1
@@ -374,14 +396,13 @@ def control_stability_scan(scheme, beta, k=None, n_points=512,
     n_skipped = int(len(z) - keep.sum())
     if len(rk) == 0:
         return ControlStabilityReport(samples=[], max_rho=np.inf, stable=False,
-                                      n_skipped=n_skipped, margin=margin)
+                                      n_skipped=n_skipped)
     rho = _rho_batch(rk, ek, beta, k)
     return ControlStabilityReport(
         samples=list(zip(zk, rho)),
         max_rho=float(rho.max()),
-        stable=bool(np.all(rho < 1.0 - margin)),
+        stable=bool(_stable_batch(rk, ek, [beta], k)[0]),
         n_skipped=n_skipped,
-        margin=margin,
     )
 
 
@@ -398,90 +419,9 @@ def control_stability_map(scheme, beta, k=None, n_grid=101, pad=0.5):
     re = np.linspace(pts.real.min() - pad, pts.real.max() + pad, n_grid)
     im = np.linspace(pts.imag.min() - pad, pts.imag.max() + pad, n_grid)
     Z = re[None, :] + 1j * im[:, None]
-    Rz = polyval(Z, polys.main)
-    Ez = polyval(Z, polys.diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (Z * polyval(Z, polyder(polys.main)) / Rz).real
-        e = (Z * polyval(Z, polyder(polys.diff)) / Ez).real
+    Rz, Ez, r, e = _log_derivatives(polys, Z)
     ok = (np.abs(Rz) >= DEGENERATE_TOL) & (np.abs(Ez) >= DEGENERATE_TOL)
     rho = np.full(Z.shape, np.nan)
     if np.any(ok):
-        rho[ok] = _rho_batch(r[ok].ravel(), e[ok].ravel(), beta, k)
+        rho[ok] = _rho_batch(r[ok], e[ok], beta, k)
     return Z, rho
-
-
-# ---------------------------------------------------------------------------
-# spectral radius by independent routes (cross-checked in the test suite)
-
-def spectral_radius(M, method="eig"):
-    M = np.asarray(M, dtype=complex)
-    if method == "eig":
-        return float(np.max(np.abs(np.linalg.eigvals(M))))
-    if method == "charpoly":
-        return float(np.max(np.abs(np.roots(_charpoly_leverrier(M)))))
-    if method == "power":
-        return _power_iteration_radius(M)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _charpoly_leverrier(M):
-    """Characteristic polynomial by the Faddeev-LeVerrier trace recursion."""
-    n = M.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    N = np.zeros_like(M)
-    for m in range(1, n + 1):
-        N = M @ N + coeffs[m - 1] * np.eye(n)
-        coeffs[m] = -np.trace(M @ N) / m
-    return coeffs
-
-
-def _power_iteration_radius(M, iters=3000, seed=7):
-    """Largest eigenvalue modulus via shifted power iteration with deflation.
-
-    A random complex shift splits conjugate-pair moduli so plain power
-    iteration converges; each converged eigenpair is deflated by a unitary
-    similarity and the procedure recurses on the trailing block.
-    """
-    rng = np.random.default_rng(seed)
-    M = np.asarray(M, dtype=complex)
-    radius = 0.0
-    work = M.copy()
-    while work.shape[0] > 0:
-        n = work.shape[0]
-        if n == 1:
-            radius = max(radius, abs(work[0, 0]))
-            break
-        scale = max(np.max(np.abs(work)), 1.0)
-        mu = scale * (0.37 + 0.61j)   # fixed generic shift
-        S = work + mu * np.eye(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(iters):
-            v_new = S @ v
-            nv = np.linalg.norm(v_new)
-            if nv == 0:
-                break
-            v_new /= nv
-            lam_new = np.vdot(v_new, S @ v_new)
-            if abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new)):
-                lam = lam_new
-                v = v_new
-                break
-            lam, v = lam_new, v_new
-        radius = max(radius, abs(lam - mu))
-        # unitary deflation: map v to e1, recurse on the trailing block
-        H = _householder(v)
-        work = (H @ work @ H.conj().T)[1:, 1:]
-    return float(radius)
-
-
-def _householder(v):
-    n = len(v)
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0
-    w = v + phase * np.linalg.norm(v) * e1
-    w /= np.linalg.norm(w)
-    return np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj())

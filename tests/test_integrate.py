@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkadapt.catalog import catalog_get
 from rkadapt.control import CflConfig, ControllerConfig
@@ -166,3 +168,74 @@ def test_advection_plateau_with_classical_pi_controller():
         rep = integrate(scheme, prob.semi, cfg, 0.0, prob.t_end, prob.u0)
         nfe.append(rep.nfe)
     assert (max(nfe) - min(nfe)) / min(nfe) < 0.20
+
+
+class FaultyDecay:
+    """u' = -u with a fixed CFL timescale; from call `nan_call` on the RHS
+    returns NaN (at that call only if not `persistent`), and from call
+    `bad_timescale` on the timescale is `bad_value`."""
+
+    def __init__(self, nan_call=None, persistent=True, bad_timescale=None,
+                 bad_value=math.inf, timescale=0.1):
+        self.nan_call, self.persistent = nan_call, persistent
+        self.bad_timescale, self.bad_value = bad_timescale, bad_value
+        self.timescale = timescale
+        self.rhs_calls = self.timescale_calls = 0
+
+    def __call__(self, t, u):
+        self.rhs_calls += 1
+        n = self.nan_call
+        if n is not None and (self.rhs_calls == n or
+                              (self.persistent and self.rhs_calls > n)):
+            return np.full_like(u, np.nan)
+        return -u
+
+    def cfl_timescale(self, u):
+        self.timescale_calls += 1
+        if self.bad_timescale is not None and self.timescale_calls >= self.bad_timescale:
+            return self.bad_value
+        return self.timescale
+
+
+def test_cfl_timescale_turning_infinite_aborts_with_partial_report():
+    scheme = catalog_get("rk35-3s+fsal")
+    semi = FaultyDecay(bad_timescale=3)
+    with pytest.raises(IntegrationAbort, match="CFL control undefined") as info:
+        integrate(scheme, semi, CflConfig(nu=1.0, sigma=1.0), 0.0, 1.0,
+                  np.array([1.0, 2.0]))
+    rep = info.value.report
+    assert rep.aborted and rep.abort_reason.startswith("CFL control undefined")
+    # two accepted steps of 0.1, then the third timescale is inf
+    assert rep.n_accepted == 2 and rep.t_final == 0.1 + 0.1
+    assert rep.nfe == 2 * scheme.s and np.all(np.isfinite(rep.u_final))
+
+
+def test_cfl_timescale_errors_of_the_semidiscretization_propagate():
+    class Broken(FaultyDecay):
+        def cfl_timescale(self, u):
+            raise ValueError("timescale bug")
+
+    scheme = catalog_get("rk35-3s+fsal")
+    with pytest.raises(ValueError, match="timescale bug"):
+        integrate(scheme, Broken(), CflConfig(nu=1.0, sigma=1.0), 0.0, 1.0, np.ones(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["BS3(2)3 FSAL", "RK3(2)5 3S*+", "RK4(3)9 3S*+ FSAL",
+                             "SSP3(2)4"]),
+       cfl=st.booleans(), nan_call=st.integers(1, 80), persistent=st.booleans(),
+       bad_timescale=st.one_of(st.none(), st.integers(1, 30)),
+       bad_value=st.sampled_from([math.nan, math.inf, 0.0, -1.0]))
+def test_integrate_never_returns_a_non_finite_state_unflagged(
+        name, cfl, nan_call, persistent, bad_timescale, bad_value):
+    scheme = catalog_get(name)
+    semi = FaultyDecay(nan_call, persistent, bad_timescale, bad_value, timescale=0.05)
+    controller = CflConfig(nu=1.0, sigma=1.0) if cfl else cfg_for(scheme, 1e-5)
+    try:
+        rep = integrate(scheme, semi, controller, 0.0, 1.0, np.array([1.0, -2.0]))
+    except IntegrationAbort as exc:
+        rep = exc.report
+        assert rep.aborted and rep.abort_reason
+    else:
+        assert not rep.aborted and rep.t_final == 1.0
+    assert np.all(np.isfinite(rep.u_final))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rkadapt.catalog import catalog_get
+from rkadapt.catalog import catalog_get, catalog_names
 from rkadapt.control import ControllerConfig
 from rkadapt.integrate import integrate
 from rkadapt.problems import make_problem
@@ -45,6 +45,26 @@ def test_bs5_stability_prefilter():
     assert (0.70, -0.40, 0.00) in unstable
     assert (0.0, 0.0, 0.0) in unstable    # neutral shift: rho = 1 fails strict < 1
     assert not indet
+
+
+@pytest.mark.parametrize("name, n_stable", [("RK3(2)5 3S*+ FSAL", 11_863),
+                                             ("BS3(2)3 FSAL", 14_992)])
+def test_full_grid_filter_keeps_the_eigenvalue_route_counts(name, n_stable):
+    # counts from the 6x6 Jacobian eigenvalues that the quartic test replaced
+    space = SearchSpace()
+    stable, unstable, indet = filter_stable(catalog_get(name), space)
+    assert len(stable) == n_stable
+    assert len(stable) + len(unstable) == space.cardinality and not indet
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_zero_sum_controllers_are_unstable(name):
+    # b1 + b2 + b3 = 0 puts a root of the control quartic at lam = 1: the
+    # radius is 1 and none of these controllers is stable
+    zero_sum = [b for b in SearchSpace().candidates() if abs(sum(b)) < 1e-9]
+    assert len(zero_sum) == 286
+    stable, unstable, _ = filter_stable(catalog_get(name), zero_sum)
+    assert not stable and len(unstable) == 286
 
 
 def test_degenerate_single_candidate_search_matches_direct_run():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkadapt import stability
@@ -12,8 +12,9 @@ from rkadapt.cli import main
 from rkadapt.stability import (DegeneratePointError, StabilityPolynomials,
                                boundary_samples, contains_region,
                                control_jacobian, control_stability_scan,
-                               grid_boundary, spectral_radius,
-                               stability_polynomials, trace_boundary)
+                               grid_boundary, stability_polynomials,
+                               trace_boundary)
+from rkadapt.search import filter_stable
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -90,36 +91,26 @@ def test_boundary_residual_and_conjugate_symmetry(name):
 
 
 def test_log_derivative_matches_finite_differences():
-    # Re(z R'/R) is d log|R(z(1+h))| / dh at h = 0; compare against centered
-    # differences of log|R|, which is branch-cut safe
+    # Re(z R'/R) is d log|R(z(1+h))| / dh at h = 0, and likewise for E; compare
+    # against centered differences of log|R| and log|E|, which are branch-cut safe
     polys = stability_polynomials(catalog_get("BS5(4)7 FSAL"))
     trace = trace_boundary(polys, n_points=128)
     h = 1e-6
     for z in trace.points[::16]:
-        if abs(polys.R(z)) < 1e-8:
-            continue
-        exact = (z * polys.Rprime(z) / polys.R(z)).real
-        fd = (math.log(abs(polys.R(z * (1 + h)))) -
-              math.log(abs(polys.R(z * (1 - h))))) / (2 * h)
-        assert abs(exact - fd) <= 1e-6 * max(1.0, abs(exact))
-
-
-def test_spectral_radius_three_ways():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        M = rng.standard_normal((6, 6))
-        r_eig = spectral_radius(M, "eig")
-        r_char = spectral_radius(M, "charpoly")
-        r_pow = spectral_radius(M, "power")
-        assert abs(r_eig - r_char) <= 1e-8 * max(1.0, r_eig)
-        assert abs(r_eig - r_pow) <= 1e-8 * max(1.0, r_eig)
+        Rz, Ez, r, e = stability._log_derivatives(polys, z)
+        for value, exact, coeffs in ((Rz, r, polys.main), (Ez, e, polys.diff)):
+            if abs(value) < 1e-8:
+                continue
+            fd = (math.log(abs(polyval(z * (1 + h), coeffs))) -
+                  math.log(abs(polyval(z * (1 - h), coeffs)))) / (2 * h)
+            assert abs(exact - fd) <= 1e-6 * max(1.0, abs(exact))
 
 
 def test_control_jacobian_zero_beta_is_neutral():
     polys = stability_polynomials(catalog_get("BS3(2)3 FSAL"))
     z = trace_boundary(polys, n_points=256).points[40]
     J = control_jacobian(polys, z, (0.0, 0.0, 0.0), k=3)
-    assert spectral_radius(J) == pytest.approx(1.0, abs=1e-10)
+    assert np.max(np.abs(np.linalg.eigvals(J))) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_control_jacobian_degenerate_point_raises():
@@ -318,3 +309,75 @@ def test_cached_boundary_arrays_are_read_only(monkeypatch):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+# ---------------------------------------------------------------------------
+# the control quartic: the 6x6 Jacobian's spectrum, the Schur-Cohn verdict
+# against the radius, and the chunked filter
+
+log_derivative = st.floats(-8.0, 8.0)
+# about the range of Re(z R'/R) and Re(z E'/E) on the catalog boundaries,
+# where a fifth of these draws is stable
+boundary_log_derivative = st.floats(0.0, 12.0)
+betas = st.tuples(st.floats(0.0, 1.2), st.floats(-0.6, 0.1), st.floats(-0.1, 0.2))
+orders = st.integers(2, 6)
+
+
+def _polys_with_log_derivatives(r, e):
+    """R = (1 - r) + r z and E = (1 - e) + e z: at z = 1, R = E = 1, so
+    Re(z R'/R) = r and Re(z E'/E) = e up to rounding."""
+    return StabilityPolynomials(main=[1.0 - r, r], embedded=[1.0],
+                                diff=[1.0 - e, e], s_eff=1)
+
+
+def _quartic_by_definition(r, e, beta, k):
+    lam = np.polynomial.Polynomial([0.0, 1.0])
+    b1, b2, b3 = beta
+    return lam**2 * (lam - 1)**2 + ((lam - 1) * e + r) * (b1 * lam**2 + b2 * lam + b3) / k
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=log_derivative, e=log_derivative, beta=betas, k=orders)
+def test_control_jacobian_spectrum_is_zero_pair_and_quartic_roots(r, e, beta, k):
+    J = control_jacobian(_polys_with_log_derivatives(r, e), 1.0 + 0j, beta, k)
+    p = _quartic_by_definition(r, e, beta, k)
+    assert np.allclose(stability._quartic(r, e, beta, k), p.coef[3::-1],
+                       rtol=1e-12, atol=1e-12)
+    # det(lam I - J) = lam^2 p(lam) at seven points fixes the whole spectrum;
+    # the double zero is a Jordan block when b3 != 0, which eigvals resolves
+    # only to about the square root of the rounding
+    for lam in 2.0 * np.exp(2j * np.pi * np.arange(7) / 7):
+        scale = abs(lam) ** 2 * polyval(abs(lam), np.abs(p.coef))
+        assert abs(np.linalg.det(lam * np.eye(6) - J) - lam**2 * p(lam)) <= 1e-12 * scale
+    # each simple root of p is an eigenvalue of J to 1e-9
+    got = np.linalg.eigvals(J)
+    want = np.concatenate([[0.0, 0.0], p.roots()])
+    for i in range(2, 6):
+        if np.min(np.abs(np.delete(want, i) - want[i])) > 1e-3:
+            assert np.min(np.abs(got - want[i])) <= 1e-9 * max(1.0, abs(want[i]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(st.tuples(boundary_log_derivative, boundary_log_derivative),
+                      min_size=1, max_size=4),
+       candidates=st.lists(betas, min_size=1, max_size=8), k=orders)
+def test_schur_cohn_verdict_agrees_with_the_radius(samples, candidates, k):
+    r, e = np.array(samples).T
+    verdicts = stability._stable_batch(r, e, candidates, k)
+    for beta, stable in zip(candidates, verdicts):
+        rho = stability._rho_batch(r, e, beta, k).max()
+        if abs(rho - 1.0) > 1e-9:
+            assert stable == (rho < 1.0), (beta, rho)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(stability._BLOCK + 1, 2500))
+def test_filter_stable_across_chunks_equals_one_call_per_candidate(seed, n):
+    scheme = catalog_get("BS3(2)3 FSAL")
+    rng = np.random.default_rng(seed)
+    candidates = [tuple(b) for b in rng.uniform((0.0, -0.6, -0.1), (1.2, 0.1, 0.2), (n, 3))]
+    stable, unstable, indeterminate = filter_stable(scheme, candidates)
+    one_by_one = [filter_stable(scheme, [beta])[0] == [beta] for beta in candidates]
+    assert stable == [b for b, ok in zip(candidates, one_by_one) if ok]
+    assert unstable == [b for b, ok in zip(candidates, one_by_one) if not ok]
+    assert stable and unstable and not indeterminate
