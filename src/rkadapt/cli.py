@@ -47,8 +47,15 @@ def _fmt(x):
     return str(x)
 
 
+def _open_out(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_USAGE) from None
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -110,8 +117,9 @@ def _make_problem(name, args):
         if name not in takers:
             kw.pop(key, None)
     problem = _usage_errors(problems.make_problem, name, **kw)
-    if not problem.t_end > problem.t0:
-        raise CliError(f"--t-end must exceed the start time {problem.t0:g}", EXIT_USAGE)
+    if not problem.t0 < problem.t_end < math.inf:
+        raise CliError(f"--t-end must be finite and exceed the start time {problem.t0:g}",
+                       EXIT_USAGE)
     return problem
 
 
@@ -294,10 +302,12 @@ def cmd_search(args):
         probs = problems.search_suite()
     tols = (_floats(args.tols, "--tols")
             if args.tols else ([args.tol] if args.tol is not None else None))
-    if tols is not None and not all(t > 0 for t in tols):
-        raise CliError("tolerances must be positive", EXIT_USAGE)
+    for tol in tols or ():        # the controller's own checks, before any run
+        _usage_errors(ControllerConfig.for_scheme, scheme, tol=tol)
     if args.budget is not None and args.budget < 1:
         raise CliError("--budget must be at least 1", EXIT_USAGE)
+    if args.seed < 0:
+        raise CliError("--seed must not be negative", EXIT_USAGE)
     if args.policy not in POLICIES:     # a config file bypasses the choices
         raise CliError(f"--policy must be one of {', '.join(POLICIES)}", EXIT_USAGE)
     result = search.run_search(scheme, probs, budget=args.budget,
@@ -336,7 +346,7 @@ def cmd_search(args):
         },
         "out": out + ".csv",
     }
-    with open(out + ".json", "w") as fh:
+    with _open_out(out + ".json") as fh:
         json.dump(summary, fh, sort_keys=True, indent=1)
         fh.write("\n")
     print(json.dumps(summary, sort_keys=True, indent=1))
@@ -418,8 +428,14 @@ def main(argv=None):
             if not isinstance(defaults, dict):
                 raise CliError(f"--config {args.config}: expected a JSON object",
                                EXIT_USAGE)
-            parser.commands[args.command].set_defaults(
-                **{key.replace("-", "_"): value for key, value in defaults.items()})
+            # a flag that takes a value gets it as text, so the parser converts
+            # and checks it as it does a command-line value
+            command = parser.commands[args.command]
+            takes_value = {a.dest for a in command._actions if a.nargs != 0}
+            defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
+            command.set_defaults(**{
+                key: str(value) if key in takes_value and value is not None else value
+                for key, value in defaults.items()})
             args, remaining = parser.parse_known_args(argv)
         if remaining:
             raise CliError(f"unrecognized arguments: {' '.join(remaining)}", EXIT_USAGE)

@@ -20,6 +20,7 @@ import numpy as np
 ACCEPT_THRESHOLD = 0.81          # 0.9^2
 BOUNDS_REJECT_FACTOR = 0.25
 W_FLOOR = 1e-10                  # caps eps = 1/w on (near-)exact steps
+RTOL_MIN = 10 * np.finfo(float).eps   # a finer rtol asks for less than roundoff
 
 CLASSICAL_CONTROLLERS = {
     "PI42": (0.60, -0.20, 0.00),
@@ -41,10 +42,12 @@ class ControllerConfig:
     use_limiter: bool = True
 
     def __post_init__(self):
-        if self.atol <= 0:
+        if not self.atol > 0:
             raise ValueError("atol must be positive")
-        if self.rtol < 0:
-            raise ValueError("rtol must be nonnegative")
+        if not (self.rtol == 0.0 or self.rtol >= RTOL_MIN):
+            raise ValueError(f"rtol must be 0 or at least {RTOL_MIN:.1e}")
+        if not all(math.isfinite(b) for b in (self.beta1, self.beta2, self.beta3)):
+            raise ValueError("controller parameters must be finite")
         if not 0 < self.accept_threshold < 1:
             raise ValueError("accept_threshold must lie in (0, 1)")
         if self.k < 2:
@@ -84,14 +87,16 @@ class StepDecision:
 
 
 def error_norm(u_new, uhat_new, cfg: ControllerConfig) -> float:
-    """Weighted RMS of the error estimate; NaN anywhere forces +inf."""
+    """Weighted RMS of the error estimate; NaN anywhere, or a norm beyond the
+    float range, gives +inf."""
     u_new = np.asarray(u_new, dtype=float)
     uhat_new = np.asarray(uhat_new, dtype=float)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(uhat_new))):
         return math.inf
-    scale = cfg.atol + cfg.rtol * np.maximum(np.abs(u_new), np.abs(uhat_new))
-    ratio = (u_new - uhat_new) / scale
-    return float(np.sqrt(np.mean(ratio * ratio)))
+    with np.errstate(over="ignore"):
+        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(u_new), np.abs(uhat_new))
+        ratio = (u_new - uhat_new) / scale
+        return float(np.sqrt(np.mean(ratio * ratio)))
 
 
 def inverse_error(w: float) -> float:
@@ -132,7 +137,10 @@ def initial_step(rhs, t0, u0, cfg: ControllerConfig, q, horizon=None, admissible
     fallback = 1e-6 * horizon if horizon else 1e-6
 
     scale = cfg.atol + cfg.rtol * np.abs(u0)
-    wnorm = lambda v: float(np.sqrt(np.mean((v / scale) ** 2)))
+
+    def wnorm(v):
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.mean((v / scale) ** 2)))
 
     f0 = np.asarray(rhs(t0, u0), dtype=float)
     d0 = wnorm(u0)
@@ -141,6 +149,8 @@ def initial_step(rhs, t0, u0, cfg: ControllerConfig, q, horizon=None, admissible
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
+    if not 0.0 < h0 < math.inf:     # a norm beyond the float range
+        return fallback
     u1 = u0 + h0 * f0
     if not np.all(np.isfinite(u1)) or (admissible is not None and not admissible(u1)):
         return fallback
@@ -163,8 +173,8 @@ class CflConfig:
     sigma: float
 
     def __post_init__(self):
-        if self.nu <= 0 or self.sigma <= 0:
-            raise ValueError("nu and sigma must be positive")
+        if not (0 < self.nu < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("nu and sigma must be finite and positive")
 
     def describe(self):
         return f"CFL(nu={self.nu:g}, sigma={self.sigma:g})"

@@ -111,6 +111,8 @@ class Grid1d:
     @classmethod
     def perturbed(cls, lo, hi, nel, amplitude=0.2, seed=0):
         """Uniform grid with interior boundaries jittered by +-amplitude*h."""
+        if nel < 1:
+            raise ValueError("a grid needs at least one element")
         rng = np.random.default_rng(seed)
         b = np.linspace(lo, hi, nel + 1)
         h = (hi - lo) / nel
@@ -157,6 +159,12 @@ class Grid2d:
 # ---------------------------------------------------------------------------
 # linear advection
 
+def _neighbours(nel):
+    """Indices of each element's left and right periodic neighbours."""
+    idx = np.arange(nel)
+    return np.roll(idx, 1), np.roll(idx, -1)
+
+
 class AdvectionSemidisc1d:
     """u_t + a u_x = 0, periodic, full upwind interface flux."""
 
@@ -166,21 +174,23 @@ class AdvectionSemidisc1d:
         self.a = float(velocity)
         self.jacobian = 0.5 * grid.widths          # dx/dxi per element
         self.x = grid.nodes(self.op)
+        self._left, self._right = _neighbours(grid.nel)
+        w = self.op.weights
+        self._vol = -(self.a / self.jacobian[:, None])
+        self._upwind = (self.a / (self.jacobian * w[0]) if self.a > 0
+                        else -self.a / (self.jacobian * w[-1]))
 
     @property
     def n_dof(self):
         return self.grid.nel * self.op.n
 
     def rhs(self, t, u):
-        op, a = self.op, self.a
         with np.errstate(over="ignore", invalid="ignore"):
-            du = -(a / self.jacobian[:, None]) * (u @ op.D.T)
-            if a > 0:
-                ujump = np.roll(u[:, -1], 1) - u[:, 0]
-                du[:, 0] += (a / (self.jacobian * op.weights[0])) * ujump
-            elif a < 0:
-                ujump = np.roll(u[:, 0], -1) - u[:, -1]
-                du[:, -1] += (-a / (self.jacobian * op.weights[-1])) * ujump
+            du = self._vol * (u @ self.op.D.T)
+            if self.a > 0:
+                du[:, 0] += self._upwind * (u[self._left, -1] - u[:, 0])
+            elif self.a < 0:
+                du[:, -1] += self._upwind * (u[self._right, 0] - u[:, -1])
         return du
 
     __call__ = rhs
@@ -223,37 +233,41 @@ class AdvectionSemidisc2d:
         self.jx = 0.5 * grid.x.widths
         self.jy = 0.5 * grid.y.widths
         self.X, self.Y = grid.nodes(self.op)
+        self._lx, self._rx = _neighbours(grid.x.nel)
+        self._ly, self._ry = _neighbours(grid.y.nel)
+        ax, ay = self.a
+        w = self.op.weights
+        jx, jy = self.jx[:, None, None], self.jy[None, :, None]
+        self._vol_x = ax / jx[..., None]
+        self._vol_y = ay / jy[..., None]
+        self._upwind_x = ax / (jx * w[0]) if ax > 0 else -ax / (jx * w[-1])
+        self._upwind_y = ay / (jy * w[0]) if ay > 0 else -ay / (jy * w[-1])
 
     @property
     def n_dof(self):
         return self.grid.x.nel * self.grid.y.nel * self.op.n ** 2
 
     def rhs(self, t, u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._rhs(t, u)
-
-    def _rhs(self, t, u):
-        op = self.op
         ax, ay = self.a
-        D = op.D
-        w0, wN = op.weights[0], op.weights[-1]
-        du = np.zeros_like(u)
-        if ax != 0.0:
-            du -= (ax / self.jx[:, None, None, None]) * np.einsum("am,efmb->efab", D, u)
-            if ax > 0:
-                jump = np.roll(u[:, :, -1, :], 1, axis=0) - u[:, :, 0, :]
-                du[:, :, 0, :] += (ax / (self.jx[:, None, None] * w0)) * jump
-            else:
-                jump = np.roll(u[:, :, 0, :], -1, axis=0) - u[:, :, -1, :]
-                du[:, :, -1, :] += (-ax / (self.jx[:, None, None] * wN)) * jump
-        if ay != 0.0:
-            du -= (ay / self.jy[None, :, None, None]) * np.einsum("bm,efam->efab", D, u)
-            if ay > 0:
-                jump = np.roll(u[:, :, :, -1], 1, axis=1) - u[:, :, :, 0]
-                du[:, :, :, 0] += (ay / (self.jy[None, :, None] * w0)) * jump
-            else:
-                jump = np.roll(u[:, :, :, 0], -1, axis=1) - u[:, :, :, -1]
-                du[:, :, :, -1] += (-ay / (self.jy[None, :, None] * wN)) * jump
+        D = self.op.D
+        with np.errstate(over="ignore", invalid="ignore"):
+            du = np.zeros_like(u)
+            if ax != 0.0:
+                du -= self._vol_x * np.einsum("am,efmb->efab", D, u)
+                if ax > 0:
+                    jump = u[:, :, -1].take(self._lx, axis=0) - u[:, :, 0]
+                    du[:, :, 0] += self._upwind_x * jump
+                else:
+                    jump = u[:, :, 0].take(self._rx, axis=0) - u[:, :, -1]
+                    du[:, :, -1] += self._upwind_x * jump
+            if ay != 0.0:
+                du -= self._vol_y * np.einsum("bm,efam->efab", D, u)
+                if ay > 0:
+                    jump = u[:, :, :, -1].take(self._ly, axis=1) - u[:, :, :, 0]
+                    du[:, :, :, 0] += self._upwind_y * jump
+                else:
+                    jump = u[:, :, :, 0].take(self._ry, axis=1) - u[:, :, :, -1]
+                    du[:, :, :, -1] += self._upwind_y * jump
         return du
 
     __call__ = rhs
@@ -293,15 +307,6 @@ def euler_primitives_1d(u):
     return rho, v, p
 
 
-def euler_flux_1d(u):
-    rho, v, p = euler_primitives_1d(u)
-    f = np.empty_like(u)
-    f[..., 0] = u[..., 1]
-    f[..., 1] = u[..., 1] * v + p
-    f[..., 2] = (u[..., 2] + p) * v
-    return f
-
-
 def euler_primitives_2d(u):
     rho = u[..., 0]
     vx = u[..., 1] / rho
@@ -310,28 +315,28 @@ def euler_primitives_2d(u):
     return rho, vx, vy, p
 
 
-def euler_flux_2d(u, axis):
-    rho, vx, vy, p = euler_primitives_2d(u)
-    vn = vx if axis == 0 else vy
-    f = np.empty_like(u)
-    f[..., 0] = rho * vn
-    f[..., 1] = u[..., 1] * vn
-    f[..., 2] = u[..., 2] * vn
-    if axis == 0:
-        f[..., 1] += p
-    else:
-        f[..., 2] += p
-    f[..., 3] = (u[..., 3] + p) * vn
-    return f
-
-
 def _sound_speed(rho, p):
     with np.errstate(invalid="ignore"):
         return np.sqrt(GAMMA * p / rho)
 
 
-def _llf(fl, fr, ul, ur, lam):
-    return 0.5 * (fl + fr) - 0.5 * lam[..., None] * (ur - ul)
+def _llf_surface(du, u, f, speed, face, nb, left, right, jw0, jwN):
+    """Add the local Lax-Friedrichs surface terms on the faces normal to the
+    node axis `face` of nodal arrays whose element axis `nb` is periodic.
+
+    Face states, fluxes and wave speeds are the end-node values of the
+    nodal arrays u, f and speed; `left`/`right` index each element's
+    neighbours and jw0, jwN are the Jacobian-weight scalings of its first
+    and last node.
+    """
+    first = (slice(None),) * face + (0,)
+    last = (slice(None),) * face + (-1,)
+    uR, fR = u[first], f[first]
+    uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
+    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
+    fstar = 0.5 * (fL + fR) - 0.5 * lam[..., None] * (uR - uL)
+    du[first] += (fstar - fR) / jw0
+    du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
 
 
 class EulerSemidisc1d:
@@ -349,6 +354,10 @@ class EulerSemidisc1d:
         self.jacobian = 0.5 * grid.widths
         self.x = grid.nodes(self.op)
         self.energy_source = energy_source
+        self._left, self._right = _neighbours(grid.nel)
+        w, jac = self.op.weights, self.jacobian[:, None]
+        self._vol = -(1.0 / jac[..., None])
+        self._jw0, self._jwN = jac * w[0], jac * w[-1]
 
     @property
     def n_dof(self):
@@ -361,20 +370,16 @@ class EulerSemidisc1d:
         return bool(np.all(rho > 0.0) and np.all(p > 0.0))
 
     def rhs(self, t, u):
-        op = self.op
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            f = euler_flux_1d(u)
-            du = -(1.0 / self.jacobian[:, None, None]) * np.einsum("am,emv->eav", op.D, f)
-            uR = u[:, 0, :]                       # right state of left interface
-            uL = np.roll(u[:, -1, :], 1, axis=0)  # left state of left interface
-            rhoL, vL, pL = euler_primitives_1d(uL)
-            rhoR, vR, pR = euler_primitives_1d(uR)
-            lam = np.maximum(np.abs(vL) + _sound_speed(rhoL, pL),
-                             np.abs(vR) + _sound_speed(rhoR, pR))
-            fstar = _llf(euler_flux_1d(uL), euler_flux_1d(uR), uL, uR, lam)
-            du[:, 0, :] += (fstar - f[:, 0, :]) / (self.jacobian[:, None] * op.weights[0])
-            fstar_right = np.roll(fstar, -1, axis=0)
-            du[:, -1, :] -= (fstar_right - f[:, -1, :]) / (self.jacobian[:, None] * op.weights[-1])
+            rho, v, p = euler_primitives_1d(u)
+            f = np.empty_like(u)
+            f[..., 0] = u[..., 1]
+            f[..., 1] = u[..., 1] * v + p
+            f[..., 2] = (u[..., 2] + p) * v
+            speed = np.abs(v) + np.sqrt(GAMMA * p / rho)
+            du = self._vol * np.einsum("am,emv->eav", self.op.D, f)
+            _llf_surface(du, u, f, speed, 1, 0, self._left, self._right,
+                         self._jw0, self._jwN)
         if self.energy_source is not None:
             du[..., 2] += self.energy_source(t)
         return du
@@ -408,6 +413,14 @@ class EulerSemidisc2d:
         self.jx = 0.5 * grid.x.widths
         self.jy = 0.5 * grid.y.widths
         self.X, self.Y = grid.nodes(self.op)
+        self._lx, self._rx = _neighbours(grid.x.nel)
+        self._ly, self._ry = _neighbours(grid.y.nel)
+        w = self.op.weights
+        jx, jy = self.jx[:, None, None, None], self.jy[None, :, None, None]
+        self._vol_x = -(1.0 / jx[..., None])
+        self._vol_y = -(1.0 / jy[..., None])
+        self._jw0_x, self._jwN_x = jx * w[0], jx * w[-1]
+        self._jw0_y, self._jwN_y = jy * w[0], jy * w[-1]
 
     @property
     def n_dof(self):
@@ -420,43 +433,27 @@ class EulerSemidisc2d:
         return bool(np.all(rho > 0.0) and np.all(p > 0.0))
 
     def rhs(self, t, u):
-        op = self.op
-        D = op.D
-        w0, wN = op.weights[0], op.weights[-1]
+        D = self.op.D
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            fx = euler_flux_2d(u, 0)
-            fy = euler_flux_2d(u, 1)
-            du = -(1.0 / self.jx[:, None, None, None, None]) * np.einsum("am,efmbv->efabv", D, fx)
-            du -= (1.0 / self.jy[None, :, None, None, None]) * np.einsum("bm,efamv->efabv", D, fy)
-
-            # x-direction interfaces
-            uR = u[:, :, 0, :, :]
-            uL = np.roll(u[:, :, -1, :, :], 1, axis=0)
-            lam = self._lam(uL, uR, 0)
-            fstar = _llf(euler_flux_2d(uL, 0), euler_flux_2d(uR, 0), uL, uR, lam)
-            du[:, :, 0, :, :] += (fstar - fx[:, :, 0, :, :]) / (self.jx[:, None, None, None] * w0)
-            fstar_r = np.roll(fstar, -1, axis=0)
-            du[:, :, -1, :, :] -= (fstar_r - fx[:, :, -1, :, :]) / (self.jx[:, None, None, None] * wN)
-
-            # y-direction interfaces
-            uR = u[:, :, :, 0, :]
-            uL = np.roll(u[:, :, :, -1, :], 1, axis=1)
-            lam = self._lam(uL, uR, 1)
-            fstar = _llf(euler_flux_2d(uL, 1), euler_flux_2d(uR, 1), uL, uR, lam)
-            du[:, :, :, 0, :] += (fstar - fy[:, :, :, 0, :]) / (self.jy[None, :, None, None] * w0)
-            fstar_r = np.roll(fstar, -1, axis=1)
-            du[:, :, :, -1, :] -= (fstar_r - fy[:, :, :, -1, :]) / (self.jy[None, :, None, None] * wN)
+            rho, vx, vy, p = euler_primitives_2d(u)
+            c = np.sqrt(GAMMA * p / rho)
+            # u * v_n is the flux of mass and momentum; p and the energy
+            # flux (E + p) v_n complete it
+            fx = u * vx[..., None]
+            fx[..., 1] += p
+            fx[..., 3] = (u[..., 3] + p) * vx
+            fy = u * vy[..., None]
+            fy[..., 2] += p
+            fy[..., 3] = (u[..., 3] + p) * vy
+            du = self._vol_x * np.einsum("am,efmbv->efabv", D, fx)
+            du += self._vol_y * np.einsum("bm,efamv->efabv", D, fy)
+            _llf_surface(du, u, fx, np.abs(vx) + c, 2, 0, self._lx, self._rx,
+                         self._jw0_x, self._jwN_x)
+            _llf_surface(du, u, fy, np.abs(vy) + c, 3, 1, self._ly, self._ry,
+                         self._jw0_y, self._jwN_y)
         return du
 
     __call__ = rhs
-
-    def _lam(self, uL, uR, axis):
-        rhoL, vxL, vyL, pL = euler_primitives_2d(uL)
-        rhoR, vxR, vyR, pR = euler_primitives_2d(uR)
-        vnL = vxL if axis == 0 else vyL
-        vnR = vxR if axis == 0 else vyR
-        return np.maximum(np.abs(vnL) + _sound_speed(rhoL, pL),
-                          np.abs(vnR) + _sound_speed(rhoR, pR))
 
     def cfl_timescale(self, u):
         rho, vx, vy, p = euler_primitives_2d(u)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -124,10 +125,13 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
         else:
             if ok:
                 w = ctrl.error_norm(res.u_new, res.u_new - res.err_diff, controller)
+                ok = w < math.inf
+            if ok:
                 state.push(ctrl.inverse_error(w))
                 dt_next, factor = ctrl.pid_propose(state, controller)
             else:
-                # same robustness path for NaN stages and physical-bounds failures
+                # same robustness path for NaN stages, physical-bounds failures
+                # and error estimates beyond the float range
                 dt_next, factor = dt_try, 0.0
             decision = ctrl.accept_or_reject(factor, dt_try, dt_next, ok, controller)
             accept = decision.accept

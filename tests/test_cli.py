@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rkadapt.cli import main
 
@@ -244,14 +248,122 @@ BAD_COEFF_FILES = {
      "--budget", "1", "--config", "bad_policy.json"],
     ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "0",
      "--budget", "1"],
+    # found by the fuzz test below: each hung, raised, or ran on a setting
+    # that is not finite or cannot be met in double precision
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "nan"],
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-300"],
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-3",
+     "--beta", "nan,0"],
+    ["sweep", "--scheme", "bs3", "--problem", "dahlquist", "--tols", "nan"],
+    ["integrate", "--scheme", "bs3", "--problem", "source1d", "--tol", "1e-3",
+     "--t-end", "inf"],
+    ["integrate", "--scheme", "bs3", "--problem", "advection2d", "--tol", "1e-3",
+     "--grid", "perturbed", "--elements", "0"],
+    ["stability", "--scheme", "bs3", "--out", "missing/stab"],
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-3",
+     "--history-out", "missing/h.csv"],
+    ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "1e-300",
+     "--budget", "1"],
+    ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "1e-3",
+     "--budget", "1", "--seed", "-1"],
+    ["integrate", "--scheme", "bs3", "--problem", "source1d", "--t-end", "0.1",
+     "--cfl", "nan"],
+    ["stability", "--scheme", "bs3", "--config", "typed.json"],
+    ["stability", "--scheme", "bs3", "--config", "beta.json", "--control-map"],
 ] + [["stability", "--coeff-file", name] for name in BAD_COEFF_FILES])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad_policy.json").write_text(json.dumps({"policy": "bogus"}))
+    (tmp_path / "typed.json").write_text(json.dumps({"points": [64]}))
+    (tmp_path / "beta.json").write_text(json.dumps({"beta": 0.7}))
     for name, doc in BAD_COEFF_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") or "\nerror: " in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing over the flag grammar
+
+# each flag's values: (well-formed, malformed); a drawn flag takes a
+# malformed value one time in eight, so most runs get past the parser
+_NUMBER = (["1e-3"], ["0", "-1", "nan", "inf", "x"])
+_PROBLEM_FLAGS = {
+    "--problem": (["dahlquist", "source1d", "advection2d", "vortex2d"], ["nope"]),
+    "--elements": (["1", "2", "3"], ["0", "-2", "x"]),
+    "--degree": (["1", "2"], ["0", "x"]),
+    "--grid": (["uniform", "perturbed"], ["hex"]),
+    "--lambda": (["-2", "0", "3", "-1e300"], ["nan", "inf", "x"]),
+    "--t-end": (["0.05", "0.3"], ["0", "-1", "nan", "inf", "x"]),
+}
+_COMMON_FLAGS = {
+    "--scheme": (["bs3", "rk35-3s+fsal", "ssp43", "bs5"], ["nosuch"]),
+    "--coeff-file": (["euler.json"], ["missing.json", "list.json"]),
+    "--out": (["out"], ["missing/out"]),
+    "--seed": (["0", "3"], ["-1", "x"]),
+    "--config": (["good.json"], ["list.json", "typed.json", "missing.json"]),
+}
+_BETA = (["0.7,-0.23", "0.6,-0.2,0", "1,-0.4,0.1"],
+         ["nan,0", "inf,0", "1,2,3,4", "a,b"])
+_TOL_FLAGS = {
+    "--tol": (["1e-3", "1e-6", "1e-300", "1e300"], ["0", "-1", "nan", "inf", "x"]),
+    "--atol": _NUMBER, "--rtol": _NUMBER, "--beta": _BETA,
+    "--sigma": (["1", "0.3"], ["0", "nan", "x"]),
+}
+_GRAMMAR = {
+    "integrate": {**_COMMON_FLAGS, **_PROBLEM_FLAGS, **_TOL_FLAGS,
+                  "--cfl": (["0.5", "3"], ["0", "-1", "nan", "inf", "x"]),
+                  "--history-out": (["h.csv"], ["missing/h.csv"]),
+                  "--solution-out": (["s.csv"], ["missing/s.csv"])},
+    "sweep": {**_COMMON_FLAGS, **_PROBLEM_FLAGS, **_TOL_FLAGS,
+              "--tols": (["1e-3,1e-5", "1e-4"], ["0", "nan", "inf", "x"]),
+              "--nus": (["0.5,1", "2"], ["0", "nan", "inf", "x"])},
+    "stability": {**_COMMON_FLAGS, "--scaled": ([None], []),
+                  "--control-map": ([None], []),
+                  "--points": (["64", "100"], ["10", "-1", "x"]),
+                  "--grid-map": (["0", "7"], ["-1", "x"]), "--beta": _BETA},
+    "search": {**_COMMON_FLAGS, "--lambda": _PROBLEM_FLAGS["--lambda"],
+               "--t-end": _PROBLEM_FLAGS["--t-end"],
+               "--tol": _TOL_FLAGS["--tol"],
+               "--tols": (["1e-3,1e-5"], ["0", "nan", "inf", "x"]),
+               "--policy": (["min-max", "min-p95"], ["bogus"]),
+               "--budget": (["1", "2"], ["0", "x"]),
+               "--problems": (["dahlquist"], ["dahlquist,nope"])},
+}
+# flags every example carries: the scheme, and what keeps each run cheap
+# (no run integrates to a problem's default horizon or searches the grid)
+_ALWAYS = {"--scheme", "--problem", "--t-end", "--tol", "--budget", "--problems"}
+_CONFIGS = {"euler.json": FORWARD_EULER_DOC,
+            "good.json": {"tol": 1e-4, "t_end": 0.1},
+            "list.json": [1, 2],
+            "typed.json": {"points": [64], "tol": "small", "budget": "two",
+                           "t_end": None, "grid_map": 2.5, "beta": 0.7}}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for flag, (good, bad) in sorted(_GRAMMAR[command].items()):
+        if flag in _ALWAYS or draw(st.integers(0, 2)) == 0:
+            values = bad if bad and draw(st.integers(0, 7)) == 0 else good
+            value = draw(st.sampled_from(values))
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rkadapt import dgsem
 from rkadapt.control import (CflConfig, ControllerConfig, ControllerState,
@@ -182,3 +184,51 @@ def test_cfl_dt_zero_wave_speed_errors():
 def test_inverse_error_is_capped():
     assert inverse_error(0.0) == 1e10
     assert inverse_error(1e-3) == pytest.approx(1e3)
+
+
+# ---------------------------------------------------------------------------
+# PID algebra on generated error histories
+
+# eps = 1/w lies in (0, 1/W_FLOOR]; the search grid bounds the exponents
+_eps = st.floats(1e-6, 1e10)
+_histories = st.lists(_eps, min_size=3, max_size=3)
+_betas = st.tuples(st.floats(0.1, 1.0), st.floats(-0.4, 0.0), st.floats(0.0, 0.1))
+_ks = st.integers(2, 6)
+_dts = st.floats(1e-6, 1e3)
+
+
+@given(k=_ks, dt=_dts, err_const=st.floats(1e-8, 1e8), h1=_histories)
+def test_pid_deadbeat_reduction_lands_on_the_tolerance_in_one_step(k, dt, err_const, h1):
+    # beta = (1, 0, 0) without the limiter is the deadbeat controller: for
+    # the asymptotic error model w = C dt^k it proposes the step whose
+    # error is exactly on the tolerance, whatever the older history holds
+    c = cfg(beta=(1.0, 0.0, 0.0), k=k, use_limiter=False)
+    eps = 1.0 / (err_const * dt ** k)
+    dt_next, factor = pid_propose(ControllerState(dt, [eps] + h1[1:]), c)
+    assert err_const * dt_next ** k == pytest.approx(1.0, rel=1e-12)
+    assert factor == eps ** (1.0 / k)
+    assert pid_propose(ControllerState(dt, [eps, 1.0, 1.0]), c) == (dt_next, factor)
+
+
+@given(beta=_betas, k=_ks, dt=_dts, limiter=st.booleans())
+def test_pid_neutral_history_is_a_fixed_point(beta, k, dt, limiter):
+    state = ControllerState(dt_current=dt)
+    dt_next, factor = pid_propose(state, cfg(beta=beta, k=k, use_limiter=limiter))
+    assert factor == 1.0 and dt_next == dt
+
+
+@given(beta=_betas, k=_ks, h=_histories, ratio=st.floats(1.001, 1e3))
+def test_pid_factor_is_monotone_in_the_newest_eps(beta, k, h, ratio):
+    larger = [h[0] * ratio] + h[1:]
+    for limiter in (False, True):
+        c = cfg(beta=beta, k=k, use_limiter=limiter)
+        low = pid_propose(ControllerState(1.0, h), c)[1]
+        high = pid_propose(ControllerState(1.0, larger), c)[1]
+        assert (low < high) if not limiter else (low <= high)
+
+
+@given(beta=_betas, k=_ks, h=_histories, dt=_dts)
+def test_pid_limited_factor_stays_inside_the_arctan_band(beta, k, h, dt):
+    dt_next, factor = pid_propose(ControllerState(dt, h), cfg(beta=beta, k=k))
+    assert 1.0 - math.pi / 2 < factor < 1.0 + math.pi / 2
+    assert dt_next == factor * dt

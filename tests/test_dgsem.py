@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkadapt import dgsem
 from rkadapt.catalog import catalog_get
@@ -176,3 +178,255 @@ def test_perturbed_grid_keeps_quadrature_exact():
     g = Grid1d.perturbed(-1, 1, 8, amplitude=0.2, seed=1)
     semi = AdvectionSemidisc1d(g, 3, 1.0)
     assert semi.integral(np.ones((8, 4))) == pytest.approx(2.0, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# generated states: the kernels against the recomputing formulation
+
+def _ref_flux_1d(u):
+    rho, v, p = dgsem.euler_primitives_1d(u)
+    f = np.empty_like(u)
+    f[..., 0] = u[..., 1]
+    f[..., 1] = u[..., 1] * v + p
+    f[..., 2] = (u[..., 2] + p) * v
+    return f
+
+
+def _ref_flux_2d(u, axis):
+    rho, vx, vy, p = dgsem.euler_primitives_2d(u)
+    vn = vx if axis == 0 else vy
+    f = np.empty_like(u)
+    f[..., 0] = rho * vn
+    f[..., 1] = u[..., 1] * vn
+    f[..., 2] = u[..., 2] * vn
+    if axis == 0:
+        f[..., 1] += p
+    else:
+        f[..., 2] += p
+    f[..., 3] = (u[..., 3] + p) * vn
+    return f
+
+
+def _ref_speed_2d(u, axis):
+    rho, vx, vy, p = dgsem.euler_primitives_2d(u)
+    return np.abs(vx if axis == 0 else vy) + dgsem._sound_speed(rho, p)
+
+
+def _ref_llf(fl, fr, ul, ur, lam):
+    return 0.5 * (fl + fr) - 0.5 * lam[..., None] * (ur - ul)
+
+
+def _reference_rhs(semi, t, u):
+    """Each semidiscretization's RHS with every face state rebuilt by
+    np.roll and its primitives, sound speed and flux recomputed there."""
+    op = semi.op
+    D, w0, wN = op.D, op.weights[0], op.weights[-1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if isinstance(semi, AdvectionSemidisc1d):
+            a, jac = semi.a, semi.jacobian
+            du = -(a / jac[:, None]) * (u @ D.T)
+            if a > 0:
+                du[:, 0] += (a / (jac * w0)) * (np.roll(u[:, -1], 1) - u[:, 0])
+            elif a < 0:
+                du[:, -1] += (-a / (jac * wN)) * (np.roll(u[:, 0], -1) - u[:, -1])
+            return du
+        if isinstance(semi, AdvectionSemidisc2d):
+            (ax, ay), jx, jy = semi.a, semi.jx, semi.jy
+            du = np.zeros_like(u)
+            if ax != 0.0:
+                du -= (ax / jx[:, None, None, None]) * np.einsum("am,efmb->efab", D, u)
+                if ax > 0:
+                    jump = np.roll(u[:, :, -1, :], 1, axis=0) - u[:, :, 0, :]
+                    du[:, :, 0, :] += (ax / (jx[:, None, None] * w0)) * jump
+                else:
+                    jump = np.roll(u[:, :, 0, :], -1, axis=0) - u[:, :, -1, :]
+                    du[:, :, -1, :] += (-ax / (jx[:, None, None] * wN)) * jump
+            if ay != 0.0:
+                du -= (ay / jy[None, :, None, None]) * np.einsum("bm,efam->efab", D, u)
+                if ay > 0:
+                    jump = np.roll(u[:, :, :, -1], 1, axis=1) - u[:, :, :, 0]
+                    du[:, :, :, 0] += (ay / (jy[None, :, None] * w0)) * jump
+                else:
+                    jump = np.roll(u[:, :, :, 0], -1, axis=1) - u[:, :, :, -1]
+                    du[:, :, :, -1] += (-ay / (jy[None, :, None] * wN)) * jump
+            return du
+        if isinstance(semi, EulerSemidisc1d):
+            jac = semi.jacobian
+            f = _ref_flux_1d(u)
+            du = -(1.0 / jac[:, None, None]) * np.einsum("am,emv->eav", D, f)
+            uR = u[:, 0, :]
+            uL = np.roll(u[:, -1, :], 1, axis=0)
+            rhoL, vL, pL = dgsem.euler_primitives_1d(uL)
+            rhoR, vR, pR = dgsem.euler_primitives_1d(uR)
+            lam = np.maximum(np.abs(vL) + dgsem._sound_speed(rhoL, pL),
+                             np.abs(vR) + dgsem._sound_speed(rhoR, pR))
+            fstar = _ref_llf(_ref_flux_1d(uL), _ref_flux_1d(uR), uL, uR, lam)
+            du[:, 0, :] += (fstar - f[:, 0, :]) / (jac[:, None] * w0)
+            du[:, -1, :] -= (np.roll(fstar, -1, axis=0) - f[:, -1, :]) / (jac[:, None] * wN)
+            if semi.energy_source is not None:
+                du[..., 2] += semi.energy_source(t)
+            return du
+        jx, jy = semi.jx[:, None, None, None], semi.jy[None, :, None, None]
+        fx, fy = _ref_flux_2d(u, 0), _ref_flux_2d(u, 1)
+        du = -(1.0 / jx[..., None]) * np.einsum("am,efmbv->efabv", D, fx)
+        du -= (1.0 / jy[..., None]) * np.einsum("bm,efamv->efabv", D, fy)
+        uR = u[:, :, 0, :, :]
+        uL = np.roll(u[:, :, -1, :, :], 1, axis=0)
+        lam = np.maximum(_ref_speed_2d(uL, 0), _ref_speed_2d(uR, 0))
+        fstar = _ref_llf(_ref_flux_2d(uL, 0), _ref_flux_2d(uR, 0), uL, uR, lam)
+        du[:, :, 0, :, :] += (fstar - fx[:, :, 0, :, :]) / (jx * w0)
+        du[:, :, -1, :, :] -= (np.roll(fstar, -1, axis=0) - fx[:, :, -1, :, :]) / (jx * wN)
+        uR = u[:, :, :, 0, :]
+        uL = np.roll(u[:, :, :, -1, :], 1, axis=1)
+        lam = np.maximum(_ref_speed_2d(uL, 1), _ref_speed_2d(uR, 1))
+        fstar = _ref_llf(_ref_flux_2d(uL, 1), _ref_flux_2d(uR, 1), uL, uR, lam)
+        du[:, :, :, 0, :] += (fstar - fy[:, :, :, 0, :]) / (jy * w0)
+        du[:, :, :, -1, :] -= (np.roll(fstar, -1, axis=1) - fy[:, :, :, -1, :]) / (jy * wN)
+        return du
+
+
+def _euler_state(shape, dim, seed, amplitude):
+    """Conservative variables of a random perturbation of a moving uniform
+    flow, with density and pressure kept positive."""
+    rng = np.random.default_rng(seed)
+    bump = lambda: amplitude * rng.uniform(-1.0, 1.0, shape)
+    rho = 1.0 + bump()
+    vel = [0.5 * (k + 1) + 2.0 * bump() for k in range(dim)]
+    p = 1.0 + bump()
+    u = np.empty(shape + (dim + 2,))
+    u[..., 0] = rho
+    for k, v in enumerate(vel):
+        u[..., 1 + k] = rho * v
+    u[..., -1] = p / (GAMMA - 1.0) + 0.5 * rho * sum(v * v for v in vel)
+    return u
+
+
+def _grid1d(nel, kind, seed, lo=-1.0, hi=1.0):
+    if kind == "uniform":
+        return Grid1d.uniform(lo, hi, nel)
+    if kind == "unit":
+        return Grid1d(np.arange(nel + 1.0))
+    return Grid1d.perturbed(lo, hi, nel, amplitude=0.3, seed=seed)
+
+
+_kinds = st.sampled_from(["uniform", "perturbed"])
+_amplitudes = st.sampled_from([0.0, 0.3, 0.9])
+_seeds = st.integers(0, 2 ** 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nel=st.integers(1, 6), p=st.integers(1, 4), kind=_kinds,
+       amplitude=_amplitudes, seed=_seeds, source=st.booleans())
+def test_euler_1d_rhs_bit_identical_to_recomputed_faces(nel, p, kind, amplitude,
+                                                        seed, source):
+    energy_source = (lambda t: 30.0 * math.cos(0.6 * t)) if source else None
+    semi = EulerSemidisc1d(_grid1d(nel, kind, seed), p, energy_source=energy_source)
+    u = _euler_state((nel, p + 1), 1, seed, amplitude)
+    assert semi.is_admissible(u)
+    assert np.array_equal(semi.rhs(0.4, u), _reference_rhs(semi, 0.4, u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nex=st.integers(1, 4), ney=st.integers(1, 4), p=st.integers(1, 4),
+       kind=_kinds, amplitude=_amplitudes, seed=_seeds)
+def test_euler_2d_rhs_bit_identical_to_recomputed_faces(nex, ney, p, kind,
+                                                        amplitude, seed):
+    grid = Grid2d(_grid1d(nex, kind, seed), _grid1d(ney, kind, seed + 1, 0.0, 3.0))
+    semi = EulerSemidisc2d(grid, p)
+    u = _euler_state((nex, ney, p + 1, p + 1), 2, seed, amplitude)
+    assert semi.is_admissible(u)
+    assert np.array_equal(semi.rhs(0.0, u), _reference_rhs(semi, 0.0, u))
+
+
+_velocities = st.sampled_from([-1.3, -0.4, 0.0, 0.7, 2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(nel=st.integers(1, 6), nex=st.integers(1, 4), ney=st.integers(1, 4),
+       p=st.integers(1, 4), kind=_kinds, a=_velocities, b=_velocities, seed=_seeds)
+def test_advection_rhs_bit_identical_to_rolled_faces(nel, nex, ney, p, kind, a, b,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    semi = AdvectionSemidisc1d(_grid1d(nel, kind, seed), p, a)
+    u = rng.standard_normal((nel, p + 1))
+    assert np.array_equal(semi.rhs(0.0, u), _reference_rhs(semi, 0.0, u))
+    grid = Grid2d(_grid1d(nex, kind, seed), _grid1d(ney, kind, seed + 1))
+    semi = AdvectionSemidisc2d(grid, p, (a, b))
+    u = rng.standard_normal((nex, ney, p + 1, p + 1))
+    assert np.array_equal(semi.rhs(0.0, u), _reference_rhs(semi, 0.0, u))
+
+
+def _semis_and_states(nel, p, seed):
+    """Each semidiscretization on a grid of equal unit-width elements (nel
+    by nel + 1 in 2D) with a random state."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = _grid1d(nel, "unit", 0), Grid2d(_grid1d(nel, "unit", 0),
+                                             _grid1d(nel + 1, "unit", 0))
+    n = p + 1
+    return [
+        (AdvectionSemidisc1d(g1, p, 0.8), rng.standard_normal((nel, n))),
+        (AdvectionSemidisc1d(g1, p, -0.8), rng.standard_normal((nel, n))),
+        (AdvectionSemidisc2d(g2, p, (0.8, -0.5)),
+         rng.standard_normal((nel, nel + 1, n, n))),
+        (AdvectionSemidisc2d(g2, p, (-0.8, 0.5)),
+         rng.standard_normal((nel, nel + 1, n, n))),
+        (EulerSemidisc1d(g1, p, energy_source=lambda t: 2.0),
+         _euler_state((nel, n), 1, seed, 0.5)),
+        (EulerSemidisc2d(g2, p), _euler_state((nel, nel + 1, n, n), 2, seed, 0.5)),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(nel=st.integers(3, 5), p=st.integers(1, 4), seed=_seeds)
+def test_rhs_commutes_with_an_element_shift_on_equal_elements(nel, p, seed):
+    for semi, u in _semis_and_states(nel, p, seed):
+        du = semi.rhs(0.0, u)
+        for axis in range(u.ndim // 2):
+            shifted = semi.rhs(0.0, np.roll(u, 1, axis=axis))
+            assert np.array_equal(shifted, np.roll(du, 1, axis=axis))
+
+
+def _elements_touched(semi, u, du, axis, node):
+    """Indices along `axis` of the elements whose RHS changes when the
+    end node `node` (0 or -1) of element 1 (element (1, 1) in 2D) moves."""
+    dim = u.ndim // 2
+    index = [1] * dim + [slice(None)] * (u.ndim - dim)
+    index[dim + axis] = node
+    bumped = u.copy()
+    bumped[tuple(index)] *= 1.01
+    changed = semi.rhs(0.0, bumped) != du
+    other = tuple(k for k in range(u.ndim) if k != axis)
+    return set(np.nonzero(changed.any(axis=other))[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(nel=st.integers(3, 5), p=st.integers(1, 4), seed=_seeds)
+def test_end_nodes_couple_only_to_the_element_across_their_face(nel, p, seed):
+    # the last node of element k lies on the face it shares with element
+    # k + 1, its first node on the face shared with k - 1; a kernel that
+    # swaps its left and right neighbour indices couples them the other way
+    # round, yet still commutes with the element shift above
+    for semi, u in _semis_and_states(nel, p, seed):
+        du = semi.rhs(0.0, u)
+        for axis in range(u.ndim // 2):
+            last = _elements_touched(semi, u, du, axis, -1)
+            first = _elements_touched(semi, u, du, axis, 0)
+            assert last <= {1, 2} and first <= {0, 1}, (type(semi), axis)
+            assert last | first > {1}, (type(semi), axis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nel=st.integers(1, 6), p=st.integers(1, 4), kind=_kinds,
+       amplitude=_amplitudes, seed=_seeds)
+def test_source_free_euler_rhs_conserves_every_variable(nel, p, kind, amplitude,
+                                                        seed):
+    grid = _grid1d(nel, kind, seed)
+    cases = [
+        (EulerSemidisc1d(grid, p), _euler_state((nel, p + 1), 1, seed, amplitude)),
+        (EulerSemidisc2d(Grid2d(grid, _grid1d(nel + 1, kind, seed + 1)), p),
+         _euler_state((nel, nel + 1, p + 1, p + 1), 2, seed, amplitude)),
+    ]
+    for semi, u in cases:
+        total = semi.integral(semi.rhs(0.0, u))
+        scale = semi.integral(np.abs(u))
+        assert np.all(np.abs(total) <= 1e-12 * scale), (total, scale)

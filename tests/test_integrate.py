@@ -239,3 +239,19 @@ def test_integrate_never_returns_a_non_finite_state_unflagged(
     else:
         assert not rep.aborted and rep.t_final == 1.0
     assert np.all(np.isfinite(rep.u_final))
+
+
+def test_error_norm_beyond_the_float_range_rejects_like_a_bounds_failure():
+    # atol = 1e-300 makes the weighted error of every step overflow to +inf;
+    # each attempt is rejected at a quarter of the step and pushes nothing,
+    # where eps = 0 in the history used to be raised to beta2 / k < 0
+    scheme = catalog_get("bs3")
+    prob = make_problem("dahlquist", lam=-1.0)
+    cfg = ControllerConfig.for_scheme(scheme, atol=1e-300, rtol=0.0,
+                                      beta=(0.7, -0.4, 0.0))
+    with pytest.raises(IntegrationAbort, match="attempt budget") as info:
+        integrate(scheme, prob.semi, cfg, 0.0, 1.0, prob.u0, dt0=0.1,
+                  max_attempts=4, record_history=True)
+    rep = info.value.report
+    assert rep.n_accepted == 0 and rep.n_rejected == 4
+    assert rep.rejected_dts == [0.1, 0.025, 0.00625, 0.0015625]
