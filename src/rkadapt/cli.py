@@ -111,8 +111,8 @@ _PROBLEM_ONLY = {"lam": ("dahlquist",), "grid": ("advection2d",),
                  "degree": _DGSEM_PROBLEMS}
 
 
-def _make_problem(name, args):
-    kw = _problem_overrides(args)
+def _make_problem(name, args, **defaults):
+    kw = dict(defaults, **_problem_overrides(args))
     for key, takers in _PROBLEM_ONLY.items():
         if name not in takers:
             kw.pop(key, None)
@@ -288,18 +288,9 @@ def cmd_stability(args):
 
 def cmd_search(args):
     scheme = _resolve(args)
-    if args.problems:
-        probs = []
-        for name in args.problems.split(","):
-            if name == "vortex2d":
-                probs.append(problems.make_problem("vortex2d", elements=8,
-                                                   degree=2, t_end=4.0))
-            elif name == "source1d":
-                probs.append(problems.make_problem("source1d"))
-            else:
-                probs.append(_make_problem(name, args))
-    else:
-        probs = problems.search_suite()
+    names = args.problems.split(",") if args.problems else problems.SEARCH_DEFAULTS
+    probs = [_make_problem(name, args, **problems.SEARCH_DEFAULTS.get(name, {}))
+             for name in names]
     tols = (_floats(args.tols, "--tols")
             if args.tols else ([args.tol] if args.tol is not None else None))
     for tol in tols or ():        # the controller's own checks, before any run

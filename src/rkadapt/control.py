@@ -37,8 +37,6 @@ class ControllerConfig:
     atol: float
     rtol: float
     k: int
-    accept_threshold: float = ACCEPT_THRESHOLD
-    bounds_reject_factor: float = BOUNDS_REJECT_FACTOR
     use_limiter: bool = True
 
     def __post_init__(self):
@@ -48,8 +46,6 @@ class ControllerConfig:
             raise ValueError(f"rtol must be 0 or at least {RTOL_MIN:.1e}")
         if not all(math.isfinite(b) for b in (self.beta1, self.beta2, self.beta3)):
             raise ValueError("controller parameters must be finite")
-        if not 0 < self.accept_threshold < 1:
-            raise ValueError("accept_threshold must lie in (0, 1)")
         if self.k < 2:
             raise ValueError("controller exponent base k must be >= 2")
 
@@ -125,8 +121,8 @@ def accept_or_reject(factor, dt_current, dt_next, admissible, cfg: ControllerCon
     """Acceptance rule: bounds violations retry at dt/4, small factors retry
     at the controller's own proposal, anything else is accepted."""
     if not admissible:
-        return StepDecision(False, dt_current * cfg.bounds_reject_factor)
-    if factor >= cfg.accept_threshold:
+        return StepDecision(False, dt_current * BOUNDS_REJECT_FACTOR)
+    if factor >= ACCEPT_THRESHOLD:
         return StepDecision(True, dt_next)
     return StepDecision(False, dt_next)
 

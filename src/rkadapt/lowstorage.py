@@ -17,10 +17,11 @@ embedded solution from the delta accumulator,
 while the plus variants ("3s*+") accumulate an explicit bhat combination in a
 fourth register.
 
-Reconstruction to Butcher form runs the identical register program on linear
-combinations over the basis {u^n, k_1, ..., k_s}: every f evaluation of a
-register expanding to u^n + sum_j alpha_j k_j contributes a tableau row
-(alpha_j) and a fresh basis symbol.
+Reconstruction to Butcher form runs the identical register program, with
+dt = 1, on the unit vectors of the basis {u^n, k_1, ..., k_m}: every f
+evaluation of a register u^n + sum_j alpha_j k_j contributes a tableau row
+(alpha_j) and returns the next unit vector.  Float64 vectors give the float
+tableau, Fraction vectors the exact one.
 """
 
 from __future__ import annotations
@@ -127,125 +128,20 @@ def _solve_stage_increments(name, gamma1, gamma2, delta, beta):
     return w
 
 
-class LinComb:
-    """Linear combination over the basis {u^n, k_1, ..., k_m}.
-
-    Coefficients may be floats or Fractions; arithmetic is exact for exact
-    inputs, which is what makes rational tableau reconstruction possible.
-    """
-
-    __slots__ = ("coeffs",)
-    __array_priority__ = 100  # keep numpy from absorbing us
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def basis(cls, index, dim, one=1, zero=0):
-        v = [zero] * dim
-        v[index] = one
-        return cls(v)
-
-    def __add__(self, other):
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return LinComb([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return LinComb([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, scalar):
-        return LinComb([scalar * a for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return LinComb([a / scalar for a in self.coeffs])
-
-    @property
-    def u_weight(self):
-        return self.coeffs[0]
-
-    def k_weights(self, m):
-        return self.coeffs[1:1 + m]
-
-
-class _RowRecorder:
-    """Callable standing in for the RHS during symbolic execution.
-
-    Each call validates that the evaluated register is u^n + sum alpha_j k_j
-    and returns the next basis symbol; the alpha rows become the A matrix.
-    dt is passed as exactly 1, so `dt * f(...)` terms are the bare symbols.
-    """
-
-    def __init__(self, n_stages, exact):
-        self.dim = 1 + n_stages
-        self.rows = []
-        self.exact = exact
-        self.one = Fraction(1) if exact else 1.0
-        self.zero = Fraction(0) if exact else 0.0
-
-    def __call__(self, t, state):
-        uw = state.u_weight
-        if self.exact:
-            ok = uw == 1
-        else:
-            ok = abs(float(uw) - 1.0) <= CONSISTENCY_TOL
-        if not ok:
-            raise ReconstructionError(
-                f"register evaluated at stage {len(self.rows) + 1} has u^n weight "
-                f"{uw}, not 1; not an explicit Runge-Kutta stage")
-        if len(self.rows) >= self.dim - 1:
-            raise ReconstructionError("more f evaluations than declared stages")
-        self.rows.append(list(state.coeffs[1:]))
-        return LinComb.basis(len(self.rows), self.dim, one=self.one, zero=self.zero)
-
-
-def symbolic_step(stepper, n_stages, exact=False):
-    """Run a register program on LinComb states; return (A, b, bhat, c) rows.
-
-    `stepper(rhs, t, dt, u)` must return (u_new, err_diff) using only +, -,
-    scalar * and rhs calls.  `n_stages` counts all f evaluations including a
-    trailing FSAL evaluation if the program makes one.
-    """
-    rec = _RowRecorder(n_stages, exact)
-    u0 = LinComb.basis(0, rec.dim, one=rec.one, zero=rec.zero)
-    one = rec.one
-    u_new, err = stepper(rec, rec.zero, one, u0)
-    uhat = u_new - err
-    if abs(float(u_new.u_weight) - 1.0) > CONSISTENCY_TOL:
-        raise ReconstructionError(f"u_new has u^n weight {u_new.u_weight}, not 1")
-    if abs(float(uhat.u_weight) - 1.0) > CONSISTENCY_TOL:
-        raise ReconstructionError(f"uhat has u^n weight {uhat.u_weight}, not 1")
-    m = len(rec.rows)
-    A = [row + [rec.zero] * (m - len(row)) for row in rec.rows]
-    b = u_new.k_weights(m)
-    bhat = uhat.k_weights(m)
-    c = [sum(row, rec.zero) for row in A]
-    return A, b, bhat, c
-
-
-def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True, exact=False):
+def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True,
+                     coefficients=None):
     """Shared register program for 3s*/3s*+; generic over the state algebra.
 
     `f0`, when given, is the first-stage value f(t, u).  Returns (u_new, err,
     fsal_f), where fsal_f = f(t+dt, u_new) is the FSAL evaluation when the
-    estimate makes one.  With exact=True the sweep runs on the scheme's
-    rational coefficients.
+    estimate makes one.  `coefficients`, when given, replaces the scheme's
+    (gamma1, gamma2, gamma3, beta, delta, bhat, stage_increments, c).
     """
+    if coefficients is None:
+        coefficients = (scheme.gamma1, scheme.gamma2, scheme.gamma3, scheme.beta,
+                        scheme.delta, scheme.bhat, scheme.stage_increments, scheme.c)
+    g1, g2, g3, be, de, bh, w, c = coefficients
     s = scheme.s
-    if exact:
-        if scheme.exact is None:
-            raise ValueError(f"{scheme.name}: no exact coefficients")
-        g1, g2, g3, be, de, bh = (scheme.exact[attr] for attr in _COEFFICIENTS)
-        w = _solve_stage_increments(scheme.name, g1, g2, de, be)
-    else:
-        g1, g2, g3, be, de, bh = (getattr(scheme, attr) for attr in _COEFFICIENTS)
-        w = scheme.stage_increments
     S1 = u
     S2 = u * 0
     S3 = u
@@ -253,7 +149,7 @@ def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True, exact=F
     E = u * 0 if (plus and with_estimate) else None
     for i in range(s):
         S2 = S2 + de[i] * S1
-        f = f0 if (i == 0 and f0 is not None) else rhs(t + scheme_c(scheme, i) * dt, S1)
+        f = f0 if (i == 0 and f0 is not None) else rhs(t + c[i] * dt, S1)
         k = dt * f
         if E is not None:
             E = E + (be[i] - bh[i]) * k
@@ -273,52 +169,58 @@ def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True, exact=F
     return u_new, err, fsal_f
 
 
-def scheme_c(scheme, i):
-    # during reconstruction c is not known yet; the abscissa only matters for
-    # non-autonomous numeric stepping, so fall back to 0 there
-    c = scheme.c
-    return 0.0 if c is None else c[i]
-
-
 def to_butcher(scheme, exact=False) -> ButcherPair:
     """Reconstruct the ButcherPair realized by a low-storage register program.
 
-    With exact=True the arithmetic runs on the scheme's rational coefficients
-    (available for the SSP catalog schemes) and the exact rows are attached to
-    the returned pair as `pair.exact`.
+    The register sweep runs with dt = 1 on the unit vectors e_0 = u^n,
+    e_1 = k_1, ..., e_m = k_m, m = s + fsal; each f evaluation records the
+    k weights of its register as a row of A and returns the next unit
+    vector.  The abscissae are the row sums, so the sweep runs with c = 0.
+    With exact=True it runs on the scheme's rational coefficients (available
+    for the SSP catalog schemes) and the exact rows are attached to the
+    returned pair as `pair.exact`.
     """
     if isinstance(scheme, ButcherPair):
         return scheme
-    n_stages = scheme.s + (1 if scheme.fsal else 0)
-    def stepper(rhs, t, dt, u):
-        u_new, err, _ = _lowstorage_core(scheme, rhs, t, dt, u, exact=exact)
-        return u_new, err
-    A, b, bhat, c = symbolic_step(stepper, n_stages, exact=exact)
-    return _assemble_pair(scheme.name, scheme.q, scheme.qhat, scheme.fsal,
-                          scheme.s, A, b, bhat, c, exact)
-
-
-def _assemble_pair(name, q, qhat, fsal, s, A, b, bhat, c, exact):
-    m = len(A)
-    if fsal:
-        if m != s + 1:
-            raise ReconstructionError(f"{name}: expected {s + 1} evaluations, saw {m}")
-        bhat_full = list(bhat)
-        A = [row[:s] for row in A[:s]]
-        b = b[:s]
-        c = c[:s]
-    else:
-        if m != s:
-            raise ReconstructionError(f"{name}: expected {s} evaluations, saw {m}")
-        bhat_full = list(bhat) + [0 if exact else 0.0]
-    payload = None
+    s, name = scheme.s, scheme.name
+    m = s + scheme.fsal
     if exact:
-        payload = {"A": A, "b": list(b), "bhat": bhat_full, "c": list(c)}
-    return ButcherPair(
-        name=name,
-        A=np.array([[float(x) for x in row] for row in A]),
-        b=np.array([float(x) for x in b]),
-        c=np.array([float(x) for x in c]),
-        bhat=np.array([float(x) for x in bhat_full]),
-        q=q, qhat=qhat, fsal=fsal, exact=payload,
-    )
+        if scheme.exact is None:
+            raise ValueError(f"{name}: no exact coefficients")
+        g1, g2, g3, be, de, bh = (scheme.exact[attr] for attr in _COEFFICIENTS)
+        w = _solve_stage_increments(name, g1, g2, de, be)
+        zero, one = Fraction(0), Fraction(1)
+        basis = np.array([[one if i == j else zero for j in range(m + 1)]
+                          for i in range(m + 1)], dtype=object)
+        coefficients = (g1, g2, g3, be, de, bh, w, [zero] * s)
+    else:
+        zero, one = 0.0, 1.0
+        basis = np.eye(m + 1)
+        coefficients = (*(getattr(scheme, attr) for attr in _COEFFICIENTS),
+                        scheme.stage_increments, np.zeros(s))
+    rows = []
+
+    def record(t, state):
+        uw = state[0]
+        if not (uw == 1 if exact else abs(float(uw) - 1.0) <= CONSISTENCY_TOL):
+            raise ReconstructionError(
+                f"register evaluated at stage {len(rows) + 1} has u^n weight "
+                f"{uw}, not 1; not an explicit Runge-Kutta stage")
+        rows.append(state[1:])
+        return basis[len(rows)]
+
+    u_new, err, _ = _lowstorage_core(scheme, record, zero, one, basis[0],
+                                     coefficients=coefficients)
+    uhat = u_new - err
+    for label, v in (("u_new", u_new), ("uhat", uhat)):
+        if abs(float(v[0]) - 1.0) > CONSISTENCY_TOL:
+            raise ReconstructionError(f"{label} has u^n weight {v[0]}, not 1")
+    if len(rows) != m:
+        raise ReconstructionError(f"{name}: expected {m} evaluations, saw {len(rows)}")
+    A = [list(row[:s]) for row in rows[:s]]
+    b = list(u_new[1:s + 1])
+    bhat = list(uhat[1:]) + [zero] * (not scheme.fsal)
+    c = [sum(row, zero) for row in rows[:s]]
+    payload = {"A": A, "b": b, "bhat": bhat, "c": c} if exact else None
+    return ButcherPair(name=name, A=A, b=b, c=c, bhat=bhat, q=scheme.q,
+                       qhat=scheme.qhat, fsal=scheme.fsal, exact=payload)

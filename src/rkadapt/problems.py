@@ -169,10 +169,17 @@ def make_problem(name, **overrides) -> Problem:
     return factory(**overrides)
 
 
+# the controller optimizer's problems and the sizes it runs them at: the
+# vortex on a coarse grid over a truncated horizon, the source problem whole
+SEARCH_DEFAULTS = {
+    "vortex2d": {"elements": 8, "degree": 2, "t_end": 4.0},
+    "source1d": {"t_end": 20.0},
+}
+
+
 def search_suite():
     """Truncated-horizon problem set used by the controller optimizer."""
-    return [make_problem("vortex2d", elements=8, degree=2, t_end=4.0),
-            make_problem("source1d", t_end=20.0)]
+    return [make_problem(name, **kw) for name, kw in SEARCH_DEFAULTS.items()]
 
 
 def cfl_sigma(problem) -> float:

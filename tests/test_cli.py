@@ -131,6 +131,25 @@ def test_search_small_budget_recommends_a_candidate(tmp_path, capsys):
     assert summary["recommendation"]["aggregate"] == best_nfe
 
 
+def _search_nfe(tmp_path, capsys, *flags):
+    out = tmp_path / "s"
+    code, _, _ = run(capsys, "search", "--scheme", "rk35-3s+fsal",
+                     "--problems", "source1d", "--tol", "1e-3", "--budget", "3",
+                     "--out", str(out), *flags)
+    assert code == 0
+    rows = [r.split(",") for r in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    return [int(r[5]) for r in rows if r[-1] == "ok"]
+
+
+def test_search_problem_flags_override_suite_sizes(tmp_path, capsys):
+    short = _search_nfe(tmp_path, capsys, "--t-end", "0.25")
+    longer = _search_nfe(tmp_path, capsys, "--t-end", "0.5")
+    coarse = _search_nfe(tmp_path, capsys, "--t-end", "0.5", "--elements", "10")
+    assert short and len(short) == len(longer) == len(coarse)
+    assert all(a < b for a, b in zip(short, longer))
+    assert coarse != longer
+
+
 def test_search_empty_stable_set_exits_3(tmp_path, capsys):
     # embedded weights equal to the main weights: E == 0, every boundary
     # sample is degenerate, no candidate can be classified stable
@@ -216,6 +235,20 @@ def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
         assert code == 0
         snaps.append(snap.read_bytes())
     assert (snaps[0] != snaps[1]) == differ
+
+
+def test_fsal_file_with_zero_fsal_weight_is_a_usage_error(tmp_path, capsys):
+    # fsal is declared, but bhat[s] = 1 - sum(bhat) = 0 makes the sweep skip
+    # the FSAL evaluation, so the register program has one stage too few
+    doc = {"name": "x", "class": "3s*+", "s": 1, "q": 1, "qhat": 1,
+           "fsal": True, "gamma1": ["0"], "gamma2": ["1"], "gamma3": ["0"],
+           "beta": ["1"], "delta": ["1"], "bhat": ["1"]}
+    coeff = tmp_path / "fsal0.json"
+    coeff.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "stability", "--coeff-file", str(coeff))
+    assert code == 1
+    assert err.startswith("error: ") and "expected 2 evaluations, saw 1" in err
+    assert "Traceback" not in err
 
 
 # malformed coefficient files: a structural invariant, a scalar array field,

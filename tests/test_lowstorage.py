@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tempfile
 from fractions import Fraction as F
@@ -8,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkadapt.butcher import ButcherPair, InvariantViolation
-from rkadapt.catalog import (catalog_get, export_coefficients,
+from rkadapt.catalog import (catalog_get, catalog_names, export_coefficients,
                              load_coefficients)
 from rkadapt.lowstorage import LowStorageScheme, ReconstructionError, to_butcher
+from rkadapt.stability import stability_polynomials
 from rkadapt.stepping import butcher_step, lowstorage_step, step
 
 
@@ -49,9 +51,15 @@ def test_ssp34_reconstructs_to_exact_rational_tableau():
 
 def test_ssp33_reconstructs_to_shu_osher_tableau():
     pair = to_butcher(catalog_get("SSP3(2)3"), exact=True)
+    assert pair.exact["A"] == [[0, 0, 0], [1, 0, 0], [F(1, 4), F(1, 4), 0]]
     assert pair.exact["b"] == [F(1, 6), F(1, 6), F(2, 3)]
     assert pair.exact["bhat"] == [F(1, 2), F(1, 2), 0, 0]
     assert pair.exact["c"] == [0, 1, F(1, 2)]
+
+
+def test_exact_reconstruction_needs_rational_coefficients():
+    with pytest.raises(ValueError, match="no exact coefficients"):
+        to_butcher(catalog_get("RK3(2)5 3S*+"), exact=True)
 
 
 def test_inconsistent_scheme_raises_reconstruction_error():
@@ -93,6 +101,46 @@ def test_three_star_embedded_path_matches_reconstruction():
         scale = np.max(np.abs(b.u_new))
         assert np.max(np.abs(a.u_new - b.u_new)) <= 1e-13 * scale
         assert np.max(np.abs(a.err_diff - b.err_diff)) <= 1e-13 * scale
+
+
+def _reconstruction_digest(scheme):
+    """sha256 over the float tableau, abscissae, stage increments and
+    stability polynomials of a scheme, with each array's shape."""
+    pair = to_butcher(scheme)
+    polys = stability_polynomials(scheme)
+    arrays = [pair.A, pair.b, pair.bhat, pair.c, scheme.c,
+              getattr(scheme, "stage_increments", np.empty(0)),
+              polys.main, polys.embedded, polys.diff]
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# digests of the tableaus reconstructed by the LinComb symbolic sweep that
+# preceded the unit-vector sweep; every bit must survive a change of method
+RECONSTRUCTION_DIGESTS = {
+    "BS3(2)3 FSAL": "8fcd4e078f9c1a23ab9ba5ddd1bb5bf0052ae42e723b7a1589097e0acb7d4cf5",
+    "BS5(4)7 FSAL": "ded9b465e6494b0595df306f9d935bd810f6c45c3d6643f98ed918d9a034af62",
+    "RK3(2)5 3S*+": "dd0c926ad14ad098890c2cd85226b12fc6651912a84703548fe6498f65d7a7d5",
+    "RK3(2)5 3S*+ FSAL": "b3cf1acf67bb655c103b3576a59122a16714f483989ce0afbab50986eb42bdf6",
+    "RK4(3)9 3S*+": "9846d1c76df18fef3915a5aea36e125366a296c03d7716f0ee3b41d2bb954ee1",
+    "RK4(3)9 3S*+ FSAL": "28fda9f2469f735e12a8ebc37791f702ca5d315a8985ae6d7aa57fd6ad04fc87",
+    "RK5(4)10 3S*+": "2f61e5e6a8ad84703f18ed4d9fc87174bf9a89c819be8cd1f5bb57b3f6fee460",
+    "RK5(4)10 3S*+ FSAL": "b0b663cc15e443dc70e4063302a7f27894e16ee88e2ecbe5883d696bf0f54cd7",
+    "SSP3(2)3": "8623ca0b88535078557275625e5c69507d26c7da6a6699b6f2741ce76ffcea31",
+    "SSP3(2)4": "fc0ccd2df25e4ba8c3f000fc8e884920a89249b6cbeb8c8b1e97d82b9d07f39a",
+    "3s-test": "c6273d108feb75f9c308173f2cfa2df40efe073c42ca8bee28c6f0dfff0210db",
+}
+
+
+def test_reconstruction_is_bit_identical_to_recorded_digests():
+    schemes = {name: catalog_get(name) for name in catalog_names()}
+    schemes["3s-test"] = three_star_scheme()
+    digests = {name: _reconstruction_digest(sc) for name, sc in schemes.items()}
+    assert digests == RECONSTRUCTION_DIGESTS
 
 
 def test_to_butcher_is_identity_on_pairs():
