@@ -8,13 +8,14 @@ summaries including wall time go to JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import dgsem, problems, search, stability
+from . import problems, search, stability
 from .butcher import InvariantViolation
 from .catalog import (CoefficientParseError, UnknownMethodError, resolve_scheme)
 from .control import CflConfig, ControllerConfig
@@ -26,7 +27,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EMPTY = 3
 
-POLICIES = ("min-max", "min-median", "min-p95")
+# problem flags; each reaches the problems whose factory takes a parameter of its name
+_PROBLEM_SETTINGS = ("t_end", "elements", "degree", "grid", "lam", "seed")
 
 
 class CliError(Exception):
@@ -78,23 +80,6 @@ def _parse_beta(text):
     return tuple(parts)
 
 
-def _problem_overrides(args):
-    kw = {}
-    if getattr(args, "elements", None) is not None:
-        kw["elements"] = args.elements
-    if getattr(args, "degree", None) is not None:
-        kw["degree"] = args.degree
-    if getattr(args, "t_end", None) is not None:
-        kw["t_end"] = args.t_end
-    if getattr(args, "grid", None) is not None:
-        kw["grid"] = args.grid
-    if getattr(args, "lam", None) is not None:
-        kw["lam"] = args.lam
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    return kw
-
-
 def _usage_errors(make, *a, **kw):
     """make(*a, **kw), reporting its ValueError (a rejected setting) as a
     usage error."""
@@ -104,18 +89,11 @@ def _usage_errors(make, *a, **kw):
         raise CliError(str(exc), EXIT_USAGE) from None
 
 
-# overrides that only some problem factories take
-_DGSEM_PROBLEMS = ("advection2d", "vortex2d", "source1d")
-_PROBLEM_ONLY = {"lam": ("dahlquist",), "grid": ("advection2d",),
-                 "seed": ("advection2d",), "elements": _DGSEM_PROBLEMS,
-                 "degree": _DGSEM_PROBLEMS}
-
-
 def _make_problem(name, args, **defaults):
-    kw = dict(defaults, **_problem_overrides(args))
-    for key, takers in _PROBLEM_ONLY.items():
-        if name not in takers:
-            kw.pop(key, None)
+    takes = problems.parameters(name)
+    kw = dict(defaults)
+    kw.update((flag, getattr(args, flag)) for flag in _PROBLEM_SETTINGS
+              if flag in takes and getattr(args, flag, None) is not None)
     problem = _usage_errors(problems.make_problem, name, **kw)
     if not problem.t0 < problem.t_end < math.inf:
         raise CliError(f"--t-end must be finite and exceed the start time {problem.t0:g}",
@@ -145,17 +123,21 @@ def _cfl_controller(args, problem, nu):
     return _usage_errors(CflConfig, nu=nu, sigma=sigma)
 
 
-def _controller(args, scheme, problem, tol=None):
-    tol = tol if tol is not None else args.tol
-    if getattr(args, "cfl", None) is not None:
+def _pid_controller(args, scheme, atol, rtol):
+    """PID control with --beta if given, else the scheme's default."""
+    beta = {"beta": _parse_beta(args.beta)} if args.beta else {}
+    return _usage_errors(ControllerConfig.for_scheme, scheme, atol=atol, rtol=rtol,
+                         **beta)
+
+
+def _controller(args, scheme, problem):
+    if args.cfl is not None:
         return _cfl_controller(args, problem, args.cfl)
-    atol = args.atol if args.atol is not None else tol
-    rtol = args.rtol if args.rtol is not None else tol
+    atol = args.atol if args.atol is not None else args.tol
+    rtol = args.rtol if args.rtol is not None else args.tol
     if atol is None or rtol is None:
         raise CliError("give --tol (or --atol/--rtol) or --cfl", EXIT_USAGE)
-    beta = _parse_beta(args.beta) if args.beta else (0.60, -0.20, 0.00)
-    return _usage_errors(ControllerConfig.for_scheme, scheme, atol=atol, rtol=rtol,
-                         beta=beta)
+    return _pid_controller(args, scheme, atol, rtol)
 
 
 def _run_report(scheme, problem, controller, record_history=False):
@@ -173,13 +155,9 @@ def _write_snapshot(path, semi, u):
         coords = [("x", semi.x.ravel())]
     else:
         coords = [("index", np.arange(u.size))]
-    nvar = getattr(semi, "nvar", None)
-    if nvar:
-        vals = u.reshape(-1, nvar)
-        names = [f"u{k}" for k in range(nvar)]
-    else:
-        vals = u.reshape(-1, 1)
-        names = ["u"]
+    nvar = getattr(semi, "nvar", None)      # None for a scalar field
+    vals = u.reshape(-1, nvar or 1)
+    names = [f"u{k}" for k in range(nvar)] if nvar else ["u"]
     header = [c for c, _ in coords] + names
     cols = [c for _, c in coords] + [vals[:, k] for k in range(vals.shape[1])]
     _write_csv(path, header, zip(*cols))
@@ -196,9 +174,9 @@ def cmd_integrate(args):
         print(json.dumps(exc.report.as_dict(), sort_keys=True, indent=1))
         return EXIT_NUMERICAL
     if args.history_out:
-        rows = [("accepted", dt) for dt in report.accepted_dts]
-        rows += [("rejected", dt) for dt in report.rejected_dts]
-        _write_csv(args.history_out, ["kind", "dt"], rows)
+        rows = [(t, dt, "accepted" if accepted else "rejected")
+                for t, dt, accepted in report.history]
+        _write_csv(args.history_out, ["t", "dt", "kind"], rows)
     if args.solution_out:
         _write_snapshot(args.solution_out, problem.semi, report.u_final)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=1))
@@ -217,9 +195,7 @@ def cmd_sweep(args):
         if args.nus is not None:
             controller = _cfl_controller(args, problem, val)
         else:
-            beta = _parse_beta(args.beta) if args.beta else (0.60, -0.20, 0.00)
-            controller = _usage_errors(ControllerConfig.for_scheme, scheme, tol=val,
-                                       beta=beta)
+            controller = _pid_controller(args, scheme, val, val)
         try:
             rep = _run_report(scheme, problem, controller)
             err = max(rep.errors.values()) if rep.errors else math.nan
@@ -246,25 +222,17 @@ def cmd_stability(args):
     if args.grid_map is not None and args.grid_map < 0:
         raise CliError("--grid-map must not be negative", EXIT_USAGE)
     code = EXIT_OK
-    try:
-        pts = stability._boundary(polys, args.points).points
-    except stability.TraceError:
-        pts = stability.grid_boundary(polys, n_points=args.points)
-        code = EXIT_NUMERICAL
-    vals = np.abs(np.polynomial.polynomial.polyval(pts, polys.main))
-    _write_csv(out + ".main.csv", ["re", "im", "value"],
-               [(z.real / scale, z.imag / scale, v) for z, v in zip(pts, vals)])
-
-    emb_polys = stability.StabilityPolynomials(
-        main=polys.embedded, embedded=polys.embedded, diff=polys.diff, s_eff=polys.s_eff)
-    try:
-        epts = stability._boundary(emb_polys, args.points).points
-    except stability.TraceError:
-        epts = stability.grid_boundary(emb_polys, n_points=args.points)
-        code = EXIT_NUMERICAL
-    evals = np.abs(np.polynomial.polynomial.polyval(epts, polys.embedded))
-    _write_csv(out + ".embedded.csv", ["re", "im", "value"],
-               [(z.real / scale, z.imag / scale, v) for z, v in zip(epts, evals)])
+    # the embedded boundary is traced as the main boundary of its polynomial
+    for part, region in (("main", polys),
+                         ("embedded", dataclasses.replace(polys, main=polys.embedded))):
+        try:
+            pts = stability._boundary(region, args.points).points
+        except stability.TraceError:
+            pts = stability.grid_boundary(region, n_points=args.points)
+            code = EXIT_NUMERICAL
+        vals = np.abs(np.polynomial.polynomial.polyval(pts, region.main))
+        _write_csv(f"{out}.{part}.csv", ["re", "im", "value"],
+                   [(z.real / scale, z.imag / scale, v) for z, v in zip(pts, vals)])
 
     summary = {"out": out, "scaled_by": scale, "points": int(args.points)}
     if args.control_map:
@@ -299,8 +267,9 @@ def cmd_search(args):
         raise CliError("--budget must be at least 1", EXIT_USAGE)
     if args.seed < 0:
         raise CliError("--seed must not be negative", EXIT_USAGE)
-    if args.policy not in POLICIES:     # a config file bypasses the choices
-        raise CliError(f"--policy must be one of {', '.join(POLICIES)}", EXIT_USAGE)
+    if args.policy not in search.POLICIES:     # a config file bypasses the choices
+        raise CliError(f"--policy must be one of {', '.join(search.POLICIES)}",
+                       EXIT_USAGE)
     result = search.run_search(scheme, probs, budget=args.budget,
                                tolerances=tols, seed=args.seed)
     try:
@@ -332,8 +301,7 @@ def cmd_search(args):
         "recommendation": {
             "beta": list(best.beta),
             "aggregate": best.aggregate(args.policy),
-            "aggregates": {p: best.aggregate(p)
-                           for p in POLICIES},
+            "aggregates": {p: best.aggregate(p) for p in search.POLICIES},
         },
         "out": out + ".csv",
     }
@@ -397,8 +365,7 @@ def build_parser():
     p_search.add_argument("--problems")
     p_search.add_argument("--tol", type=float)
     p_search.add_argument("--tols")
-    p_search.add_argument("--policy", default="min-max",
-                          choices=POLICIES)
+    p_search.add_argument("--policy", default="min-max", choices=search.POLICIES)
     p_search.add_argument("--budget", type=int)
     p_search.set_defaults(func=cmd_search)
     return parser

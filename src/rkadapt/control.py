@@ -22,11 +22,7 @@ BOUNDS_REJECT_FACTOR = 0.25
 W_FLOOR = 1e-10                  # caps eps = 1/w on (near-)exact steps
 RTOL_MIN = 10 * np.finfo(float).eps   # a finer rtol asks for less than roundoff
 
-CLASSICAL_CONTROLLERS = {
-    "PI42": (0.60, -0.20, 0.00),
-    "PI33": (0.66, -0.33, 0.00),
-    "PI34": (0.70, -0.40, 0.00),
-}
+DEFAULT_BETA = (0.60, -0.20, 0.00)   # PI42, the controller when none is given
 
 
 @dataclass(frozen=True)
@@ -50,15 +46,11 @@ class ControllerConfig:
             raise ValueError("controller exponent base k must be >= 2")
 
     @classmethod
-    def for_scheme(cls, scheme, tol=None, atol=None, rtol=None,
-                   beta=(0.60, -0.20, 0.00), **kw):
-        """Config with k = min(q, qhat) + 1 and equal tolerances by default."""
+    def for_scheme(cls, scheme, tol=None, atol=None, rtol=None, beta=DEFAULT_BETA, **kw):
+        """Config with the scheme's k and equal tolerances by default."""
         if tol is not None:
             atol = rtol = tol
-        if isinstance(beta, str):
-            beta = CLASSICAL_CONTROLLERS[beta.upper()]
-        k = min(scheme.q, scheme.qhat) + 1
-        return cls(beta[0], beta[1], beta[2], atol=atol, rtol=rtol, k=k, **kw)
+        return cls(beta[0], beta[1], beta[2], atol=atol, rtol=rtol, k=scheme.k, **kw)
 
     def describe(self):
         return (f"PID({self.beta1:g},{self.beta2:g},{self.beta3:g})"

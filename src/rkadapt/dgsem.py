@@ -18,10 +18,6 @@ import numpy as np
 GAMMA = 1.4
 
 
-class AdmissibilityError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # LGL operator
 
@@ -157,7 +153,7 @@ class Grid2d:
 
 
 # ---------------------------------------------------------------------------
-# linear advection
+# geometry shared by the semidiscretizations
 
 def _neighbours(nel):
     """Indices of each element's left and right periodic neighbours."""
@@ -165,24 +161,87 @@ def _neighbours(nel):
     return np.roll(idx, 1), np.roll(idx, -1)
 
 
-class AdvectionSemidisc1d:
+def _per_variable(x):
+    """A scalar field's quadrature as a float; a system's has one per variable."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+class _Semidisc1d:
+    """Operator, nodes x, Jacobians dx/dxi, neighbours and quadrature in 1D."""
+
+    nvar = None     # variables per node of a system; None for a scalar field
+
+    def __init__(self, grid: Grid1d, p: int):
+        self.grid = grid
+        self.op = lgl_operator(p)
+        self.jacobian = 0.5 * grid.widths
+        self.x = grid.nodes(self.op)
+        self._left, self._right = _neighbours(grid.nel)
+
+    @property
+    def n_dof(self):
+        return self.x.size * (self.nvar or 1)
+
+    def integral(self, u):
+        wvol = self.jacobian[:, None] * self.op.weights[None, :]
+        if self.nvar:
+            wvol = wvol[..., None]
+        return _per_variable(np.sum(u * wvol, axis=(0, 1)))
+
+    def l2_error(self, u, ref):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (u - ref) ** 2
+            return _per_variable(np.sqrt(np.einsum("en...,e,n->...", d, self.jacobian,
+                                                   self.op.weights)))
+
+
+class _Semidisc2d:
+    """Operator, nodes X, Y, Jacobians jx, jy, neighbours and quadrature in 2D."""
+
+    nvar = None     # variables per node of a system; None for a scalar field
+
+    def __init__(self, grid: Grid2d, p: int):
+        self.grid = grid
+        self.op = lgl_operator(p)
+        self.jx = 0.5 * grid.x.widths
+        self.jy = 0.5 * grid.y.widths
+        self.X, self.Y = grid.nodes(self.op)
+        self._lx, self._rx = _neighbours(grid.x.nel)
+        self._ly, self._ry = _neighbours(grid.y.nel)
+
+    @property
+    def n_dof(self):
+        return self.X.size * (self.nvar or 1)
+
+    def integral(self, u):
+        w = self.op.weights
+        wvol = (self.jx[:, None, None, None] * self.jy[None, :, None, None]
+                * w[None, None, :, None] * w[None, None, None, :])
+        if self.nvar:
+            wvol = wvol[..., None]
+        return _per_variable(np.sum(u * wvol, axis=(0, 1, 2, 3)))
+
+    def l2_error(self, u, ref):
+        w = self.op.weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (u - ref) ** 2
+            return _per_variable(np.sqrt(np.einsum("efab...,e,f,a,b->...", d, self.jx,
+                                                   self.jy, w, w)))
+
+
+# ---------------------------------------------------------------------------
+# linear advection
+
+class AdvectionSemidisc1d(_Semidisc1d):
     """u_t + a u_x = 0, periodic, full upwind interface flux."""
 
     def __init__(self, grid: Grid1d, p: int, velocity: float):
-        self.grid = grid
-        self.op = lgl_operator(p)
+        super().__init__(grid, p)
         self.a = float(velocity)
-        self.jacobian = 0.5 * grid.widths          # dx/dxi per element
-        self.x = grid.nodes(self.op)
-        self._left, self._right = _neighbours(grid.nel)
         w = self.op.weights
         self._vol = -(self.a / self.jacobian[:, None])
         self._upwind = (self.a / (self.jacobian * w[0]) if self.a > 0
                         else -self.a / (self.jacobian * w[-1]))
-
-    @property
-    def n_dof(self):
-        return self.grid.nel * self.op.n
 
     def rhs(self, t, u):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -203,15 +262,6 @@ class AdvectionSemidisc1d:
             return math.inf
         return float(np.min(self.grid.widths)) / abs(self.a)
 
-    def integral(self, u):
-        wvol = self.jacobian[:, None] * self.op.weights[None, :]
-        return float(np.sum(u * wvol))
-
-    def l2_error(self, u, ref):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (u - ref) ** 2
-            return float(np.sqrt(np.einsum("en,e,n->", d, self.jacobian, self.op.weights)))
-
     def as_matrix(self):
         m = self.n_dof
         shape = (self.grid.nel, self.op.n)
@@ -223,18 +273,12 @@ class AdvectionSemidisc1d:
         return L
 
 
-class AdvectionSemidisc2d:
+class AdvectionSemidisc2d(_Semidisc2d):
     """u_t + a . grad u = 0 on a periodic tensor-product grid."""
 
     def __init__(self, grid: Grid2d, p: int, velocity):
-        self.grid = grid
-        self.op = lgl_operator(p)
+        super().__init__(grid, p)
         self.a = np.asarray(velocity, dtype=float)
-        self.jx = 0.5 * grid.x.widths
-        self.jy = 0.5 * grid.y.widths
-        self.X, self.Y = grid.nodes(self.op)
-        self._lx, self._rx = _neighbours(grid.x.nel)
-        self._ly, self._ry = _neighbours(grid.y.nel)
         ax, ay = self.a
         w = self.op.weights
         jx, jy = self.jx[:, None, None], self.jy[None, :, None]
@@ -242,10 +286,6 @@ class AdvectionSemidisc2d:
         self._vol_y = ay / jy[..., None]
         self._upwind_x = ax / (jx * w[0]) if ax > 0 else -ax / (jx * w[-1])
         self._upwind_y = ay / (jy * w[0]) if ay > 0 else -ay / (jy * w[-1])
-
-    @property
-    def n_dof(self):
-        return self.grid.x.nel * self.grid.y.nel * self.op.n ** 2
 
     def rhs(self, t, u):
         ax, ay = self.a
@@ -283,18 +323,6 @@ class AdvectionSemidisc2d:
         if np.all(speed == 0.0):
             return math.inf
         return float(1.0 / np.max(speed))
-
-    def integral(self, u):
-        w = self.op.weights
-        wvol = (self.jx[:, None, None, None] * self.jy[None, :, None, None]
-                * w[None, None, :, None] * w[None, None, None, :])
-        return float(np.sum(u * wvol))
-
-    def l2_error(self, u, ref):
-        w = self.op.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (u - ref) ** 2
-            return float(np.sqrt(np.einsum("efab,e,f,a,b->", d, self.jx, self.jy, w, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +367,7 @@ def _llf_surface(du, u, f, speed, face, nb, left, right, jw0, jwN):
     du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
 
 
-class EulerSemidisc1d:
+class EulerSemidisc1d(_Semidisc1d):
     """1D compressible Euler, nodal DGSEM with local Lax-Friedrichs fluxes.
 
     An optional spatially-uniform source on the energy equation supports the
@@ -349,19 +377,11 @@ class EulerSemidisc1d:
     nvar = 3
 
     def __init__(self, grid: Grid1d, p: int, energy_source=None):
-        self.grid = grid
-        self.op = lgl_operator(p)
-        self.jacobian = 0.5 * grid.widths
-        self.x = grid.nodes(self.op)
+        super().__init__(grid, p)
         self.energy_source = energy_source
-        self._left, self._right = _neighbours(grid.nel)
         w, jac = self.op.weights, self.jacobian[:, None]
         self._vol = -(1.0 / jac[..., None])
         self._jw0, self._jwN = jac * w[0], jac * w[-1]
-
-    @property
-    def n_dof(self):
-        return self.grid.nel * self.op.n * self.nvar
 
     def is_admissible(self, u):
         if not np.all(np.isfinite(u)):
@@ -391,40 +411,20 @@ class EulerSemidisc1d:
         lam = np.abs(v) + _sound_speed(rho, p)
         return float(np.min(self.grid.widths[:, None] / lam))
 
-    def integral(self, u):
-        wvol = self.jacobian[:, None] * self.op.weights[None, :]
-        return np.sum(u * wvol[..., None], axis=(0, 1))
 
-    def l2_error(self, u, ref):
-        w = self.op.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (u - ref) ** 2
-            return np.sqrt(np.einsum("env,e,n->v", d, self.jacobian, w))
-
-
-class EulerSemidisc2d:
+class EulerSemidisc2d(_Semidisc2d):
     """2D compressible Euler on a periodic tensor-product grid."""
 
     nvar = 4
 
     def __init__(self, grid: Grid2d, p: int):
-        self.grid = grid
-        self.op = lgl_operator(p)
-        self.jx = 0.5 * grid.x.widths
-        self.jy = 0.5 * grid.y.widths
-        self.X, self.Y = grid.nodes(self.op)
-        self._lx, self._rx = _neighbours(grid.x.nel)
-        self._ly, self._ry = _neighbours(grid.y.nel)
+        super().__init__(grid, p)
         w = self.op.weights
         jx, jy = self.jx[:, None, None, None], self.jy[None, :, None, None]
         self._vol_x = -(1.0 / jx[..., None])
         self._vol_y = -(1.0 / jy[..., None])
         self._jw0_x, self._jwN_x = jx * w[0], jx * w[-1]
         self._jw0_y, self._jwN_y = jy * w[0], jy * w[-1]
-
-    @property
-    def n_dof(self):
-        return self.grid.x.nel * self.grid.y.nel * self.op.n ** 2 * self.nvar
 
     def is_admissible(self, u):
         if not np.all(np.isfinite(u)):
@@ -461,18 +461,6 @@ class EulerSemidisc2d:
         sx = (np.abs(vx) + c) / self.jx[:, None, None, None] / 2.0
         sy = (np.abs(vy) + c) / self.jy[None, :, None, None] / 2.0
         return float(1.0 / np.max(sx + sy))
-
-    def integral(self, u):
-        w = self.op.weights
-        wvol = (self.jx[:, None, None, None] * self.jy[None, :, None, None]
-                * w[None, None, :, None] * w[None, None, None, :])
-        return np.sum(u * wvol[..., None], axis=(0, 1, 2, 3))
-
-    def l2_error(self, u, ref):
-        w = self.op.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (u - ref) ** 2
-            return np.sqrt(np.einsum("efabv,e,f,a,b->v", d, self.jx, self.jy, w, w))
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,9 @@ class RunReport:
     n_rejected: int = 0
     wall_time: float = 0.0
     errors: dict | None = None
-    accepted_dts: list = field(default_factory=list)
-    rejected_dts: list = field(default_factory=list)
+    history: list = field(default_factory=list)    # (t, dt, accepted) per attempt
     aborted: bool = False
     abort_reason: str | None = None
-
-    @property
-    def steps(self):
-        return self.n_accepted
 
     def as_dict(self):
         d = {
@@ -93,9 +88,12 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
                        controller=controller.describe(), t0=t0, t_end=t_end)
     horizon = t_end - t0
     if not cfl and dt0 is None:
-        dt0 = ctrl.initial_step(rhs, t0, u0, controller, q=scheme.q, horizon=horizon,
+        def counted(t, u):
+            report.nfe += 1
+            return rhs(t, u)
+
+        dt0 = ctrl.initial_step(counted, t0, u0, controller, q=scheme.q, horizon=horizon,
                                 admissible=admissible)
-        report.nfe += 2
     state = ControllerState(dt_current=None if cfl else min(dt0, horizon))
 
     t, u = t0, u0
@@ -136,17 +134,15 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
             decision = ctrl.accept_or_reject(factor, dt_try, dt_next, ok, controller)
             accept = decision.accept
             state.dt_current = decision.dt_next
+        if record_history:
+            report.history.append((t, dt_try, accept))
         if accept:
             t = t_end if clipped else t + dt_try
             u = res.u_new
             fcache = res.fsal_f
             report.n_accepted += 1
-            if record_history:
-                report.accepted_dts.append(dt_try)
         else:
             report.n_rejected += 1
-            if record_history:
-                report.rejected_dts.append(dt_try)
         if t < t_end and state.dt_current < DT_UNDERFLOW * horizon:
             _abort(report, "step size underflow" if ok else
                    "step size underflow after bounds rejection", t, u, start)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -23,9 +24,6 @@ class Problem:
     exact: callable         # exact(t) -> state, or None
     error_fn: callable      # error_fn(t, u) -> dict, or None
     t0: float = 0.0
-
-    def describe(self):
-        return f"{self.name} (t_end={self.t_end:g})"
 
 
 class DahlquistRhs:
@@ -167,6 +165,11 @@ def make_problem(name, **overrides) -> Problem:
         raise ValueError(
             f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}") from None
     return factory(**overrides)
+
+
+def parameters(name):
+    """Names of the settings make_problem(name, ...) takes; none if unknown."""
+    return inspect.signature(_FACTORIES[name]).parameters if name in _FACTORIES else {}
 
 
 # the controller optimizer's problems and the sizes it runs them at: the

@@ -19,6 +19,14 @@ from .control import ControllerConfig
 from .integrate import IntegrationAbort, integrate
 
 DEFAULT_TOLERANCES = tuple(10.0 ** -e for e in range(8, 0, -1))   # 1e-8 .. 1e-1
+MAX_ATTEMPTS = 2_000_000     # step attempts per run before it counts as failed
+
+# aggregation policies: name -> reducer of a candidate's finite nfe values
+POLICIES = {
+    "min-max": max,
+    "min-median": lambda vals: float(np.median(vals)),
+    "min-p95": lambda vals: float(np.percentile(vals, 95)),
+}
 
 
 class EmptyStableSetError(RuntimeError):
@@ -76,18 +84,11 @@ class CandidateResult:
         return [math.inf if failed else nfe for (_, _, nfe, _, _, failed) in self.runs]
 
     def aggregate(self, policy):
+        reduce = POLICIES[policy]
         vals = self.nfe_values()
-        if not vals:
+        if not vals or any(math.isinf(v) for v in vals):
             return math.inf
-        if any(math.isinf(v) for v in vals):
-            return math.inf
-        if policy == "min-max":
-            return max(vals)
-        if policy == "min-median":
-            return float(np.median(vals))
-        if policy == "min-p95":
-            return float(np.percentile(vals, 95))
-        raise ValueError(f"unknown policy {policy!r}")
+        return reduce(vals)
 
 
 @dataclass
@@ -123,7 +124,6 @@ def filter_stable(scheme, candidates, n_points=512):
     if isinstance(candidates, SearchSpace):
         candidates = candidates.candidates()
     candidates = list(candidates)
-    k = min(scheme.q, scheme.qhat) + 1
     try:
         z, r, e, keep = stability.boundary_samples(scheme, n_points=n_points)
     except stability.TraceError:
@@ -131,14 +131,14 @@ def filter_stable(scheme, candidates, n_points=512):
     rk, ek = r[keep], e[keep]
     if len(rk) == 0:
         return [], [], candidates
-    verdicts = stability._stable_batch(rk, ek, candidates, k)
+    verdicts = stability._stable_batch(rk, ek, candidates, scheme.k)
     stable = [b for b, ok in zip(candidates, verdicts) if ok]
     unstable = [b for b, ok in zip(candidates, verdicts) if not ok]
     return stable, unstable, []
 
 
 def run_search(scheme, problems, space=None, budget=None, tolerances=None,
-               seed=0, max_attempts=2_000_000) -> SearchResult:
+               seed=0) -> SearchResult:
     """Evaluate every (stable beta, tolerance, problem) combination.
 
     Integration failures (aborts, inadmissible blowups) are recorded with
@@ -155,7 +155,7 @@ def run_search(scheme, problems, space=None, budget=None, tolerances=None,
         cand = CandidateResult(beta=beta, stable=True)
         for problem in problems:
             for tol in tolerances:
-                cand.runs.append(_run_one(scheme, problem, beta, tol, max_attempts))
+                cand.runs.append(_run_one(scheme, problem, beta, tol))
         results.append(cand)
     results.sort(key=lambda c: c.beta)
     return SearchResult(
@@ -167,12 +167,12 @@ def run_search(scheme, problems, space=None, budget=None, tolerances=None,
     )
 
 
-def _run_one(scheme, problem, beta, tol, max_attempts):
+def _run_one(scheme, problem, beta, tol):
     cfg = ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
     try:
         rep = integrate(scheme, problem.semi, cfg, problem.t0, problem.t_end,
                         problem.u0, error_fn=problem.error_fn,
-                        max_attempts=max_attempts)
+                        max_attempts=MAX_ATTEMPTS)
     except IntegrationAbort:
         return (problem.name, tol, math.inf, math.inf, math.inf, True)
     err = max(rep.errors.values()) if rep.errors else math.nan

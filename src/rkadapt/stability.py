@@ -222,14 +222,14 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512, dtheta=2*np.pi/409
     return BoundaryTrace(points=pts, thetas=t_out, total_theta=total)
 
 
-def grid_boundary(polys: StabilityPolynomials, n_points=512, r_max=None):
-    """Fallback boundary sampling by radial bisection of |R| = 1 from the origin.
+def grid_boundary(polys: StabilityPolynomials, n_points=512):
+    """Fallback boundary sampling by radial bisection of |R| = 1 from the
+    origin, out to radius 4 s_eff.
 
     Works for star-shaped regions; used when Newton continuation fails.
     """
     R = polys.main
-    if r_max is None:
-        r_max = 4.0 * polys.s_eff
+    r_max = 4.0 * polys.s_eff
     out = []
     for phi in np.linspace(0.5 * np.pi, 1.5 * np.pi, n_points):
         d = np.exp(1j * phi)
@@ -246,14 +246,19 @@ def grid_boundary(polys: StabilityPolynomials, n_points=512, r_max=None):
     return np.asarray(out)
 
 
+def _region_box(polys: StabilityPolynomials, n_grid):
+    """n_grid x n_grid points over the main region's bounding box padded by 0.5."""
+    pts = _boundary(polys, 512).points
+    re = np.linspace(pts.real.min() - 0.5, pts.real.max() + 0.5, n_grid)
+    im = np.linspace(pts.imag.min() - 0.5, pts.imag.max() + 0.5, n_grid)
+    return re[None, :] + 1j * im[:, None]
+
+
 def contains_region(outer: StabilityPolynomials, inner: StabilityPolynomials,
-                    n_grid=400, pad=0.5):
+                    n_grid=400):
     """True iff every grid z inside the inner (main) region satisfies
     |R_outer(z)| <= 1 + 1e-12; the grid covers the inner region's bounding box."""
-    pts = _boundary(inner, 512).points
-    re = np.linspace(pts.real.min() - pad, pts.real.max() + pad, n_grid)
-    im = np.linspace(pts.imag.min() - pad, pts.imag.max() + pad, n_grid)
-    Z = re[None, :] + 1j * im[:, None]
+    Z = _region_box(inner, n_grid)
     inside = np.abs(polyval(Z, inner.main)) <= 1.0
     ok = np.abs(polyval(Z, outer.embedded)) <= 1.0 + 1e-12
     bad = inside & ~ok
@@ -382,46 +387,39 @@ def _rho_batch(r, e, beta, k):
     return np.max(np.abs(np.linalg.eigvals(C)), axis=1)
 
 
-def control_stability_scan(scheme, beta, k=None, n_points=512) -> ControlStabilityReport:
+def control_stability_scan(scheme, beta, n_points=512) -> ControlStabilityReport:
     """Spectral radius of the control Jacobian along the stability boundary.
 
     stable is the Schur-Cohn verdict of the stability filter: every root of
     the control quartic strictly inside the unit circle at every retained
     sample (and at least one sample retained).  The samples carry the radii.
     """
-    if k is None:
-        k = min(scheme.q, scheme.qhat) + 1
     z, r, e, keep = boundary_samples(scheme, n_points=n_points)
     rk, ek, zk = r[keep], e[keep], z[keep]
     n_skipped = int(len(z) - keep.sum())
     if len(rk) == 0:
         return ControlStabilityReport(samples=[], max_rho=np.inf, stable=False,
                                       n_skipped=n_skipped)
-    rho = _rho_batch(rk, ek, beta, k)
+    rho = _rho_batch(rk, ek, beta, scheme.k)
     return ControlStabilityReport(
         samples=list(zip(zk, rho)),
         max_rho=float(rho.max()),
-        stable=bool(_stable_batch(rk, ek, [beta], k)[0]),
+        stable=bool(_stable_batch(rk, ek, [beta], scheme.k)[0]),
         n_skipped=n_skipped,
     )
 
 
-def control_stability_map(scheme, beta, k=None, n_grid=101, pad=0.5):
+def control_stability_map(scheme, beta, n_grid=101):
     """Dense map of the control-Jacobian spectral radius over the region box.
 
     Returns (Z, rho) with rho = nan at degenerate points; complements the
     boundary scan for plotting.
     """
-    if k is None:
-        k = min(scheme.q, scheme.qhat) + 1
-    polys = scheme if isinstance(scheme, StabilityPolynomials) else stability_polynomials(scheme)
-    pts = _boundary(polys, 512).points
-    re = np.linspace(pts.real.min() - pad, pts.real.max() + pad, n_grid)
-    im = np.linspace(pts.imag.min() - pad, pts.imag.max() + pad, n_grid)
-    Z = re[None, :] + 1j * im[:, None]
+    polys = stability_polynomials(scheme)
+    Z = _region_box(polys, n_grid)
     Rz, Ez, r, e = _log_derivatives(polys, Z)
     ok = (np.abs(Rz) >= DEGENERATE_TOL) & (np.abs(Ez) >= DEGENERATE_TOL)
     rho = np.full(Z.shape, np.nan)
     if np.any(ok):
-        rho[ok] = _rho_batch(r[ok], e[ok], beta, k)
+        rho[ok] = _rho_batch(r[ok], e[ok], beta, scheme.k)
     return Z, rho

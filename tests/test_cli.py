@@ -195,6 +195,29 @@ def test_integrate_solution_snapshot_csv(tmp_path, capsys):
     assert header == "x,u0,u1,u2"
 
 
+def test_history_csv_lists_attempts_in_order(tmp_path, capsys):
+    hist = tmp_path / "h.csv"
+    code, out, _ = run(capsys, "integrate", "--scheme", "bs5",
+                       "--problem", "advection2d", "--degree", "2",
+                       "--elements", "8", "--t-end", "10", "--tol", "1e-5",
+                       "--beta", "0.7,-0.4", "--history-out", str(hist))
+    assert code == 0
+    report = json.loads(out)
+    lines = hist.read_text().splitlines()
+    assert lines[0] == "t,dt,kind"
+    rows = [(float(t), float(dt), kind)
+            for t, dt, kind in (line.split(",") for line in lines[1:])]
+    kinds = [kind for _, _, kind in rows]
+    assert kinds.count("accepted") == report["n_accepted"]
+    assert kinds.count("rejected") == report["n_rejected"] >= 1
+    assert rows[0][0] == 0.0 and rows[-1][2] == "accepted"
+    # an accepted attempt moves t by its dt, a rejected one retries from t
+    for (t, dt, kind), (t_next, _, _) in zip(rows, rows[1:]):
+        assert t_next == (t + dt if kind == "accepted" else t)
+    # the last step is clipped to land on t_end
+    assert rows[-1][0] + rows[-1][1] == pytest.approx(report["t_final"], rel=1e-15)
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfgfile = tmp_path / "conf.json"
     cfgfile.write_text(json.dumps({"scheme": "rk35-3s+", "tol": 1e-8,
@@ -235,6 +258,8 @@ def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
         assert code == 0
         snaps.append(snap.read_bytes())
     assert (snaps[0] != snaps[1]) == differ
+    # a scalar field's column is u; a system's are u0, u1, ...
+    assert {s.split(b"\n")[0] for s in snaps} == {b"x,y,u"}
 
 
 def test_fsal_file_with_zero_fsal_weight_is_a_usage_error(tmp_path, capsys):

@@ -430,3 +430,55 @@ def test_source_free_euler_rhs_conserves_every_variable(nel, p, kind, amplitude,
         total = semi.integral(semi.rhs(0.0, u))
         scale = semi.integral(np.abs(u))
         assert np.all(np.abs(total) <= 1e-12 * scale), (total, scale)
+
+
+def _reference_quadrature(semi, u, ref):
+    """(integral(u), l2_error(u, ref)) in each class's explicit sum and
+    einsum forms: floats for the scalar fields, per-variable arrays for the
+    Euler systems."""
+    w = semi.op.weights
+    d = (u - ref) ** 2
+    if isinstance(semi, (AdvectionSemidisc1d, EulerSemidisc1d)):
+        jac = semi.jacobian
+        wvol = jac[:, None] * w[None, :]
+        if isinstance(semi, AdvectionSemidisc1d):
+            return (float(np.sum(u * wvol)),
+                    float(np.sqrt(np.einsum("en,e,n->", d, jac, w))))
+        return (np.sum(u * wvol[..., None], axis=(0, 1)),
+                np.sqrt(np.einsum("env,e,n->v", d, jac, w)))
+    jx, jy = semi.jx, semi.jy
+    wvol = (jx[:, None, None, None] * jy[None, :, None, None]
+            * w[None, None, :, None] * w[None, None, None, :])
+    if isinstance(semi, AdvectionSemidisc2d):
+        return (float(np.sum(u * wvol)),
+                float(np.sqrt(np.einsum("efab,e,f,a,b->", d, jx, jy, w, w))))
+    return (np.sum(u * wvol[..., None], axis=(0, 1, 2, 3)),
+            np.sqrt(np.einsum("efabv,e,f,a,b->v", d, jx, jy, w, w)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nel=st.integers(1, 6), nex=st.integers(1, 4), ney=st.integers(1, 4),
+       p=st.integers(1, 4), kind=_kinds, amplitude=_amplitudes, seed=_seeds,
+       magnitude=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_quadrature_bit_identical_to_per_class_forms(nel, nex, ney, p, kind, amplitude,
+                                                     seed, magnitude):
+    rng = np.random.default_rng(seed)
+    g1 = _grid1d(nel, kind, seed)
+    g2 = Grid2d(_grid1d(nex, kind, seed), _grid1d(ney, kind, seed + 1, 0.0, 3.0))
+    n = p + 1
+    cases = [
+        (AdvectionSemidisc1d(g1, p, 0.7), (nel, n), None),
+        (AdvectionSemidisc2d(g2, p, (0.7, -0.4)), (nex, ney, n, n), None),
+        (EulerSemidisc1d(g1, p), (nel, n), 1),
+        (EulerSemidisc2d(g2, p), (nex, ney, n, n), 2),
+    ]
+    for semi, shape, dim in cases:
+        if dim is None:
+            u, ref = (magnitude * rng.standard_normal(shape) for _ in range(2))
+        else:
+            u, ref = (_euler_state(shape, dim, seed + k, amplitude) for k in range(2))
+        got = (semi.integral(u), semi.l2_error(u, ref))
+        want = _reference_quadrature(semi, u, ref)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.array_equal(g, w), type(semi)
+        assert semi.n_dof == u.size

@@ -41,7 +41,8 @@ def test_final_time_is_exact_bitwise():
     rep = integrate(scheme, prob.semi, cfg_for(scheme, 1e-7), 0.0, 3.7, prob.u0,
                     record_history=True)
     assert rep.t_final == 3.7
-    assert sum(rep.accepted_dts) == pytest.approx(3.7, rel=1e-12)
+    assert sum(dt for _, dt, accepted in rep.history if accepted) == pytest.approx(
+        3.7, rel=1e-12)
 
 
 def test_tolerance_proportionality_on_dahlquist():
@@ -90,6 +91,35 @@ def test_bounds_rejection_retries_without_advancing():
                     record_history=True)
     assert rep.t_final == 1.0
     assert rep.u_final[0] == pytest.approx(math.e, rel=1e-5)
+
+
+class CountingCappedRhs(CappedRhs):
+    """u' = lam * u with a cap on u, counting its own evaluations."""
+
+    def __init__(self, cap, lam=1.0):
+        super().__init__(cap)
+        self.lam = lam
+        self.calls = 0
+
+    def __call__(self, t, u):
+        self.calls += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.lam * u
+
+
+@pytest.mark.parametrize("rhs, t_end", [
+    # the weighted norm of f(t0, u0) overflows: no Euler trial is made
+    (CountingCappedRhs(cap=math.inf, lam=-1e300), 1.0),
+    # the Euler trial u0 + h0 f0 = 1.01 is past the cap: no second call
+    (CountingCappedRhs(cap=1.005), 0.004),
+])
+def test_nfe_counts_the_initial_step_calls_made(rhs, t_end):
+    scheme = catalog_get("bs3")
+    try:
+        rep = integrate(scheme, rhs, cfg_for(scheme, 1e-6), 0.0, t_end, np.array([1.0]))
+    except IntegrationAbort as exc:
+        rep = exc.report
+    assert rep.nfe == rhs.calls
 
 
 def test_unreachable_bound_aborts_with_underflow():
@@ -254,4 +284,5 @@ def test_error_norm_beyond_the_float_range_rejects_like_a_bounds_failure():
                   max_attempts=4, record_history=True)
     rep = info.value.report
     assert rep.n_accepted == 0 and rep.n_rejected == 4
-    assert rep.rejected_dts == [0.1, 0.025, 0.00625, 0.0015625]
+    assert [dt for _, dt, accepted in rep.history if not accepted] == [
+        0.1, 0.025, 0.00625, 0.0015625]
