@@ -77,14 +77,31 @@ class StepDecision:
 def error_norm(u_new, uhat_new, cfg: ControllerConfig) -> float:
     """Weighted RMS of the error estimate; NaN anywhere, or a norm beyond the
     float range, gives +inf."""
-    u_new = np.asarray(u_new, dtype=float)
-    uhat_new = np.asarray(uhat_new, dtype=float)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(uhat_new))):
-        return math.inf
+    return float(error_norms(np.asarray(u_new)[None], np.asarray(uhat_new)[None],
+                             [cfg.atol], [cfg.rtol])[0])
+
+
+def error_norms(u_new, uhat_new, atol, rtol) -> np.ndarray:
+    """error_norm of each member of two stacks of states, with a tolerance
+    pair per member.  Each member reduces along one contiguous axis, so its
+    norm is bit for bit the norm of its state alone."""
+    m = len(u_new)
+    u_new = np.asarray(u_new, dtype=float).reshape(m, -1)
+    uhat_new = np.asarray(uhat_new, dtype=float).reshape(m, -1)
+    w = np.full(m, math.inf)
+    rows = slice(None)
+    if not (np.isfinite(u_new).all() and np.isfinite(uhat_new).all()):
+        rows = np.isfinite(u_new).all(axis=1) & np.isfinite(uhat_new).all(axis=1)
+        if not rows.any():
+            return w
+    atol = np.asarray(atol, dtype=float)[rows, None]
+    rtol = np.asarray(rtol, dtype=float)[rows, None]
+    u_new, uhat_new = u_new[rows], uhat_new[rows]
     with np.errstate(over="ignore"):
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(u_new), np.abs(uhat_new))
+        scale = atol + rtol * np.maximum(np.abs(u_new), np.abs(uhat_new))
         ratio = (u_new - uhat_new) / scale
-        return float(np.sqrt(np.mean(ratio * ratio)))
+        w[rows] = np.sqrt(np.mean(ratio * ratio, axis=1))
+    return w
 
 
 def inverse_error(w: float) -> float:
@@ -178,7 +195,13 @@ def cfl_dt(semi, u, cfg: CflConfig) -> float:
     The semidiscretization reports min over nodes of 1 / sum_j(lambda_j/dx_j),
     the uniform-Cartesian reduction of the metric-based CFL factor.
     """
-    ts = semi.cfl_timescale(u)
+    return cfl_step(semi.cfl_timescale(u), cfg)
+
+
+def cfl_step(timescale, cfg: CflConfig) -> float:
+    """nu * sigma * timescale; _CflUndefined unless the timescale is finite
+    and positive."""
+    ts = float(timescale)
     if not math.isfinite(ts) or ts <= 0:
         raise _CflUndefined("CFL control undefined: no finite positive wave-speed timescale")
     return cfg.nu * cfg.sigma * ts

@@ -5,6 +5,12 @@ Legendre-Gauss-Lobatto collocation, full upwind interface fluxes for linear
 advection, and local Lax-Friedrichs fluxes for the compressible Euler
 equations.  States keep their tensor shape: (nel, n) or (nel, n, nvar) in
 1D and (nex, ney, n, n[, nvar]) in 2D with n = p + 1 nodes per direction.
+
+A semidiscretization with `batched` set also takes a stack of m states,
+shape (m, *state shape), with a time per member: `rhs`, `is_admissible`
+and `cfl_timescale` then answer per member, bit for bit as member-by-member
+calls do.  The kernels index from the end and contract with einsum, which
+sums each element in the same order whatever the leading axes.
 """
 
 from __future__ import annotations
@@ -166,10 +172,21 @@ def _per_variable(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _per_member(x):
+    """One state's answer as a Python scalar; a stack's, one per member."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _state_axes(nodes, nvar):
+    """The negative axes of one state: its node array's, then the variables'."""
+    return tuple(range(-(nodes.ndim + bool(nvar)), 0))
+
+
 class _Semidisc1d:
     """Operator, nodes x, Jacobians dx/dxi, neighbours and quadrature in 1D."""
 
     nvar = None     # variables per node of a system; None for a scalar field
+    batched = False
 
     def __init__(self, grid: Grid1d, p: int):
         self.grid = grid
@@ -177,6 +194,7 @@ class _Semidisc1d:
         self.jacobian = 0.5 * grid.widths
         self.x = grid.nodes(self.op)
         self._left, self._right = _neighbours(grid.nel)
+        self._axes = _state_axes(self.x, self.nvar)
 
     @property
     def n_dof(self):
@@ -199,6 +217,7 @@ class _Semidisc2d:
     """Operator, nodes X, Y, Jacobians jx, jy, neighbours and quadrature in 2D."""
 
     nvar = None     # variables per node of a system; None for a scalar field
+    batched = True
 
     def __init__(self, grid: Grid2d, p: int):
         self.grid = grid
@@ -208,6 +227,7 @@ class _Semidisc2d:
         self.X, self.Y = grid.nodes(self.op)
         self._lx, self._rx = _neighbours(grid.x.nel)
         self._ly, self._ry = _neighbours(grid.y.nel)
+        self._axes = _state_axes(self.X, self.nvar)
 
     @property
     def n_dof(self):
@@ -233,7 +253,11 @@ class _Semidisc2d:
 # linear advection
 
 class AdvectionSemidisc1d(_Semidisc1d):
-    """u_t + a u_x = 0, periodic, full upwind interface flux."""
+    """u_t + a u_x = 0, periodic, full upwind interface flux.
+
+    Not batched: its derivative is a BLAS matrix product, whose rounding
+    may depend on the shape of the stack.
+    """
 
     def __init__(self, grid: Grid1d, p: int, velocity: float):
         super().__init__(grid, p)
@@ -293,36 +317,35 @@ class AdvectionSemidisc2d(_Semidisc2d):
         with np.errstate(over="ignore", invalid="ignore"):
             du = np.zeros_like(u)
             if ax != 0.0:
-                du -= self._vol_x * np.einsum("am,efmb->efab", D, u)
+                du -= self._vol_x * np.einsum("am,...efmb->...efab", D, u)
                 if ax > 0:
-                    jump = u[:, :, -1].take(self._lx, axis=0) - u[:, :, 0]
-                    du[:, :, 0] += self._upwind_x * jump
+                    jump = u[..., -1, :].take(self._lx, axis=-3) - u[..., 0, :]
+                    du[..., 0, :] += self._upwind_x * jump
                 else:
-                    jump = u[:, :, 0].take(self._rx, axis=0) - u[:, :, -1]
-                    du[:, :, -1] += self._upwind_x * jump
+                    jump = u[..., 0, :].take(self._rx, axis=-3) - u[..., -1, :]
+                    du[..., -1, :] += self._upwind_x * jump
             if ay != 0.0:
-                du -= self._vol_y * np.einsum("bm,efam->efab", D, u)
+                du -= self._vol_y * np.einsum("bm,...efam->...efab", D, u)
                 if ay > 0:
-                    jump = u[:, :, :, -1].take(self._ly, axis=1) - u[:, :, :, 0]
-                    du[:, :, :, 0] += self._upwind_y * jump
+                    jump = u[..., -1].take(self._ly, axis=-2) - u[..., 0]
+                    du[..., 0] += self._upwind_y * jump
                 else:
-                    jump = u[:, :, :, 0].take(self._ry, axis=1) - u[:, :, :, -1]
-                    du[:, :, :, -1] += self._upwind_y * jump
+                    jump = u[..., 0].take(self._ry, axis=-2) - u[..., -1]
+                    du[..., -1] += self._upwind_y * jump
         return du
 
     __call__ = rhs
 
     def is_admissible(self, u):
-        return bool(np.all(np.isfinite(u)))
+        return _per_member(np.all(np.isfinite(u), axis=self._axes))
 
     def cfl_timescale(self, u):
         # min over elements of 1 / sum_j |a_j| / h_j
         sx = abs(self.a[0]) / self.grid.x.widths
         sy = abs(self.a[1]) / self.grid.y.widths
         speed = sx[:, None] + sy[None, :]
-        if np.all(speed == 0.0):
-            return math.inf
-        return float(1.0 / np.max(speed))
+        ts = math.inf if np.all(speed == 0.0) else float(1.0 / np.max(speed))
+        return _per_member(np.full(np.shape(u)[:-len(self._axes)], ts))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +366,20 @@ def euler_primitives_2d(u):
     return rho, vx, vy, p
 
 
+def _finite_and_positive(u, primitives, axes):
+    """Whether a state is finite with positive density and pressure, the
+    first and last of its primitives; per member for a stack of states."""
+    if np.ndim(u) == len(axes):
+        if not np.all(np.isfinite(u)):
+            return False
+        prim = primitives(u)
+        return bool(np.all(prim[0] > 0.0) and np.all(prim[-1] > 0.0))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        prim = primitives(u)
+        return (np.all(np.isfinite(u), axis=axes)
+                & np.all((prim[0] > 0.0) & (prim[-1] > 0.0), axis=axes[1:]))
+
+
 def _sound_speed(rho, p):
     with np.errstate(invalid="ignore"):
         return np.sqrt(GAMMA * p / rho)
@@ -350,18 +387,21 @@ def _sound_speed(rho, p):
 
 def _llf_surface(du, u, f, speed, face, nb, left, right, jw0, jwN):
     """Add the local Lax-Friedrichs surface terms on the faces normal to the
-    node axis `face` of nodal arrays whose element axis `nb` is periodic.
+    node axis `face` of the nodal speed array, whose element axis `nb` is
+    periodic.  Both axes count from the end; u, f and du carry one more
+    axis, the variables', last.
 
     Face states, fluxes and wave speeds are the end-node values of the
     nodal arrays u, f and speed; `left`/`right` index each element's
     neighbours and jw0, jwN are the Jacobian-weight scalings of its first
     and last node.
     """
-    first = (slice(None),) * face + (0,)
-    last = (slice(None),) * face + (-1,)
+    after = (slice(None),) * (-face - 1)
+    first_node, last_node = (..., 0) + after, (..., -1) + after
+    first, last = first_node + (slice(None),), last_node + (slice(None),)
     uR, fR = u[first], f[first]
     uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
-    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
+    lam = np.maximum(speed[last_node].take(left, axis=nb + 1), speed[first_node])
     fstar = 0.5 * (fL + fR) - 0.5 * lam[..., None] * (uR - uL)
     du[first] += (fstar - fR) / jw0
     du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
@@ -375,6 +415,7 @@ class EulerSemidisc1d(_Semidisc1d):
     """
 
     nvar = 3
+    batched = True
 
     def __init__(self, grid: Grid1d, p: int, energy_source=None):
         super().__init__(grid, p)
@@ -384,10 +425,7 @@ class EulerSemidisc1d(_Semidisc1d):
         self._jw0, self._jwN = jac * w[0], jac * w[-1]
 
     def is_admissible(self, u):
-        if not np.all(np.isfinite(u)):
-            return False
-        rho, _, p = euler_primitives_1d(u)
-        return bool(np.all(rho > 0.0) and np.all(p > 0.0))
+        return _finite_and_positive(u, euler_primitives_1d, self._axes)
 
     def rhs(self, t, u):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -397,11 +435,15 @@ class EulerSemidisc1d(_Semidisc1d):
             f[..., 1] = u[..., 1] * v + p
             f[..., 2] = (u[..., 2] + p) * v
             speed = np.abs(v) + np.sqrt(GAMMA * p / rho)
-            du = self._vol * np.einsum("am,emv->eav", self.op.D, f)
-            _llf_surface(du, u, f, speed, 1, 0, self._left, self._right,
+            du = self._vol * np.einsum("am,...emv->...eav", self.op.D, f)
+            _llf_surface(du, u, f, speed, -1, -2, self._left, self._right,
                          self._jw0, self._jwN)
         if self.energy_source is not None:
-            du[..., 2] += self.energy_source(t)
+            if np.ndim(t):      # a time per member, each source a Python float
+                du[..., 2] += np.array([self.energy_source(float(tm))
+                                        for tm in t])[:, None, None]
+            else:
+                du[..., 2] += self.energy_source(t)
         return du
 
     __call__ = rhs
@@ -409,7 +451,7 @@ class EulerSemidisc1d(_Semidisc1d):
     def cfl_timescale(self, u):
         rho, v, p = euler_primitives_1d(u)
         lam = np.abs(v) + _sound_speed(rho, p)
-        return float(np.min(self.grid.widths[:, None] / lam))
+        return _per_member(np.min(self.grid.widths[:, None] / lam, axis=self._axes[1:]))
 
 
 class EulerSemidisc2d(_Semidisc2d):
@@ -427,10 +469,7 @@ class EulerSemidisc2d(_Semidisc2d):
         self._jw0_y, self._jwN_y = jy * w[0], jy * w[-1]
 
     def is_admissible(self, u):
-        if not np.all(np.isfinite(u)):
-            return False
-        rho, _, _, p = euler_primitives_2d(u)
-        return bool(np.all(rho > 0.0) and np.all(p > 0.0))
+        return _finite_and_positive(u, euler_primitives_2d, self._axes)
 
     def rhs(self, t, u):
         D = self.op.D
@@ -445,11 +484,11 @@ class EulerSemidisc2d(_Semidisc2d):
             fy = u * vy[..., None]
             fy[..., 2] += p
             fy[..., 3] = (u[..., 3] + p) * vy
-            du = self._vol_x * np.einsum("am,efmbv->efabv", D, fx)
-            du += self._vol_y * np.einsum("bm,efamv->efabv", D, fy)
-            _llf_surface(du, u, fx, np.abs(vx) + c, 2, 0, self._lx, self._rx,
+            du = self._vol_x * np.einsum("am,...efmbv->...efabv", D, fx)
+            du += self._vol_y * np.einsum("bm,...efamv->...efabv", D, fy)
+            _llf_surface(du, u, fx, np.abs(vx) + c, -2, -4, self._lx, self._rx,
                          self._jw0_x, self._jwN_x)
-            _llf_surface(du, u, fy, np.abs(vy) + c, 3, 1, self._ly, self._ry,
+            _llf_surface(du, u, fy, np.abs(vy) + c, -1, -3, self._ly, self._ry,
                          self._jw0_y, self._jwN_y)
         return du
 
@@ -460,7 +499,7 @@ class EulerSemidisc2d(_Semidisc2d):
         c = _sound_speed(rho, p)
         sx = (np.abs(vx) + c) / self.jx[:, None, None, None] / 2.0
         sy = (np.abs(vy) + c) / self.jy[None, :, None, None] / 2.0
-        return float(1.0 / np.max(sx + sy))
+        return _per_member(1.0 / np.max(sx + sy, axis=self._axes[1:]))
 
 
 # ---------------------------------------------------------------------------

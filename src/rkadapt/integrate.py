@@ -1,4 +1,14 @@
-"""Adaptive time integration loop with PID or CFL step size control."""
+"""Adaptive time integration loop with PID or CFL step size control.
+
+The loop advances an ensemble: m members of one problem from one initial
+state, each under its own controller, in lockstep.  Every member keeps its
+own time, step size, error history, FSAL cache, clipped last step, finite
+guard, accept/reject decisions, RHS count and report, so each report is bit
+for bit the report of the member's run alone.  The member states advance as
+one stack, so a batched semidiscretization serves all of them with one RHS
+call per stage; members that finish or abort leave the stack.  `integrate`
+is the one-member ensemble.
+"""
 
 from __future__ import annotations
 
@@ -73,95 +83,219 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
     on t_end bitwise.  Raises IntegrationAbort if dt underflows below 1e-14
     times the horizon.
     """
+    report, = integrate_ensemble(scheme, rhs, [controller], t0, t_end, u0, dt0=dt0,
+                                 record_history=record_history,
+                                 max_attempts=max_attempts, error_fn=error_fn)
+    if report.aborted:
+        raise IntegrationAbort(report.abort_reason, report)
+    return report
+
+
+def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
+                       record_history=False, max_attempts=10_000_000, error_fn=None):
+    """Run `integrate` once per controller, all runs in one lockstep loop.
+
+    The controllers are all ControllerConfigs or all CflConfigs; dt0 and
+    max_attempts apply to every member.  Returns one RunReport per
+    controller, each equal to its own run's report except that wall_time is
+    the ensemble's.  A member that aborts does not raise: its report is the
+    partial report its own run's IntegrationAbort carries, with `aborted`
+    set, and the other members run on.
+    """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     u0 = np.asarray(u0, dtype=float)
     admissible = getattr(rhs, "is_admissible", None)
     if admissible is not None and not admissible(u0):
         raise ValueError("initial state is not admissible")
-    cfl = isinstance(controller, CflConfig)
-    if not cfl and not isinstance(controller, ControllerConfig):
-        raise TypeError(f"unsupported controller {type(controller).__name__}")
+    for controller in controllers:
+        if not isinstance(controller, (ControllerConfig, CflConfig)):
+            raise TypeError(f"unsupported controller {type(controller).__name__}")
+    cfl = {isinstance(c, CflConfig) for c in controllers}
+    if len(cfl) != 1:
+        raise ValueError("an ensemble's controllers must be all PID or all CFL, "
+                         "and there must be at least one")
+    cfl, = cfl
 
     start = time.perf_counter()
-    report = RunReport(scheme=getattr(scheme, "name", type(scheme).__name__),
-                       controller=controller.describe(), t0=t0, t_end=t_end)
+    name = getattr(scheme, "name", type(scheme).__name__)
     horizon = t_end - t0
-    if not cfl and dt0 is None:
-        def counted(t, u):
-            report.nfe += 1
-            return rhs(t, u)
+    members = [_Member(controller, RunReport(scheme=name, controller=controller.describe(),
+                                             t0=t0, t_end=t_end), t0)
+               for controller in controllers]
+    for member in members:
+        dt = None
+        if not cfl:
+            dt = dt0
+            if dt is None:
+                def counted(t, u, report=member.report):
+                    report.nfe += 1
+                    return rhs(t, u)
 
-        dt0 = ctrl.initial_step(counted, t0, u0, controller, q=scheme.q, horizon=horizon,
-                                admissible=admissible)
-    state = ControllerState(dt_current=None if cfl else min(dt0, horizon))
+                dt = ctrl.initial_step(counted, t0, u0, member.controller, q=scheme.q,
+                                       horizon=horizon, admissible=admissible)
+            dt = min(dt, horizon)
+        member.state = ControllerState(dt_current=dt)
 
-    t, u = t0, u0
-    fcache = None
+    stack = _Stack(rhs)
+    live, u = members, np.repeat(u0[None], len(members), axis=0)
     attempts = 0
-    while t < t_end:
+    while live:
         attempts += 1
         if attempts > max_attempts:
-            _abort(report, "attempt budget exhausted", t, u, start)
+            for j, member in enumerate(live):
+                member.leave(u[j], "attempt budget exhausted")
+            break
         if cfl:
-            try:
-                state.dt_current = ctrl.cfl_dt(rhs, u, controller)
-            except ctrl._CflUndefined as exc:
-                _abort(report, str(exc), t, u, start)
-        clipped = t + state.dt_current >= t_end
-        dt_try = t_end - t if clipped else state.dt_current
-        state.dt_current = dt_try
+            for j, (member, ts) in enumerate(zip(live, stack.timescale(u))):
+                try:
+                    member.state.dt_current = ctrl.cfl_step(ts, member.controller)
+                except ctrl._CflUndefined as exc:
+                    member.leave(u[j], str(exc))
+            live, u = _remaining(live, u)
+            if not live:
+                break
+        for member in live:
+            member.clipped = member.t + member.state.dt_current >= t_end
+            member.dt_try = t_end - member.t if member.clipped else member.state.dt_current
+            member.state.dt_current = member.dt_try
 
-        res = step(scheme, rhs, t, dt_try, u, f0=fcache, need_estimate=not cfl)
-        report.nfe += res.nfe
-        ok = res.finite and (admissible is None or admissible(res.u_new))
-        if cfl:
-            if not ok:
-                _abort(report, "solution left the admissible set under CFL control",
-                       t, u, start)
-            accept = True
-        else:
-            if ok:
-                w = ctrl.error_norm(res.u_new, res.u_new - res.err_diff, controller)
-                ok = w < math.inf
-            if ok:
-                state.push(ctrl.inverse_error(w))
-                dt_next, factor = ctrl.pid_propose(state, controller)
+        res = step(scheme, stack.rhs, np.array([m.t for m in live]),
+                   np.array([m.dt_try for m in live]), u,
+                   f0=[m.fcache for m in live], need_estimate=not cfl)
+        norms = _error_norms(res, stack, [m.controller for m in live], estimate=not cfl)
+
+        accepted = np.zeros(len(live), dtype=bool)
+        for j, (member, w) in enumerate(zip(live, norms)):
+            report = member.report
+            report.nfe += int(res.nfe[j])
+            ok = w < math.inf
+            if cfl and not ok:
+                member.leave(u[j], "solution left the admissible set under CFL control")
+                continue
+            accept = accepted[j] = cfl or member.pid_decision(w)
+            if record_history:
+                report.history.append((member.t, member.dt_try, accept))
+            if accept:
+                member.t = t_end if member.clipped else member.t + member.dt_try
+                member.fcache = None if res.fsal_f is None else res.fsal_f[j]
+                report.n_accepted += 1
             else:
-                # same robustness path for NaN stages, physical-bounds failures
-                # and error estimates beyond the float range
-                dt_next, factor = dt_try, 0.0
-            decision = ctrl.accept_or_reject(factor, dt_try, dt_next, ok, controller)
-            accept = decision.accept
-            state.dt_current = decision.dt_next
-        if record_history:
-            report.history.append((t, dt_try, accept))
-        if accept:
-            t = t_end if clipped else t + dt_try
+                report.n_rejected += 1
+            if member.t >= t_end:
+                member.leave(res.u_new[j] if accept else u[j])
+            elif member.state.dt_current < DT_UNDERFLOW * horizon:
+                member.leave(res.u_new[j] if accept else u[j],
+                             "step size underflow" if ok else
+                             "step size underflow after bounds rejection")
+        if accepted.all():
             u = res.u_new
-            fcache = res.fsal_f
-            report.n_accepted += 1
+        elif accepted.any():
+            u[accepted] = res.u_new[accepted]
+        live, u = _remaining(live, u)
+
+    wall_time = max(time.perf_counter() - start, 1e-9)
+    for member in members:
+        report = member.report
+        report.wall_time = wall_time
+        if error_fn is not None and not report.aborted:
+            report.errors = error_fn(report.t_final, report.u_final)
+    return [member.report for member in members]
+
+
+class _Member:
+    """One run of an ensemble: its controller, report and loop state."""
+
+    __slots__ = ("controller", "report", "t", "state", "fcache", "clipped", "dt_try",
+                 "done")
+
+    def __init__(self, controller, report, t0):
+        self.controller, self.report, self.t = controller, report, t0
+        self.state = self.fcache = None
+        self.done = False
+
+    def pid_decision(self, w):
+        """Accept or reject the attempt with error norm w (+inf for a step that
+        is not finite or not admissible), and set the next step size."""
+        state, cfg = self.state, self.controller
+        ok = w < math.inf
+        if ok:
+            state.push(ctrl.inverse_error(w))
+            dt_next, factor = ctrl.pid_propose(state, cfg)
         else:
-            report.n_rejected += 1
-        if t < t_end and state.dt_current < DT_UNDERFLOW * horizon:
-            _abort(report, "step size underflow" if ok else
-                   "step size underflow after bounds rejection", t, u, start)
+            # same robustness path for NaN stages, physical-bounds failures
+            # and error estimates beyond the float range
+            dt_next, factor = self.dt_try, 0.0
+        decision = ctrl.accept_or_reject(factor, self.dt_try, dt_next, ok, cfg)
+        state.dt_current = decision.dt_next
+        return decision.accept
 
-    _finish(report, t, u, start)
-    if error_fn is not None:
-        report.errors = error_fn(report.t_final, report.u_final)
-    return report
+    def leave(self, u, abort_reason=None):
+        """Finish at u, or abort there with the reason."""
+        report = self.report
+        report.t_final = self.t
+        report.u_final = u.copy()
+        if abort_reason is not None:
+            report.aborted = True
+            report.abort_reason = abort_reason
+        self.done = True
 
 
-def _finish(report, t, u, start):
-    report.t_final = t
-    report.u_final = u
-    report.wall_time = max(time.perf_counter() - start, 1e-9)
-    return report
+def _remaining(live, u):
+    """The members still running and their rows of the state stack."""
+    keep = [j for j, member in enumerate(live) if not member.done]
+    if len(keep) == len(live):
+        return live, u
+    return [live[j] for j in keep], u[keep]
 
 
-def _abort(report, reason, t, u, start):
-    report.aborted = True
-    report.abort_reason = reason
-    _finish(report, t, u, start)
-    raise IntegrationAbort(reason, report)
+def _error_norms(res, stack, controllers, estimate):
+    """Each member's error norm as a float: +inf where its step is not finite
+    or not admissible, else its weighted RMS error, or 0 without an estimate."""
+    ok = res.finite.copy()
+    if stack.bounded and ok.any():
+        rows = _rows(ok)
+        ok[rows] = stack.admissible(res.u_new[rows])
+    w = np.where(ok, 0.0, math.inf)
+    if estimate and ok.any():
+        rows = _rows(ok)
+        if not isinstance(rows, slice):
+            controllers = [c for c, keep in zip(controllers, ok) if keep]
+        u_new = res.u_new[rows]
+        w[rows] = ctrl.error_norms(u_new, u_new - res.err_diff[rows],
+                                   [c.atol for c in controllers],
+                                   [c.rtol for c in controllers])
+    return w.tolist()
+
+
+def _rows(mask):
+    """Index of the masked rows; a view of all rows when all are masked."""
+    return slice(None) if mask.all() else mask
+
+
+class _Stack:
+    """A problem's RHS, admissibility test and CFL timescale over a stack of
+    member states: one call of a batched semidiscretization for two or more
+    members, one call per member otherwise."""
+
+    def __init__(self, semi):
+        self.semi = semi
+        self.batched = getattr(semi, "batched", False)
+        self.bounded = hasattr(semi, "is_admissible")
+
+    def rhs(self, t, u):
+        if len(u) == 1:
+            return np.asarray(self.semi(float(t[0]), u[0]))[None]
+        if self.batched:
+            return self.semi(np.asarray(t), u)
+        return np.stack([self.semi(float(tm), um) for tm, um in zip(t, u)])
+
+    def admissible(self, u):
+        if self.batched and len(u) > 1:
+            return self.semi.is_admissible(u)
+        return [self.semi.is_admissible(um) for um in u]
+
+    def timescale(self, u):
+        if self.batched and len(u) > 1:
+            return self.semi.cfl_timescale(u)
+        return [self.semi.cfl_timescale(um) for um in u]

@@ -3,7 +3,9 @@
 Candidates are pre-filtered by step-size-control stability, every stable
 candidate is integrated on each problem at each tolerance, failed runs cost
 +inf, and the aggregation minimizes the maximum, median, or 95th percentile
-of the RHS-evaluation counts across runs.
+of the RHS-evaluation counts across runs.  The stable candidates of each
+(problem, tolerance) run as one ensemble, bit for bit equal to separate
+runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from scipy.stats import qmc
 
 from . import stability
 from .control import ControllerConfig
-from .integrate import IntegrationAbort, integrate
+from .integrate import IntegrationAbort, integrate, integrate_ensemble
 
 DEFAULT_TOLERANCES = tuple(10.0 ** -e for e in range(8, 0, -1))   # 1e-8 .. 1e-1
 MAX_ATTEMPTS = 2_000_000     # step attempts per run before it counts as failed
@@ -151,12 +153,12 @@ def run_search(scheme, problems, space=None, budget=None, tolerances=None,
     stable, unstable, indeterminate = filter_stable(scheme, candidates)
 
     results = [CandidateResult(beta=b, stable=False) for b in unstable]
-    for beta in stable:
-        cand = CandidateResult(beta=beta, stable=True)
-        for problem in problems:
-            for tol in tolerances:
-                cand.runs.append(_run_one(scheme, problem, beta, tol))
-        results.append(cand)
+    evaluated = [CandidateResult(beta=beta, stable=True) for beta in stable]
+    for problem in problems:
+        for tol in tolerances:
+            for cand, run in zip(evaluated, _run_ensemble(scheme, problem, stable, tol)):
+                cand.runs.append(run)
+    results += evaluated
     results.sort(key=lambda c: c.beta)
     return SearchResult(
         scheme=getattr(scheme, "name", type(scheme).__name__),
@@ -167,13 +169,34 @@ def run_search(scheme, problems, space=None, budget=None, tolerances=None,
     )
 
 
+def _run_ensemble(scheme, problem, betas, tol):
+    """The search rows of the candidates' runs at one (problem, tol), all in
+    one ensemble."""
+    if not betas:
+        return []
+    cfgs = [ControllerConfig.for_scheme(scheme, tol=tol, beta=beta) for beta in betas]
+    reports = integrate_ensemble(scheme, problem.semi, cfgs, problem.t0, problem.t_end,
+                                 problem.u0, error_fn=problem.error_fn,
+                                 max_attempts=MAX_ATTEMPTS)
+    return [_row(problem, tol, rep) for rep in reports]
+
+
 def _run_one(scheme, problem, beta, tol):
+    """The search row of one candidate's run alone; equal to its row from
+    the ensemble."""
     cfg = ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
     try:
         rep = integrate(scheme, problem.semi, cfg, problem.t0, problem.t_end,
                         problem.u0, error_fn=problem.error_fn,
                         max_attempts=MAX_ATTEMPTS)
-    except IntegrationAbort:
+    except IntegrationAbort as exc:
+        rep = exc.report
+    return _row(problem, tol, rep)
+
+
+def _row(problem, tol, rep):
+    """(problem, tol, nfe, n_rejected, error, failed); an aborted run costs +inf."""
+    if rep.aborted:
         return (problem.name, tol, math.inf, math.inf, math.inf, True)
     err = max(rep.errors.values()) if rep.errors else math.nan
     return (problem.name, tol, rep.nfe, rep.n_rejected, err, False)

@@ -6,10 +6,11 @@ closes (theta winds through several multiples of 2 pi for higher-order
 methods whose boundary hugs the imaginary axis).
 
 Step-size-control stability linearizes the coupled (log step, log error)
-recursion at boundary points (control_jacobian, 6x6).  Its entries use the
-real parts r and e of the logarithmic derivatives z R'(z)/R(z) and
-z E'(z)/E(z), since the recursion governs the moduli.  Its eigenvalues are
-{0, 0} and the roots of the control quartic
+recursion at boundary points (a 6x6 Jacobian; the tests keep it as the
+reference for the quartic).  Its entries use the real parts r and e of the
+logarithmic derivatives z R'(z)/R(z) and z E'(z)/E(z), since the recursion
+governs the moduli.  Its eigenvalues are {0, 0} and the roots of the
+control quartic
 
     p(lam) = lam^2 (lam - 1)^2 + ((lam - 1) e + r)(b1 lam^2 + b2 lam + b3) / k.
 
@@ -51,10 +52,6 @@ class TraceError(RuntimeError):
     def __init__(self, msg, theta):
         super().__init__(f"{msg} (last theta = {theta:.6f})")
         self.theta = theta
-
-
-class DegeneratePointError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -274,28 +271,6 @@ def _log_derivatives(polys: StabilityPolynomials, z):
         r = np.where(np.abs(Rz) > 0, (z * polyval(z, polyder(polys.main)) / Rz).real, 0.0)
         e = np.where(np.abs(Ez) > 0, (z * polyval(z, polyder(polys.diff)) / Ez).real, 0.0)
     return Rz, Ez, r, e
-
-
-def control_jacobian(polys: StabilityPolynomials, z, beta, k) -> np.ndarray:
-    """6x6 Jacobian of the boundary fixed-point recursion for a PID controller.
-
-    Entries use Re(z R'/R) and Re(z E'/E); raises DegeneratePointError when
-    R or E vanishes at z.  Its characteristic polynomial is lam^2 times the
-    control quartic (_quartic), on which the analysis runs.
-    """
-    Rz, Ez, r, e = _log_derivatives(polys, z)
-    if abs(Rz) < DEGENERATE_TOL or abs(Ez) < DEGENERATE_TOL:
-        raise DegeneratePointError(f"R or E degenerate at z = {z}")
-    b1, b2, b3 = beta
-    J = np.zeros((6, 6))
-    J[0, 0] = 1.0
-    J[0, 1] = r
-    J[1] = [-b1 / k, 1.0 - (b1 / k) * e, -b2 / k, -(b2 / k) * e, -b3 / k, -(b3 / k) * e]
-    J[2, 0] = 1.0
-    J[3, 1] = 1.0
-    J[4, 2] = 1.0
-    J[5, 3] = 1.0
-    return J
 
 
 # Boundary traces and boundary samples, memoised by polynomial value: the

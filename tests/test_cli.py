@@ -72,6 +72,37 @@ def test_cfl_sweep_fe_scales_inversely_with_nu(tmp_path, capsys):
     assert nfe[0.5] == pytest.approx(2 * nfe[1.0], rel=0.05)
 
 
+# the README's sweep examples; each row must be its setting's own run
+README_SWEEPS = [
+    ["--scheme", "rk510-3s+fsal", "--problem", "advection2d",
+     "--tols", "1e-3,1e-4,1e-5,1e-6,1e-7", "--beta", "0.45,-0.13,0"],
+    ["--scheme", "rk510-3s+fsal", "--problem", "advection2d", "--nus", "3.0,3.5,4.0"],
+]
+
+
+@pytest.mark.parametrize("flags", README_SWEEPS)
+def test_sweep_rows_equal_separate_integrate_runs(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", *flags, "--out", str(out))
+    setting = "--tols" if "--tols" in flags else "--nus"
+    i = flags.index(setting)
+    common = flags[:i] + flags[i + 2:]
+    lines = ["tol,nfe,n_rejected,error,status" if setting == "--tols"
+             else "nu,nfe,n_rejected,error,status"]
+    codes = []
+    for text in flags[i + 1].split(","):
+        single, report, _ = run(capsys, "integrate", *common,
+                                "--tol" if setting == "--tols" else "--cfl", text)
+        report = json.loads(report)
+        codes.append(single)
+        error = repr(max(report["errors"].values())) if single == 0 else "inf"
+        lines.append(",".join([repr(float(text)), str(report["nfe"]),
+                               str(report["n_rejected"]), error,
+                               "ok" if single == 0 else "failed"]))
+    assert out.read_text() == "\n".join(lines) + "\n"
+    assert code == (2 if all(c == 2 for c in codes) else 0)
+
+
 FORWARD_EULER_DOC = {
     "name": "Euler", "class": "butcher", "s": 1, "q": 1, "qhat": 1,
     "fsal": False, "A": ["0"], "b": ["1"], "c": ["0"], "bhat": ["1", "0"],

@@ -482,3 +482,52 @@ def test_quadrature_bit_identical_to_per_class_forms(nel, nex, ney, p, kind, amp
         for g, w in zip(got, want):
             assert type(g) is type(w) and np.array_equal(g, w), type(semi)
         assert semi.n_dof == u.size
+
+
+# ---------------------------------------------------------------------------
+# member stacks: one batched call equals the member-by-member calls
+
+def _python_float_source(t):
+    # the batched kernel evaluates the source per member with math.cos; a
+    # numpy time here would mean an array evaluation with np.cos
+    assert type(t) is float
+    return 30.0 * math.cos(0.6 * t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 5), nex=st.integers(1, 4), ney=st.integers(1, 4),
+       p=st.integers(1, 4), kind=_kinds, amplitude=_amplitudes, seed=_seeds,
+       a=_velocities, b=_velocities)
+def test_batched_kernels_equal_per_member_calls(m, nex, ney, p, kind, amplitude, seed,
+                                                a, b):
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, 10.0, m)
+    g1 = _grid1d(nex, kind, seed)
+    g2 = Grid2d(g1, _grid1d(ney, kind, seed + 1, 0.0, 3.0))
+    n = p + 1
+    cases = [
+        (EulerSemidisc1d(g1, p, energy_source=_python_float_source),
+         np.stack([_euler_state((nex, n), 1, seed + k, amplitude) for k in range(m)])),
+        (EulerSemidisc2d(g2, p),
+         np.stack([_euler_state((nex, ney, n, n), 2, seed + k, amplitude)
+                   for k in range(m)])),
+        (AdvectionSemidisc2d(g2, p, (a, b)), rng.standard_normal((m, nex, ney, n, n))),
+    ]
+    for semi, u in cases:
+        assert semi.batched
+        du = semi.rhs(times, u)
+        for k in range(m):
+            assert np.array_equal(du[k], semi.rhs(float(times[k]), u[k])), type(semi)
+        # one member out of bounds, one not finite
+        if semi.nvar:
+            u = u.copy()
+            u[0, ..., -1] *= -1.0
+            u[-1, 0] = np.nan
+        for method in ("is_admissible", "cfl_timescale"):
+            with np.errstate(invalid="ignore"):
+                got = getattr(semi, method)(u)
+                want = [getattr(semi, method)(v) for v in u]
+            assert got.shape == (m,)
+            assert np.array_equal(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
+                                  equal_nan=True), (type(semi), method)
+    assert not AdvectionSemidisc1d.batched    # its BLAS product stays per member

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rkadapt import stepping
 from rkadapt.catalog import catalog_get
 from rkadapt.control import CflConfig, ControllerConfig
-from rkadapt.integrate import IntegrationAbort, integrate
-from rkadapt.problems import make_problem
+from rkadapt.integrate import IntegrationAbort, integrate, integrate_ensemble
+from rkadapt.problems import Problem, make_problem
+from rkadapt.search import SearchSpace
 
 
 def cfg_for(scheme, tol, beta=(0.6, -0.2, 0.0)):
@@ -286,3 +288,126 @@ def test_error_norm_beyond_the_float_range_rejects_like_a_bounds_failure():
     assert rep.n_accepted == 0 and rep.n_rejected == 4
     assert [dt for _, dt, accepted in rep.history if not accepted] == [
         0.1, 0.025, 0.00625, 0.0015625]
+
+
+# ---------------------------------------------------------------------------
+# ensembles: each member's report is its own run's, bit for bit
+
+def _alone(scheme, problem, controller, **kw):
+    try:
+        return integrate(scheme, problem.semi, controller, problem.t0, problem.t_end,
+                         problem.u0, error_fn=problem.error_fn, record_history=True, **kw)
+    except IntegrationAbort as exc:
+        return exc.report
+
+
+def _outcome(report):
+    return (report.nfe, report.n_accepted, report.n_rejected, report.history,
+            repr(report.errors), report.aborted, report.abort_reason, report.t_final,
+            report.u_final.shape, report.u_final.tobytes())
+
+
+def assert_members_equal_their_runs(scheme, problem, controllers, **kw):
+    reports = integrate_ensemble(scheme, problem.semi, controllers, problem.t0,
+                                 problem.t_end, problem.u0, error_fn=problem.error_fn,
+                                 record_history=True, **kw)
+    assert len(reports) == len(controllers)
+    for controller, report in zip(controllers, reports):
+        assert _outcome(report) == _outcome(_alone(scheme, problem, controller, **kw)), (
+            controller.describe())
+    return reports
+
+
+_ENSEMBLE_PROBLEMS = {
+    "dahlquist": make_problem("dahlquist", t_end=3.0),
+    "source1d": make_problem("source1d", t_end=0.5),
+    "vortex2d": make_problem("vortex2d", elements=4, degree=2, t_end=0.5),
+}
+_GRID = SearchSpace()
+_betas = st.tuples(*(st.sampled_from([float(b) for b in axis])
+                     for axis in (_GRID.beta1, _GRID.beta2, _GRID.beta3)))
+_tols = st.sampled_from([1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+# on source1d at t_end 0.5 with RK3(2)5 3S*+ FSAL: (1.0, -0.4, 0.1) rejects
+# every other step (a limit cycle), (0.7, -0.23, 0) at 1e-3 meets a NaN stage
+# (a bounds retry) and (0.1, -0.4, 0.1) aborts on step size underflow
+_PINNED = [((1.0, -0.4, 0.1), 1e-5), ((0.7, -0.23, 0.0), 1e-3),
+           ((0.1, -0.4, 0.1), 1e-4), ((0.47, -0.24, 0.09), 1e-7)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=st.sampled_from(sorted(_ENSEMBLE_PROBLEMS)),
+       name=st.sampled_from(["RK3(2)5 3S*+ FSAL", "RK3(2)5 3S*+", "BS3(2)3 FSAL",
+                             "SSP3(2)4"]),
+       members=st.lists(st.tuples(_betas, _tols), min_size=1, max_size=6),
+       max_attempts=st.sampled_from([10_000_000, 40]))
+@example(problem="source1d", name="RK3(2)5 3S*+ FSAL", members=_PINNED,
+         max_attempts=10_000_000)
+@example(problem="source1d", name="RK3(2)5 3S*+ FSAL", members=_PINNED, max_attempts=90)
+def test_ensemble_members_equal_their_own_runs(problem, name, members, max_attempts):
+    scheme = catalog_get(name)
+    controllers = [ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
+                   for beta, tol in members]
+    assert_members_equal_their_runs(scheme, _ENSEMBLE_PROBLEMS[problem], controllers,
+                                    max_attempts=max_attempts)
+
+
+def test_pinned_ensemble_limit_cycles_meets_nan_stages_and_aborts(monkeypatch):
+    deaths = []
+    require_finite = stepping._require_finite
+
+    def spy(states):
+        try:
+            return require_finite(states)
+        except stepping._NonFiniteState as exc:
+            deaths.append(int(exc.dead.sum()))
+            raise
+
+    monkeypatch.setattr(stepping, "_require_finite", spy)
+    scheme = catalog_get("RK3(2)5 3S*+ FSAL")
+    problem = _ENSEMBLE_PROBLEMS["source1d"]
+    controllers = [ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
+                   for beta, tol in _PINNED]
+    cycling, bounded, underflow, smooth = assert_members_equal_their_runs(
+        scheme, problem, controllers)
+    assert deaths
+    assert cycling.n_rejected >= 0.9 * cycling.n_accepted > 50
+    deaths.clear()
+    _alone(scheme, problem, controllers[1])
+    assert deaths == [1] and bounded.n_rejected > 0 and not bounded.aborted
+    assert underflow.aborted and underflow.abort_reason == "step size underflow"
+    assert not smooth.aborted and smooth.n_rejected == 0
+    # a budget between the members' attempt counts aborts only the longer runs
+    budget = smooth.n_accepted + 1
+    reports = assert_members_equal_their_runs(scheme, problem, controllers,
+                                              max_attempts=budget)
+    assert [r.abort_reason for r in reports] == [
+        "attempt budget exhausted", None, "step size underflow", None]
+
+
+def test_cfl_ensemble_members_equal_their_own_runs():
+    scheme = catalog_get("SSP3(2)4")
+    problem = make_problem("vortex2d", elements=4, degree=2, t_end=1.0)
+    # nu = 4 leaves the admissible set and aborts; the others finish
+    reports = assert_members_equal_their_runs(
+        scheme, problem, [CflConfig(nu=nu, sigma=0.369) for nu in (0.5, 4.0, 1.0)])
+    assert [r.aborted for r in reports] == [False, True, False]
+
+
+def test_unbatched_rhs_ensemble_members_underflow_as_their_own_runs():
+    scheme = catalog_get("SSP3(2)3")
+    problem = Problem("capped", CappedRhs(cap=1.5), np.array([1.0]), 2.0, None, None)
+    reports = assert_members_equal_their_runs(
+        scheme, problem, [cfg_for(scheme, tol) for tol in (1e-3, 1e-6)])
+    assert all(r.abort_reason == "step size underflow after bounds rejection"
+               for r in reports)
+
+
+def test_ensemble_needs_one_kind_of_controller():
+    scheme = catalog_get("bs3")
+    prob = make_problem("dahlquist")
+    with pytest.raises(ValueError, match="all PID or all CFL"):
+        integrate_ensemble(scheme, prob.semi, [cfg_for(scheme, 1e-6),
+                                               CflConfig(nu=1.0, sigma=1.0)],
+                           0.0, 1.0, prob.u0)
+    with pytest.raises(ValueError, match="at least one"):
+        integrate_ensemble(scheme, prob.semi, [], 0.0, 1.0, prob.u0)

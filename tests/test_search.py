@@ -7,6 +7,7 @@ from rkadapt.catalog import catalog_get, catalog_names
 from rkadapt.control import ControllerConfig
 from rkadapt.integrate import integrate
 from rkadapt.problems import make_problem
+from rkadapt import search
 from rkadapt.search import (CandidateResult, EmptyStableSetError, SearchSpace,
                             filter_stable, recommend, run_search)
 
@@ -81,6 +82,22 @@ def test_degenerate_single_candidate_search_matches_direct_run():
     assert cand.runs[0][2] == rep.nfe
     ranked = recommend(result)
     assert ranked[0].beta == (0.60, -0.20, 0.00)
+
+
+def test_search_rows_equal_one_candidate_runs():
+    # each (problem, tol) runs its stable candidates as one ensemble; every
+    # row must be the candidate's own run's
+    scheme = catalog_get("rk35-3s+fsal")
+    probs = [make_problem("source1d", t_end=0.5), make_problem("dahlquist", t_end=3.0)]
+    space = SearchSpace(beta1=(0.1, 0.47, 1.0), beta2=(-0.4, -0.24), beta3=(0.0, 0.1),
+                        tolerances=(1e-3, 1e-5))
+    result = run_search(scheme, probs, space=space)
+    stable = result.stable_candidates()
+    assert len(stable) >= 3
+    for cand in stable:
+        alone = [search._run_one(scheme, p, cand.beta, tol)
+                 for p in probs for tol in space.tolerances]
+        assert repr(cand.runs) == repr(alone), cand.beta
 
 
 def test_median_aggregate_arithmetic():
