@@ -165,7 +165,7 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                    f0=[m.fcache for m in live], need_estimate=not cfl)
         norms = _error_norms(res, stack, [m.controller for m in live], estimate=not cfl)
 
-        accepted = np.zeros(len(live), dtype=bool)
+        accepted = [False] * len(live)
         for j, (member, w) in enumerate(zip(live, norms)):
             report = member.report
             report.nfe += int(res.nfe[j])
@@ -188,9 +188,9 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                 member.leave(res.u_new[j] if accept else u[j],
                              "step size underflow" if ok else
                              "step size underflow after bounds rejection")
-        if accepted.all():
+        if all(accepted):
             u = res.u_new
-        elif accepted.any():
+        elif any(accepted):
             u[accepted] = res.u_new[accepted]
         live, u = _remaining(live, u)
 
@@ -252,25 +252,26 @@ def _remaining(live, u):
 def _error_norms(res, stack, controllers, estimate):
     """Each member's error norm as a float: +inf where its step is not finite
     or not admissible, else its weighted RMS error, or 0 without an estimate."""
-    ok = res.finite.copy()
-    if stack.bounded and ok.any():
-        rows = _rows(ok)
-        ok[rows] = stack.admissible(res.u_new[rows])
-    w = np.where(ok, 0.0, math.inf)
-    if estimate and ok.any():
-        rows = _rows(ok)
-        if not isinstance(rows, slice):
-            controllers = [c for c, keep in zip(controllers, ok) if keep]
-        u_new = res.u_new[rows]
-        w[rows] = ctrl.error_norms(u_new, u_new - res.err_diff[rows],
-                                   [c.atol for c in controllers],
-                                   [c.rtol for c in controllers])
-    return w.tolist()
+    ok = list(res.finite)
+    rows = [j for j, finite in enumerate(ok) if finite]
+    if stack.bounded and rows:
+        for j, admissible in zip(rows, stack.admissible(_take(res.u_new, rows))):
+            ok[j] = bool(admissible)
+        rows = [j for j in rows if ok[j]]
+    w = [0.0 if k else math.inf for k in ok]
+    if estimate and rows:
+        u_new = _take(res.u_new, rows)
+        norms = ctrl.error_norms(u_new, u_new - _take(res.err_diff, rows),
+                                 [controllers[j].atol for j in rows],
+                                 [controllers[j].rtol for j in rows])
+        for j, norm in zip(rows, norms.tolist()):
+            w[j] = norm
+    return w
 
 
-def _rows(mask):
-    """Index of the masked rows; a view of all rows when all are masked."""
-    return slice(None) if mask.all() else mask
+def _take(stack, rows):
+    """The rows of a member stack; the stack itself when that is all of them."""
+    return stack if len(rows) == len(stack) else stack[rows]
 
 
 class _Stack:

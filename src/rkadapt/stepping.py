@@ -11,8 +11,8 @@ holds m member states along a leading axis, `f0` lists each member's cached
 first stage (or None), and `rhs(t, u)` evaluates such a stack at a sequence
 of m times.  Every member steps exactly as it would alone: its own time and
 step size, its own FSAL cache and its own finite guard, with its evaluations
-counted as its own run counts them.  The result then holds per-member
-arrays: `nfe` and `finite` have one entry per member.
+counted as its own run counts them.  The result's `nfe` and `finite` are
+then lists with one entry per member.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
                 nfe[j] = cr.nfe
             swept.append((todo, out))
             break
-    nfe, finite = np.array(nfe), np.array(finite)
     if len(swept) == 1 and len(swept[0][0]) == m:
         u_new, err, fsal_f = swept[0][1]
     else:
@@ -169,7 +168,7 @@ def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
                     fsal_f = _nan_like(u)
                 fsal_f[todo] = fs
     if err is not None and not np.isfinite(err).all():
-        finite &= _finite_members(err)
+        finite = [f and bool(e) for f, e in zip(finite, _finite_members(err))]
     return StepResult(u_new, err, nfe, fsal_f, finite)
 
 
