@@ -393,6 +393,40 @@ def test_cfl_ensemble_members_equal_their_own_runs():
     assert [r.aborted for r in reports] == [False, True, False]
 
 
+class BatchedDecay:
+    """u' = -u, on one state or a stack of them; the CFL timescale is 0.05
+    while every component exceeds `floor` and inf after, per member."""
+
+    batched = True
+
+    def __init__(self, floor):
+        self.floor = floor
+
+    def __call__(self, t, u):
+        return -u
+
+    def is_admissible(self, u):
+        ok = np.all(np.isfinite(u), axis=-1)
+        return ok.item() if ok.ndim == 0 else ok
+
+    def cfl_timescale(self, u):
+        ts = np.where(np.min(u, axis=-1) > self.floor, 0.05, math.inf)
+        return ts.item() if ts.ndim == 0 else ts
+
+
+def test_cfl_ensemble_members_abort_on_their_own_undefined_timescale():
+    # u = e^-t passes the floor at t = 0.94: steps of 0.025 and 0.05 attempt
+    # from t = 0.95 and abort there, while the stack runs on without them;
+    # steps of 0.1 and 0.2 last attempt from 0.9 and 0.8 and finish at 0.98
+    scheme = catalog_get("rk35-3s+fsal")
+    problem = Problem("decay", BatchedDecay(floor=0.39), np.array([1.0, 2.0]), 0.98,
+                      None, None)
+    reports = assert_members_equal_their_runs(
+        scheme, problem, [CflConfig(nu=nu, sigma=1.0) for nu in (0.5, 2.0, 1.0, 4.0)])
+    assert [r.aborted for r in reports] == [True, False, True, False]
+    assert reports[0].abort_reason.startswith("CFL control undefined")
+
+
 def test_unbatched_rhs_ensemble_members_underflow_as_their_own_runs():
     scheme = catalog_get("SSP3(2)3")
     problem = Problem("capped", CappedRhs(cap=1.5), np.array([1.0]), 2.0, None, None)
