@@ -124,18 +124,15 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                                              t0=t0, t_end=t_end), t0)
                for controller in controllers]
     for member in members:
-        dt = None
-        if not cfl:
-            dt = dt0
-            if dt is None:
-                def counted(t, u, report=member.report):
-                    report.nfe += 1
-                    return rhs(t, u)
+        dt = dt0
+        if not cfl and dt is None:
+            def counted(t, u, report=member.report):
+                report.nfe += 1
+                return rhs(t, u)
 
-                dt = ctrl.initial_step(counted, t0, u0, member.controller, q=scheme.q,
-                                       horizon=horizon, admissible=admissible)
-            dt = min(dt, horizon)
-        member.state = ControllerState(dt_current=dt)
+            dt = ctrl.initial_step(counted, t0, u0, member.controller, q=scheme.q,
+                                   horizon=horizon, admissible=admissible)
+        member.state = ControllerState(dt_current=None if cfl else min(dt, horizon))
 
     stack = _Stack(rhs)
     live, u = members, np.repeat(u0[None], len(members), axis=0)
