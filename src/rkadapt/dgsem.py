@@ -6,11 +6,13 @@ advection, and local Lax-Friedrichs fluxes for the compressible Euler
 equations.  States keep their tensor shape: (nel, n) or (nel, n, nvar) in
 1D and (nex, ney, n, n[, nvar]) in 2D with n = p + 1 nodes per direction.
 
-A semidiscretization with `batched` set also takes a stack of m states,
-shape (m, *state shape), with a time per member: `rhs`, `is_admissible`
+Every semidiscretization is `batched`: it also takes a stack of m states,
+shape (m, *state shape), with a time per member, and `rhs`, `is_admissible`
 and `cfl_timescale` then answer per member, bit for bit as member-by-member
-calls do.  The kernels index from the end and contract with einsum, which
-sums each element in the same order whatever the leading axes.
+calls do.  The kernels index from the end and take each volume derivative
+as one stacked matmul over slices whose last two axes are (node, rest):
+every slice is the same matrix product whatever the leading axes, so a
+stack's rows equal the per-member products.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class _Semidisc1d:
     """Operator, nodes x, Jacobians dx/dxi, neighbours and quadrature in 1D."""
 
     nvar = None     # variables per node of a system; None for a scalar field
-    batched = False
+    batched = True
 
     def __init__(self, grid: Grid1d, p: int):
         self.grid = grid
@@ -253,11 +255,7 @@ class _Semidisc2d:
 # linear advection
 
 class AdvectionSemidisc1d(_Semidisc1d):
-    """u_t + a u_x = 0, periodic, full upwind interface flux.
-
-    Not batched: its derivative is a BLAS matrix product, whose rounding
-    may depend on the shape of the stack.
-    """
+    """u_t + a u_x = 0, periodic, full upwind interface flux."""
 
     def __init__(self, grid: Grid1d, p: int, velocity: float):
         super().__init__(grid, p)
@@ -271,30 +269,25 @@ class AdvectionSemidisc1d(_Semidisc1d):
         with np.errstate(over="ignore", invalid="ignore"):
             du = self._vol * (u @ self.op.D.T)
             if self.a > 0:
-                du[:, 0] += self._upwind * (u[self._left, -1] - u[:, 0])
+                du[..., 0] += self._upwind * (u[..., self._left, -1] - u[..., 0])
             elif self.a < 0:
-                du[:, -1] += self._upwind * (u[self._right, 0] - u[:, -1])
+                du[..., -1] += self._upwind * (u[..., self._right, 0] - u[..., -1])
         return du
 
     __call__ = rhs
 
     def is_admissible(self, u):
-        return bool(np.all(np.isfinite(u)))
+        return _per_member(np.all(np.isfinite(u), axis=self._axes))
 
     def cfl_timescale(self, u):
-        if self.a == 0.0:
-            return math.inf
-        return float(np.min(self.grid.widths)) / abs(self.a)
+        ts = math.inf if self.a == 0.0 else float(np.min(self.grid.widths)) / abs(self.a)
+        return _per_member(np.full(np.shape(u)[:-len(self._axes)], ts))
 
     def as_matrix(self):
+        """Column j is the RHS of the j-th unit vector, all in one stacked call."""
         m = self.n_dof
-        shape = (self.grid.nel, self.op.n)
-        L = np.zeros((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            L[:, j] = self.rhs(0.0, e.reshape(shape)).ravel()
-        return L
+        eye = np.eye(m).reshape(m, self.grid.nel, self.op.n)
+        return self.rhs(np.zeros(m), eye).reshape(m, m).T
 
 
 class AdvectionSemidisc2d(_Semidisc2d):
@@ -317,7 +310,7 @@ class AdvectionSemidisc2d(_Semidisc2d):
         with np.errstate(over="ignore", invalid="ignore"):
             du = np.zeros_like(u)
             if ax != 0.0:
-                du -= self._vol_x * np.einsum("am,...efmb->...efab", D, u)
+                du -= self._vol_x * np.matmul(D, u)
                 if ax > 0:
                     jump = u[..., -1, :].take(self._lx, axis=-3) - u[..., 0, :]
                     du[..., 0, :] += self._upwind_x * jump
@@ -325,7 +318,7 @@ class AdvectionSemidisc2d(_Semidisc2d):
                     jump = u[..., 0, :].take(self._rx, axis=-3) - u[..., -1, :]
                     du[..., -1, :] += self._upwind_x * jump
             if ay != 0.0:
-                du -= self._vol_y * np.einsum("bm,...efam->...efab", D, u)
+                du -= self._vol_y * (u @ D.T)
                 if ay > 0:
                     jump = u[..., -1].take(self._ly, axis=-2) - u[..., 0]
                     du[..., 0] += self._upwind_y * jump
@@ -415,7 +408,6 @@ class EulerSemidisc1d(_Semidisc1d):
     """
 
     nvar = 3
-    batched = True
 
     def __init__(self, grid: Grid1d, p: int, energy_source=None):
         super().__init__(grid, p)
@@ -435,7 +427,7 @@ class EulerSemidisc1d(_Semidisc1d):
             f[..., 1] = u[..., 1] * v + p
             f[..., 2] = (u[..., 2] + p) * v
             speed = np.abs(v) + np.sqrt(GAMMA * p / rho)
-            du = self._vol * np.einsum("am,...emv->...eav", self.op.D, f)
+            du = self._vol * np.matmul(self.op.D, f)
             _llf_surface(du, u, f, speed, -1, -2, self._left, self._right,
                          self._jw0, self._jwN)
         if self.energy_source is not None:
@@ -484,8 +476,9 @@ class EulerSemidisc2d(_Semidisc2d):
             fy = u * vy[..., None]
             fy[..., 2] += p
             fy[..., 3] = (u[..., 3] + p) * vy
-            du = self._vol_x * np.einsum("am,...efmbv->...efabv", D, fx)
-            du += self._vol_y * np.einsum("bm,...efamv->...efabv", D, fy)
+            dfx = np.matmul(D, fx.reshape(fx.shape[:-3] + (len(D), -1))).reshape(fx.shape)
+            du = self._vol_x * dfx
+            du += self._vol_y * np.matmul(D, fy)
             _llf_surface(du, u, fx, np.abs(vx) + c, -2, -4, self._lx, self._rx,
                          self._jw0_x, self._jwN_x)
             _llf_surface(du, u, fy, np.abs(vy) + c, -1, -3, self._ly, self._ry,

@@ -273,8 +273,8 @@ def _take(stack, rows):
 
 class _Stack:
     """A problem's RHS, admissibility test and CFL timescale over a stack of
-    member states: one call of a batched semidiscretization for two or more
-    members, one call per member otherwise."""
+    member states: one call of a batched problem for two or more members,
+    one call per member of a plain callable."""
 
     def __init__(self, semi):
         self.semi = semi

@@ -27,21 +27,25 @@ class Problem:
 
 
 class DahlquistRhs:
-    """u' = lam * u; the scalar linear test problem."""
+    """u' = lam * u; the scalar linear test problem on states of `ndim` axes,
+    batched like the semidiscretizations."""
 
-    def __init__(self, lam):
+    batched = True
+
+    def __init__(self, lam, ndim=1):
         self.lam = lam
+        self._axes = tuple(range(-ndim, 0))
 
     def __call__(self, t, u):
         return self.lam * u
 
     def is_admissible(self, u):
-        return bool(np.all(np.isfinite(u)))
+        return dgsem._per_member(np.all(np.isfinite(u), axis=self._axes))
 
 
 def _dahlquist(lam=-1.0, u0=1.0, t_end=10.0):
-    rhs = DahlquistRhs(lam)
     u0v = np.atleast_1d(np.asarray(u0, dtype=float))
+    rhs = DahlquistRhs(lam, u0v.ndim)
     exact = lambda t: u0v * np.exp(lam * t)
     error_fn = lambda t, u: {"u": float(np.max(np.abs(u - exact(t))))}
     return Problem("dahlquist", rhs, u0v, t_end, exact, error_fn)

@@ -12,7 +12,7 @@ from rkadapt.dgsem import (AdvectionSemidisc1d, AdvectionSemidisc2d,
                            EulerSemidisc1d, EulerSemidisc2d, GAMMA, Grid1d,
                            Grid2d, lgl_operator)
 from rkadapt.integrate import integrate
-from rkadapt.problems import make_problem
+from rkadapt.problems import DahlquistRhs, make_problem
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7])
@@ -218,7 +218,8 @@ def _ref_llf(fl, fr, ul, ur, lam):
 
 def _reference_rhs(semi, t, u):
     """Each semidiscretization's RHS with every face state rebuilt by
-    np.roll and its primitives, sound speed and flux recomputed there."""
+    np.roll and its primitives, sound speed and flux recomputed there; the
+    volume terms are the kernels' matrix products."""
     op = semi.op
     D, w0, wN = op.D, op.weights[0], op.weights[-1]
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -234,7 +235,7 @@ def _reference_rhs(semi, t, u):
             (ax, ay), jx, jy = semi.a, semi.jx, semi.jy
             du = np.zeros_like(u)
             if ax != 0.0:
-                du -= (ax / jx[:, None, None, None]) * np.einsum("am,efmb->efab", D, u)
+                du -= (ax / jx[:, None, None, None]) * np.matmul(D, u)
                 if ax > 0:
                     jump = np.roll(u[:, :, -1, :], 1, axis=0) - u[:, :, 0, :]
                     du[:, :, 0, :] += (ax / (jx[:, None, None] * w0)) * jump
@@ -242,7 +243,7 @@ def _reference_rhs(semi, t, u):
                     jump = np.roll(u[:, :, 0, :], -1, axis=0) - u[:, :, -1, :]
                     du[:, :, -1, :] += (-ax / (jx[:, None, None] * wN)) * jump
             if ay != 0.0:
-                du -= (ay / jy[None, :, None, None]) * np.einsum("bm,efam->efab", D, u)
+                du -= (ay / jy[None, :, None, None]) * (u @ D.T)
                 if ay > 0:
                     jump = np.roll(u[:, :, :, -1], 1, axis=1) - u[:, :, :, 0]
                     du[:, :, :, 0] += (ay / (jy[None, :, None] * w0)) * jump
@@ -253,7 +254,7 @@ def _reference_rhs(semi, t, u):
         if isinstance(semi, EulerSemidisc1d):
             jac = semi.jacobian
             f = _ref_flux_1d(u)
-            du = -(1.0 / jac[:, None, None]) * np.einsum("am,emv->eav", D, f)
+            du = -(1.0 / jac[:, None, None]) * np.matmul(D, f)
             uR = u[:, 0, :]
             uL = np.roll(u[:, -1, :], 1, axis=0)
             rhoL, vL, pL = dgsem.euler_primitives_1d(uL)
@@ -268,8 +269,9 @@ def _reference_rhs(semi, t, u):
             return du
         jx, jy = semi.jx[:, None, None, None], semi.jy[None, :, None, None]
         fx, fy = _ref_flux_2d(u, 0), _ref_flux_2d(u, 1)
-        du = -(1.0 / jx[..., None]) * np.einsum("am,efmbv->efabv", D, fx)
-        du -= (1.0 / jy[..., None]) * np.einsum("bm,efamv->efabv", D, fy)
+        dfx = np.matmul(D, fx.reshape(fx.shape[:-3] + (len(D), -1))).reshape(fx.shape)
+        du = -(1.0 / jx[..., None]) * dfx
+        du -= (1.0 / jy[..., None]) * np.matmul(D, fy)
         uR = u[:, :, 0, :, :]
         uL = np.roll(u[:, :, -1, :, :], 1, axis=0)
         lam = np.maximum(_ref_speed_2d(uL, 0), _ref_speed_2d(uR, 0))
@@ -512,22 +514,90 @@ def test_batched_kernels_equal_per_member_calls(m, nex, ney, p, kind, amplitude,
          np.stack([_euler_state((nex, ney, n, n), 2, seed + k, amplitude)
                    for k in range(m)])),
         (AdvectionSemidisc2d(g2, p, (a, b)), rng.standard_normal((m, nex, ney, n, n))),
+        (AdvectionSemidisc1d(g1, p, a), rng.standard_normal((m, nex, n))),
+        (DahlquistRhs(a, 2), rng.standard_normal((m, ney, n))),
     ]
     for semi, u in cases:
         assert semi.batched
-        du = semi.rhs(times, u)
+        du = semi(times, u)
         for k in range(m):
-            assert np.array_equal(du[k], semi.rhs(float(times[k]), u[k])), type(semi)
+            assert np.array_equal(du[k], semi(float(times[k]), u[k])), type(semi)
         # one member out of bounds, one not finite
-        if semi.nvar:
-            u = u.copy()
+        u = u.copy()
+        if getattr(semi, "nvar", None):
             u[0, ..., -1] *= -1.0
-            u[-1, 0] = np.nan
+        u[-1, 0] = np.nan
         for method in ("is_admissible", "cfl_timescale"):
+            if not hasattr(semi, method):
+                continue
             with np.errstate(invalid="ignore"):
                 got = getattr(semi, method)(u)
                 want = [getattr(semi, method)(v) for v in u]
             assert got.shape == (m,)
             assert np.array_equal(np.asarray(got, dtype=float), np.asarray(want, dtype=float),
                                   equal_nan=True), (type(semi), method)
-    assert not AdvectionSemidisc1d.batched    # its BLAS product stays per member
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_advection_1d_matrix_and_sigma_equal_the_column_build(p):
+    nel = 8
+    semi = AdvectionSemidisc1d(Grid1d.uniform(0.0, 1.0, nel), p, velocity=1.0)
+    m = semi.n_dof
+    columns = np.zeros((m, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        columns[:, j] = semi.rhs(0.0, e.reshape(nel, p + 1)).ravel()
+    assert np.array_equal(semi.as_matrix(), columns)
+    c_p = float(np.max(-np.linalg.eigvals(columns).real)) * (1.0 / nel)
+    assert dgsem.sigma_for_degree(p) == 2.0 / c_p
+
+
+# ---------------------------------------------------------------------------
+# volume derivatives against exactly rounded sums
+
+def _derivative_terms(D, f, axis):
+    """The products D[a, m] f[..., m, ...] along the node axis `axis` of f,
+    with a in that axis' place and m on a new last axis."""
+    terms = np.moveaxis(f, axis, -1)[..., None, :] * D
+    return np.moveaxis(terms, -2, axis - 1)
+
+
+def _width_two_grid(nel):
+    # Jacobian 1: the kernels' volume scalings are then exactly -1 or 1
+    return Grid1d(np.arange(0.0, 2.0 * nel + 1.0, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 3), nel=st.integers(1, 3), p=st.integers(2, 4),
+       amplitude=_amplitudes, seed=_seeds)
+def test_volume_derivatives_within_4_ulp_of_exact_sums(m, nel, p, amplitude, seed):
+    # Nodes inside an element get no surface term, so there each RHS is its
+    # volume term alone: -D f, rounded only by the kernel's product (2D
+    # Euler adds its x and y terms).  Each entry must lie within 4 ulp of
+    # sum_m |D_am f_m| of the exactly rounded sum math.fsum gives.
+    rng = np.random.default_rng(seed)
+    g1 = _width_two_grid(nel)
+    g2 = Grid2d(g1, _width_two_grid(nel + 1))
+    n = p + 1
+    D = lgl_operator(p).D
+    inner = slice(1, -1)
+    u1, u2 = rng.standard_normal((m, nel, n)), rng.standard_normal((m, nel, nel + 1, n, n))
+    e1 = np.stack([_euler_state((nel, n), 1, seed + k, amplitude) for k in range(m)])
+    e2 = np.stack([_euler_state((nel, nel + 1, n, n), 2, seed + k, amplitude)
+                   for k in range(m)])
+    cases = [
+        (AdvectionSemidisc1d(g1, p, 1.0), u1, [(u1, -1)], (..., inner)),
+        (AdvectionSemidisc2d(g2, p, (1.0, 0.0)), u2, [(u2, -2)], (..., inner, slice(None))),
+        (AdvectionSemidisc2d(g2, p, (0.0, 1.0)), u2, [(u2, -1)], (..., inner)),
+        (EulerSemidisc1d(g1, p), e1, [(_ref_flux_1d(e1), -2)], (..., inner, slice(None))),
+        (EulerSemidisc2d(g2, p), e2, [(_ref_flux_2d(e2, 0), -3), (_ref_flux_2d(e2, 1), -2)],
+         (..., inner, inner, slice(None))),
+    ]
+    for semi, u, fluxes, interior in cases:
+        got = -semi.rhs(np.zeros(m), u)[interior]
+        terms = np.concatenate([_derivative_terms(D, f, axis) for f, axis in fluxes],
+                               axis=-1)[interior + (slice(None),)]
+        exact = np.apply_along_axis(math.fsum, -1, terms)
+        scale = np.apply_along_axis(math.fsum, -1, np.abs(terms))
+        assert np.all(np.abs(got - exact) <= 4.0 * np.spacing(scale)), type(semi)

@@ -1,0 +1,38 @@
+import os
+import subprocess
+import sys
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "workcounts.py")
+HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
+        "| max error | sha256[:16] of `u_final` | status |\n|" + "---|" * 11 + "\n")
+
+
+def _table(path, rows, csv_digest):
+    lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
+    path.write_text(HEAD + "\n".join(lines) + "\n\nacceptance suite: pytest exit 0\n"
+                    f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n")
+
+
+def _row(controller, nfe, accepted, rejected, error="0.1", state="00ff"):
+    return ["acceptance", "P(4,) grid 0a1b2c3d t=0..1", "S", controller,
+            str(nfe), str(accepted), str(rejected), error, state, "ok"]
+
+
+def test_diff_lists_moved_rows_and_counts_rounding_only_changes(tmp_path):
+    old, new = tmp_path / "old.md", tmp_path / "new.md"
+    # two runs share a key: they pair in order, so only the second moves
+    _table(old, [_row("A", 10, 5, 1), _row("A", 12, 6, 0), _row("B", 7, 3, 0),
+                 _row("C", 9, 4, 0)], "d1")
+    _table(new, [_row("A", 10, 5, 1, error="0.2"), _row("A", 14, 6, 1),
+                 _row("B", 7, 3, 0), _row("D", 9, 4, 0)], "d2")
+    out = subprocess.run([sys.executable, TOOL, "--diff", str(old), str(new)],
+                         capture_output=True, text=True, check=True).stdout
+    assert "moved, old -> new: 1\n" in out
+    assert "| A | 12 -> 14 | 6 | 0 -> 1 | ok |" in out
+    assert "max error or the `u_final` hash: 1\n" in out
+    assert "identical in every column: 1\n" in out
+    assert "Rows only in OLD: 1\n" in out and "| C | 9 |" in out
+    assert "Rows only in NEW: 1\n" in out and "| D | 9 |" in out
+    assert "search.csv: changed, d1 -> d2" in out
+    assert "search.json: unchanged" in out

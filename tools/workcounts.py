@@ -1,21 +1,28 @@
 """Work counts of every acceptance and dg_sweep integration, for comparing versions.
 
     python tools/workcounts.py [--root CHECKOUT] > counts.md
+    python tools/workcounts.py --diff OLD.md NEW.md
 
 Imports the package from CHECKOUT/src (default: this checkout) and wraps its
 integration entry point, `integrate_ensemble` where the version has one and
 `integrate` otherwise, in every module that imported it.  Then it runs
 CHECKOUT/tests/test_acceptance.py in-process and every dg_sweep integration
 that CHECKOUT/perfbench/workloads.py specifies, through `rkadapt integrate`.
-It prints one table row per integration: problem, scheme, controller, nfe,
-accepted and rejected counts, max error (repr, so every bit shows) and the
-sha256 of the final state's bytes.  Rows are sorted, so a version that runs
-the same integrations in another order (one ensemble instead of separate
-runs) prints the same table.  Last come the sha256 digests of search.csv and
-search.json of the benchmark's controller_search command.
+It prints one table row per integration: problem (with a digest of its grid's
+element boundaries, which tells a perturbed grid from a uniform one), scheme,
+controller, nfe, accepted and rejected counts, max error (repr, so every bit
+shows) and the sha256 of the final state's bytes.  Rows are sorted, so a
+version that runs the same integrations in another order (one ensemble
+instead of separate runs) prints the same table.  Last come the sha256
+digests of search.csv and search.json of the benchmark's controller_search
+command.
 
-Run it on two checkouts and diff the outputs: equal output means equal work
-and bit-identical results.  The acceptance suite takes about two minutes.
+Run it on two checkouts and compare the outputs: equal output means equal
+work and bit-identical results.  The acceptance suite takes about two
+minutes.  `--diff` compares two such outputs: it lists the rows whose nfe,
+accepted or rejected count or status moved, old against new, counts the rows
+that differ only in max error or final state, and says whether the search
+digests changed.
 """
 
 from __future__ import annotations
@@ -40,6 +47,15 @@ HEADER = ("| # | run | problem | scheme | controller | nfe | accepted | rejected
 
 def _digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _grid_tag(rhs):
+    """' grid <digest>' of a semidiscretization's element boundaries, or ''."""
+    grid = getattr(rhs, "grid", None)
+    if grid is None:
+        return ""
+    axes = [grid] if hasattr(grid, "boundaries") else [grid.x, grid.y]
+    return " grid " + _digest(b"".join(g.boundaries.tobytes() for g in axes))[:8]
 
 
 class Recorder:
@@ -78,7 +94,7 @@ class Recorder:
         errors = report.errors or {}
         err = max((float(v) for v in errors.values()), default=math.nan)
         problem = f"{type(rhs).__name__}{tuple(getattr(u0, 'shape', ()))}"
-        problem += f" t={report.t0:g}..{report.t_end:g}"
+        problem += f"{_grid_tag(rhs)} t={report.t0:g}..{report.t_end:g}"
         state = _digest(report.u_final.tobytes()) if report.u_final is not None else "-"
         self.rows.append((self.run, problem, report.scheme, report.controller,
                           str(report.nfe), str(report.n_accepted), str(report.n_rejected),
@@ -91,11 +107,72 @@ def _cli(cli, argv):
         return cli.main(argv)
 
 
+def _read_table(path):
+    """A table's rows, grouped by (run, problem, scheme, controller) in
+    order, and its 'sha256 NAME: DIGEST' lines as {NAME: DIGEST}."""
+    rows, digests = {}, {}
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("sha256 "):
+                name, digest = line[len("sha256 "):].split(":")
+                digests[name] = digest.strip()
+            elif line.startswith("| ") and line.split(" | ")[0][2:].isdigit():
+                cells = [c.strip() for c in line.strip().strip("|").split(" | ")][1:]
+                rows.setdefault(tuple(cells[:4]), []).append(cells[4:])
+    return rows, digests
+
+
+def diff(old_path, new_path):
+    """Print what moved between two tables of this tool."""
+    old, old_digests = _read_table(old_path)
+    new, new_digests = _read_table(new_path)
+    moved, only_old, only_new = [], [], []
+    same = rounding = 0
+    for key in sorted(set(old) | set(new)):
+        a, b = old.get(key, []), new.get(key, [])
+        for x, y in zip(a, b):
+            # columns: nfe, accepted, rejected, max error, hash, status
+            counts_x, counts_y = x[:3] + x[5:], y[:3] + y[5:]
+            if counts_x != counts_y:
+                moved.append(list(key) + [f"{u} -> {v}" if u != v else u
+                                          for u, v in zip(counts_x, counts_y)])
+            elif x != y:
+                rounding += 1
+            else:
+                same += 1
+        only_old += [list(key) + x for x in a[len(b):]]
+        only_new += [list(key) + y for y in b[len(a):]]
+
+    print(f"Rows whose nfe, accepted or rejected count or status moved, old -> new: "
+          f"{len(moved)}")
+    if moved:
+        print()
+        print("| run | problem | scheme | controller | nfe | accepted | rejected | status |")
+        print("|" + "---|" * 8)
+        for row in moved:
+            print("| " + " | ".join(row) + " |")
+    print()
+    print(f"Rows whose only change is the max error or the `u_final` hash: {rounding}")
+    print(f"Rows identical in every column: {same}")
+    for label, rows in (("only in OLD", only_old), ("only in NEW", only_new)):
+        print(f"Rows {label}: {len(rows)}")
+        for row in rows:
+            print("    " + " | ".join(row))
+    for name in sorted(set(old_digests) | set(new_digests)):
+        a, b = old_digests.get(name, "-"), new_digests.get(name, "-")
+        print(f"{name}: " + ("unchanged" if a == b else f"changed, {a[:16]} -> {b[:16]}"))
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="checkout whose src/, tests/ and perfbench/ to use")
+    ap.add_argument("--diff", nargs=2, metavar=("OLD.md", "NEW.md"),
+                    help="compare two outputs of this tool instead of running anything")
     args = ap.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 
