@@ -13,6 +13,12 @@ of m times.  Every member steps exactly as it would alone: its own time and
 step size, its own FSAL cache and its own finite guard, with its evaluations
 counted as its own run counts them.  The result's `nfe` and `finite` are
 then lists with one entry per member.
+
+Each attempt is one sweep of the whole stack.  A member whose state turns
+NaN/Inf leaves it there: the RHS no longer evaluates its rows, which hold
+NaN from then on, and its count stops at that state.  The others sweep on.
+The sweep runs under `np.errstate(invalid="ignore")`, since a dead row's
+registers meet zero coefficients and inf - inf.
 """
 
 from __future__ import annotations
@@ -36,29 +42,9 @@ class StepResult:
     finite: bool                  # False if any stage went NaN/Inf
 
 
-class _NonFiniteState(Exception):
-    """A NaN/Inf state ends the attempt of the members `dead` masks."""
-
-    def __init__(self, dead):
-        super().__init__()
-        self.dead = dead
-
-
 def _finite_members(states):
     """Which members of a stack of states are finite throughout."""
     return np.isfinite(states).reshape(len(states), -1).all(axis=1)
-
-
-def _nan_like(u):
-    """The result of a member that left its attempt at a NaN/Inf state."""
-    return np.full(u.shape, np.nan, dtype=np.result_type(u.dtype, float))
-
-
-def _require_finite(states):
-    """The stack itself, or _NonFiniteState if a member holds a NaN/Inf."""
-    if not np.isfinite(states).all():
-        raise _NonFiniteState(~_finite_members(states))
-    return states
 
 
 def _stacked(rows):
@@ -67,20 +53,39 @@ def _stacked(rows):
 
 
 class _CountingRhs:
-    """Counts the evaluations of a member stack; never evaluates at a NaN/Inf
-    state.  Times arrive as the sweep computes them, a float for a single
-    member and a broadcasting column for several; the RHS gets a sequence."""
+    """Counts each member's evaluations of a stack and evaluates only live
+    members.  A member whose state turns NaN/Inf dies: its rows get NaN from
+    then on and its count stops there, as its own run's guard stops it.
+    Times arrive as the sweep computes them, a float for a single member and
+    a broadcasting column (or a vector) for several; the RHS gets a sequence.
+    `rows`, when given, names the members a partial stack holds."""
 
-    __slots__ = ("rhs", "nfe")
+    __slots__ = ("rhs", "calls", "nfe", "live")
 
-    def __init__(self, rhs):
+    def __init__(self, rhs, m):
         self.rhs = rhs
-        self.nfe = 0
+        self.calls = 0                       # calls made while every member lived
+        self.nfe = np.zeros(m, dtype=int)    # per member: partial-stack calls, calls after a death
+        self.live = None                     # per-member mask once one has died
 
-    def __call__(self, t, u):
-        _require_finite(u)
-        self.nfe += 1
-        return self.rhs(t.reshape(len(u)) if isinstance(t, np.ndarray) else (t,), u)
+    def __call__(self, t, u, rows=None):
+        times = t.reshape(len(u)) if isinstance(t, np.ndarray) else (t,)
+        if self.live is None and np.isfinite(u).all():
+            if rows is None:
+                self.calls += 1
+            else:
+                self.nfe[rows] += 1
+            return self.rhs(times, u)
+        if self.live is None:
+            self.live = np.ones(len(self.nfe), dtype=bool)
+        rows = np.arange(len(u)) if rows is None else np.asarray(rows)
+        self.live[rows] &= _finite_members(u)
+        keep = self.live[rows]
+        self.nfe[rows[keep]] += 1
+        out = np.full(u.shape, np.nan, dtype=np.result_type(u.dtype, float))
+        if keep.any():
+            out[keep] = self.rhs(np.asarray(times)[keep], u[keep])
+        return out
 
 
 def _butcher_sweep(pair: ButcherPair, rhs, t, dt, u, f0, need_estimate):
@@ -92,7 +97,7 @@ def _butcher_sweep(pair: ButcherPair, rhs, t, dt, u, f0, need_estimate):
     for i in range(1, s):
         y = u + dt * sum(A[i, j] * ks[j] for j in range(i) if A[i, j] != 0.0)
         ks.append(rhs(t + c[i] * dt, y))
-    u_new = _require_finite(u + dt * sum(b[i] * ks[i] for i in range(s) if b[i] != 0.0))
+    u_new = u + dt * sum(b[i] * ks[i] for i in range(s) if b[i] != 0.0)
     err = fsal_f = None
     if need_estimate:
         err = dt * sum((b[i] - bhat[i]) * ks[i] for i in range(s))
@@ -100,12 +105,6 @@ def _butcher_sweep(pair: ButcherPair, rhs, t, dt, u, f0, need_estimate):
             fsal_f = rhs(t + dt, u_new)
             err = err - dt * bhat[s] * fsal_f
     return u_new, err, fsal_f
-
-
-def _register_sweep(scheme, rhs, t, dt, u, f0, need_estimate):
-    u_new, err, fsal_f = _lowstorage_core(scheme, rhs, t, dt, u, f0=f0,
-                                          with_estimate=need_estimate)
-    return _require_finite(u_new), err, fsal_f
 
 
 def _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
@@ -123,67 +122,44 @@ def _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
 
 
 def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
-    """Sweep the members with a cached first stage, then those without.
+    """One sweep of the whole stack.
 
-    A member whose state turns NaN/Inf leaves the attempt with the
-    evaluations made up to that state and a NaN result, as its own run's
-    guard leaves it; the members left sweep again from the start.  A death
-    is a rare event, so the sweep stays one batch for every stage.
+    The members without a cached first stage get it in one call on their
+    rows; then every member shares the sweep.  A member whose state turns
+    NaN/Inf leaves the sweep with the evaluations made up to that state, as
+    its own run's guard leaves it, and the others sweep on.  A member is
+    finite when it lived through the sweep and its u_new and error estimate
+    are finite; the others get NaN in u_new.  Times and steps enter as
+    columns broadcasting over each state, or as floats for one member.
     """
     m = len(u)
-    nfe = [0] * m
-    finite = [True] * m
-    cached = [f is not None for f in f0]
-    everyone = list(range(m))
-    groups = ([everyone] if all(cached) or not any(cached)
-              else [[j for j in everyone if cached[j]], [j for j in everyone if not cached[j]]])
-    swept = []
-    for todo in groups:
-        while todo:
-            cr = _CountingRhs(rhs)
-            try:
-                out = _sweep_members(sweep, scheme, cr, t, dt, u, f0, todo, need_estimate)
-            except _NonFiniteState as exc:
-                for j, dead in zip(todo, exc.dead):
-                    if dead:
-                        nfe[j], finite[j] = cr.nfe, False
-                todo = [j for j, dead in zip(todo, exc.dead) if not dead]
-                continue
-            for j in todo:
-                nfe[j] = cr.nfe
-            swept.append((todo, out))
-            break
-    if len(swept) == 1 and len(swept[0][0]) == m:
-        u_new, err, fsal_f = swept[0][1]
-    else:
-        u_new = _nan_like(u)
-        err = _nan_like(u) if need_estimate else None
-        fsal_f = None
-        for todo, (un, e, fs) in swept:
-            u_new[todo] = un
-            if e is not None:
-                err[todo] = e
-            if fs is not None:
-                if fsal_f is None:
-                    fsal_f = _nan_like(u)
-                fsal_f[todo] = fs
-    if err is not None and not np.isfinite(err).all():
-        finite = [f and bool(e) for f, e in zip(finite, _finite_members(err))]
-    return StepResult(u_new, err, nfe, fsal_f, finite)
-
-
-def _sweep_members(sweep, scheme, rhs, t, dt, u, f0, rows, need_estimate):
-    """The sweep of the members `rows` indexes.  Their times and steps enter
-    as columns broadcasting over each state, or as floats for one member."""
-    if len(rows) < len(u):
-        t, dt, u = t[rows], dt[rows], u[rows]
-    first = _stacked([f0[j] for j in rows]) if f0[rows[0]] is not None else None
-    if len(rows) == 1:
-        t, dt = float(t[0]), float(dt[0])
-    else:
-        column = (len(rows),) + (1,) * (u.ndim - 1)
-        t, dt = t.reshape(column), dt.reshape(column)
-    return sweep(scheme, rhs, t, dt, u, first, need_estimate)
+    cr = _CountingRhs(rhs, m)
+    with np.errstate(invalid="ignore"):
+        first = None
+        todo = [j for j, f in enumerate(f0) if f is None]
+        if len(todo) < m:
+            rows = list(f0)
+            if todo:
+                for j, f in zip(todo, cr(t[todo], u[todo], todo)):
+                    rows[j] = f
+            first = _stacked(rows)
+        if m == 1:
+            tm, dtm = float(t[0]), float(dt[0])
+        else:
+            column = (m,) + (1,) * (u.ndim - 1)
+            tm, dtm = t.reshape(column), dt.reshape(column)
+        u_new, err, fsal_f = sweep(scheme, cr, tm, dtm, u, first, need_estimate)
+    nfe = (cr.nfe + cr.calls).tolist()
+    if (cr.live is None and np.isfinite(u_new).all()
+            and (err is None or np.isfinite(err).all())):
+        return StepResult(u_new, err, nfe, fsal_f, [True] * m)
+    finite = _finite_members(u_new)
+    if cr.live is not None:
+        finite &= cr.live
+    if err is not None:
+        finite &= _finite_members(err)
+    u_new[~finite] = np.nan
+    return StepResult(u_new, err, nfe, fsal_f, finite.tolist())
 
 
 def butcher_step(pair: ButcherPair, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
@@ -197,7 +173,7 @@ def lowstorage_step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepR
     The gamma/delta sweep for 3S*/3S*+ sets; plain ButcherPairs, which have
     no special low-storage structure, take the dense form.
     """
-    sweep = _butcher_sweep if isinstance(scheme, ButcherPair) else _register_sweep
+    sweep = _butcher_sweep if isinstance(scheme, ButcherPair) else _lowstorage_core
     return _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate)
 
 

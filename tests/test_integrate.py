@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkadapt import stepping
 from rkadapt.catalog import catalog_get
 from rkadapt.control import CflConfig, ControllerConfig
 from rkadapt.integrate import IntegrationAbort, integrate, integrate_ensemble
@@ -353,16 +353,16 @@ def test_ensemble_members_equal_their_own_runs(problem, name, members, max_attem
 
 def test_pinned_ensemble_limit_cycles_meets_nan_stages_and_aborts(monkeypatch):
     deaths = []
-    require_finite = stepping._require_finite
+    integrate_mod = importlib.import_module("rkadapt.integrate")
+    step = integrate_mod.step
 
-    def spy(states):
-        try:
-            return require_finite(states)
-        except stepping._NonFiniteState as exc:
-            deaths.append(int(exc.dead.sum()))
-            raise
+    def spy(*args, **kw):
+        res = step(*args, **kw)
+        if not all(res.finite):
+            deaths.append(res.finite.count(False))
+        return res
 
-    monkeypatch.setattr(stepping, "_require_finite", spy)
+    monkeypatch.setattr(integrate_mod, "step", spy)
     scheme = catalog_get("RK3(2)5 3S*+ FSAL")
     problem = _ENSEMBLE_PROBLEMS["source1d"]
     controllers = [ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
@@ -382,6 +382,34 @@ def test_pinned_ensemble_limit_cycles_meets_nan_stages_and_aborts(monkeypatch):
                                               max_attempts=budget)
     assert [r.abort_reason for r in reports] == [
         "attempt budget exhausted", None, "step size underflow", None]
+
+
+class _RowCounter:
+    """A batched semidiscretization that counts the member rows it evaluates."""
+
+    def __init__(self, semi):
+        self.semi, self.rows = semi, 0
+
+    def __call__(self, t, u):
+        self.rows += 1 if np.ndim(t) == 0 else len(t)
+        return self.semi(t, u)
+
+    def __getattr__(self, name):
+        return getattr(self.semi, name)
+
+
+def test_every_evaluated_row_is_counted_work():
+    # a member whose stage turns NaN leaves the sweep: no row is evaluated
+    # for it after that, and no survivor's stage is evaluated twice
+    scheme = catalog_get("RK3(2)5 3S*+ FSAL")
+    problem = _ENSEMBLE_PROBLEMS["source1d"]
+    rhs = _RowCounter(problem.semi)
+    assert rhs.batched
+    controllers = [ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
+                   for beta, tol in _PINNED]
+    reports = integrate_ensemble(scheme, rhs, controllers, problem.t0, problem.t_end,
+                                 problem.u0)
+    assert rhs.rows == sum(r.nfe for r in reports)
 
 
 def test_cfl_ensemble_members_equal_their_own_runs():

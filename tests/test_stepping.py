@@ -101,12 +101,16 @@ def test_no_estimate_skips_fsal_evaluation():
     assert res.err_diff is None and res.fsal_f is None
 
 
-def test_nonfinite_stage_flags_not_raises():
-    scheme = catalog_get("RK3(2)5 3S*+")
+@pytest.mark.parametrize("name", catalog_names())
+def test_infinite_stage_flags_not_raises(name):
+    # zero register coefficients meet the inf registers: no warning escapes
     rhs = lambda t, u: u * np.inf
-    res = step(scheme, rhs, 0.0, 0.1, np.ones(3))
+    res = step(catalog_get(name), rhs, 0.0, 0.1, np.ones(3))
     assert not res.finite
+    assert np.all(np.isnan(res.u_new))
 
+
+def test_nonfinite_stage_flags_not_raises():
     # an RHS that turns NaN at its second call leaves the third stage state
     # non-finite: the attempt stops there, after two evaluations, in both the
     # register and the dense form
@@ -122,3 +126,46 @@ def test_nonfinite_stage_flags_not_raises():
         assert not res.finite, name
         assert res.nfe == 2 and len(calls) == 2, (name, res.nfe, len(calls))
         assert np.all(np.isnan(res.u_new)), name
+
+
+class _RowwiseRhs:
+    """A stacked RHS made of per-member calls of `row`, counting its calls."""
+
+    def __init__(self, row):
+        self.row, self.calls = row, 0
+
+    def __call__(self, t, u):
+        self.calls += 1
+        return np.stack([self.row(tm, um) for tm, um in zip(t, u)])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_mixed_caches_and_a_death_sweep_once(name):
+    """Three members in one stack: the first has a cached first stage, the
+    second and third do not, and the second's first RHS call returns NaN.
+    Each member's result equals its own step, and the stack is swept once."""
+    scheme = catalog_get(name)
+    quadratic = quadratic_rhs(seed=11)
+
+    def row(t, u):
+        return np.full_like(u, np.nan) if u[0] == 7.0 else quadratic(t, u)
+
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((3, 10))
+    u[1, 0] = 7.0
+    t, dt = np.array([0.1, 0.2, 0.3]), np.array([0.01, 0.02, 0.03])
+    f0 = [row(t[0], u[0]), None, None]
+    stacked = _RowwiseRhs(row)
+    res = step(scheme, stacked, t, dt, u.copy(), f0=f0)
+    assert stacked.calls <= scheme.s + scheme.fsal
+    for j in range(3):
+        alone = step(scheme, row, t[j], dt[j], u[j].copy(), f0=f0[j])
+        assert res.u_new[j].tobytes() == alone.u_new.tobytes(), j
+        np.testing.assert_array_equal(res.err_diff[j], alone.err_diff)
+        if alone.fsal_f is None:
+            assert res.fsal_f is None
+        else:
+            np.testing.assert_array_equal(res.fsal_f[j], alone.fsal_f)
+        assert (res.nfe[j], res.finite[j]) == (alone.nfe, alone.finite), j
+    assert res.finite == [True, False, True]
+    assert res.nfe[1] == 1
