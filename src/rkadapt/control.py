@@ -88,19 +88,13 @@ def error_norms(u_new, uhat_new, atol, rtol) -> np.ndarray:
     m = len(u_new)
     u_new = np.asarray(u_new, dtype=float).reshape(m, -1)
     uhat_new = np.asarray(uhat_new, dtype=float).reshape(m, -1)
-    w = np.full(m, math.inf)
-    rows = slice(None)
-    if not (np.isfinite(u_new).all() and np.isfinite(uhat_new).all()):
-        rows = np.isfinite(u_new).all(axis=1) & np.isfinite(uhat_new).all(axis=1)
-        if not rows.any():
-            return w
-    atol = np.asarray(atol, dtype=float)[rows, None]
-    rtol = np.asarray(rtol, dtype=float)[rows, None]
-    u_new, uhat_new = u_new[rows], uhat_new[rows]
-    with np.errstate(over="ignore"):
+    atol = np.asarray(atol, dtype=float)[:, None]
+    rtol = np.asarray(rtol, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
         scale = atol + rtol * np.maximum(np.abs(u_new), np.abs(uhat_new))
         ratio = (u_new - uhat_new) / scale
-        w[rows] = np.sqrt(np.mean(ratio * ratio, axis=1))
+        w = np.sqrt(np.mean(ratio * ratio, axis=1))
+    w[np.isnan(w)] = math.inf
     return w
 
 

@@ -362,15 +362,10 @@ def euler_primitives_2d(u):
 def _finite_and_positive(u, primitives, axes):
     """Whether a state is finite with positive density and pressure, the
     first and last of its primitives; per member for a stack of states."""
-    if np.ndim(u) == len(axes):
-        if not np.all(np.isfinite(u)):
-            return False
-        prim = primitives(u)
-        return bool(np.all(prim[0] > 0.0) and np.all(prim[-1] > 0.0))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         prim = primitives(u)
-        return (np.all(np.isfinite(u), axis=axes)
-                & np.all((prim[0] > 0.0) & (prim[-1] > 0.0), axis=axes[1:]))
+        return _per_member(np.all(np.isfinite(u), axis=axes)
+                           & np.all((prim[0] > 0.0) & (prim[-1] > 0.0), axis=axes[1:]))
 
 
 def _sound_speed(rho, p):

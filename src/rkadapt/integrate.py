@@ -5,9 +5,13 @@ state, each under its own controller, in lockstep.  Every member keeps its
 own time, step size, error history, FSAL cache, clipped last step, finite
 guard, accept/reject decisions, RHS count and report, so each report is bit
 for bit the report of the member's run alone.  The member states advance as
-one stack, so a batched semidiscretization serves all of them with one RHS
-call per stage; members that finish or abort leave the stack.  `integrate`
-is the one-member ensemble.
+one stack; members that finish or abort leave the stack.  `integrate` is
+the one-member ensemble.
+
+The problem's RHS, admissibility test and CFL timescale follow one rule, the
+rule `step` applies: an RHS with `batched = True` gets the stack, with a
+time per member, in one call; any other RHS is called once per member, with
+a Python float time.
 """
 
 from __future__ import annotations
@@ -100,10 +104,14 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
     controller, each equal to its own run's report except that wall_time is
     the ensemble's.  A member that aborts does not raise: its report is the
     partial report its own run's IntegrationAbort carries, with `aborted`
-    set, and the other members run on.
+    set, and the other members run on.  Raises ValueError unless t0 is
+    finite, t0 < t_end < inf and dt0 is None or positive; an infinite dt0
+    is clipped to the horizon.
     """
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
+    if not (math.isfinite(t0) and t0 < t_end < math.inf):
+        raise ValueError("t0 must be finite and t_end must exceed it and be finite")
+    if dt0 is not None and not dt0 > 0:
+        raise ValueError("dt0 must be positive")
     u0 = np.asarray(u0, dtype=float)
     admissible = getattr(rhs, "is_admissible", None)
     if admissible is not None and not admissible(u0):
@@ -134,7 +142,7 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                                    horizon=horizon, admissible=admissible)
         member.state = ControllerState(dt_current=None if cfl else min(dt, horizon))
 
-    stack = _Stack(rhs)
+    batched = getattr(rhs, "batched", False)
     live, u = members, np.repeat(u0[None], len(members), axis=0)
     attempts = 0
     while live:
@@ -144,7 +152,8 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                 member.leave(u[j], "attempt budget exhausted")
             break
         if cfl:
-            for j, (member, ts) in enumerate(zip(live, stack.timescale(u))):
+            timescales = _per_member(rhs.cfl_timescale, batched, u)
+            for j, (member, ts) in enumerate(zip(live, timescales)):
                 try:
                     member.state.dt_current = ctrl.cfl_step(ts, member.controller)
                 except ctrl._CflUndefined as exc:
@@ -157,10 +166,10 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
             member.dt_try = t_end - member.t if member.clipped else member.state.dt_current
             member.state.dt_current = member.dt_try
 
-        res = step(scheme, stack.rhs, np.array([m.t for m in live]),
+        res = step(scheme, rhs, np.array([m.t for m in live]),
                    np.array([m.dt_try for m in live]), u,
                    f0=[m.fcache for m in live], need_estimate=not cfl)
-        norms = _error_norms(res, stack, [m.controller for m in live], estimate=not cfl)
+        norms = _error_norms(res, admissible, batched, [m.controller for m in live])
 
         accepted = [False] * len(live)
         for j, (member, w) in enumerate(zip(live, norms)):
@@ -246,54 +255,25 @@ def _remaining(live, u):
     return [live[j] for j in keep], u[keep]
 
 
-def _error_norms(res, stack, controllers, estimate):
+def _error_norms(res, admissible, batched, controllers):
     """Each member's error norm as a float: +inf where its step is not finite
-    or not admissible, else its weighted RMS error, or 0 without an estimate."""
-    ok = list(res.finite)
-    rows = [j for j, finite in enumerate(ok) if finite]
-    if stack.bounded and rows:
-        for j, admissible in zip(rows, stack.admissible(_take(res.u_new, rows))):
-            ok[j] = bool(admissible)
-        rows = [j for j in rows if ok[j]]
-    w = [0.0 if k else math.inf for k in ok]
-    if estimate and rows:
-        u_new = _take(res.u_new, rows)
-        norms = ctrl.error_norms(u_new, u_new - _take(res.err_diff, rows),
-                                 [controllers[j].atol for j in rows],
-                                 [controllers[j].rtol for j in rows])
-        for j, norm in zip(rows, norms.tolist()):
-            w[j] = norm
+    or not admissible, else its weighted RMS error, or 0 without an estimate.
+    `step` has set NaN in the u_new of a member that is not finite."""
+    if res.err_diff is None:
+        w = [0.0 if finite else math.inf for finite in res.finite]
+    else:
+        w = ctrl.error_norms(res.u_new, res.u_new - res.err_diff,
+                             [c.atol for c in controllers],
+                             [c.rtol for c in controllers]).tolist()
+    rows = [j for j, x in enumerate(w) if x < math.inf]
+    if admissible is not None and rows:
+        u_new = res.u_new if len(rows) == len(w) else res.u_new[rows]
+        for j, ok in zip(rows, _per_member(admissible, batched, u_new)):
+            if not ok:
+                w[j] = math.inf
     return w
 
 
-def _take(stack, rows):
-    """The rows of a member stack; the stack itself when that is all of them."""
-    return stack if len(rows) == len(stack) else stack[rows]
-
-
-class _Stack:
-    """A problem's RHS, admissibility test and CFL timescale over a stack of
-    member states: one call of a batched problem for two or more members,
-    one call per member of a plain callable."""
-
-    def __init__(self, semi):
-        self.semi = semi
-        self.batched = getattr(semi, "batched", False)
-        self.bounded = hasattr(semi, "is_admissible")
-
-    def rhs(self, t, u):
-        if len(u) == 1:
-            return np.asarray(self.semi(float(t[0]), u[0]))[None]
-        if self.batched:
-            return self.semi(np.asarray(t), u)
-        return np.stack([self.semi(float(tm), um) for tm, um in zip(t, u)])
-
-    def admissible(self, u):
-        if self.batched and len(u) > 1:
-            return self.semi.is_admissible(u)
-        return [self.semi.is_admissible(um) for um in u]
-
-    def timescale(self, u):
-        if self.batched and len(u) > 1:
-            return self.semi.cfl_timescale(u)
-        return [self.semi.cfl_timescale(um) for um in u]
+def _per_member(fn, batched, u):
+    """fn of each member of a stack: one call of a batched problem's, else one per member."""
+    return fn(u) if batched else [fn(um) for um in u]

@@ -7,12 +7,15 @@ the very first step costs s+1.  The caller passes that cached value back in
 as `f0`.
 
 A step also advances an ensemble: with `t` and `dt` arrays of length m, `u`
-holds m member states along a leading axis, `f0` lists each member's cached
-first stage (or None), and `rhs(t, u)` evaluates such a stack at a sequence
-of m times.  Every member steps exactly as it would alone: its own time and
-step size, its own FSAL cache and its own finite guard, with its evaluations
-counted as its own run counts them.  The result's `nfe` and `finite` are
-then lists with one entry per member.
+holds m member states along a leading axis and `f0` lists each member's
+cached first stage (or None).  The step takes the problem's RHS as
+`integrate_ensemble` does: an RHS with `batched = True` gets the stack, with
+a time per member, in one call; any other RHS is called once per member,
+with a Python float time.  Every member steps exactly as it would alone: its
+own time and step size, its own FSAL cache and its own finite guard, with its
+evaluations counted as its own run counts them.  The result's `nfe` and
+`finite` are then lists with one entry per member.  A single state steps as
+the one-member ensemble.
 
 Each attempt is one sweep of the whole stack.  A member whose state turns
 NaN/Inf leaves it there: the RHS no longer evaluates its rows, which hold
@@ -52,30 +55,37 @@ def _stacked(rows):
     return np.asarray(rows[0])[None] if len(rows) == 1 else np.stack(rows)
 
 
-class _CountingRhs:
-    """Counts each member's evaluations of a stack and evaluates only live
+class _Stack:
+    """A problem's RHS over a stack of member states, under the module's
+    rule, counting each member's evaluations and evaluating only live
     members.  A member whose state turns NaN/Inf dies: its rows get NaN from
     then on and its count stops there, as its own run's guard stops it.
     Times arrive as the sweep computes them, a float for a single member and
-    a broadcasting column (or a vector) for several; the RHS gets a sequence.
-    `rows`, when given, names the members a partial stack holds."""
+    a broadcasting column (or a vector) for several.  `rows`, when given,
+    names the members a partial stack holds."""
 
-    __slots__ = ("rhs", "calls", "nfe", "live")
+    __slots__ = ("rhs", "batched", "calls", "nfe", "live")
 
     def __init__(self, rhs, m):
         self.rhs = rhs
+        self.batched = getattr(rhs, "batched", False)
         self.calls = 0                       # calls made while every member lived
         self.nfe = np.zeros(m, dtype=int)    # per member: partial-stack calls, calls after a death
         self.live = None                     # per-member mask once one has died
 
+    def _eval(self, times, u):
+        if self.batched:
+            return self.rhs(times, u)
+        return _stacked([self.rhs(float(tm), um) for tm, um in zip(times, u)])
+
     def __call__(self, t, u, rows=None):
-        times = t.reshape(len(u)) if isinstance(t, np.ndarray) else (t,)
+        times = t.reshape(len(u)) if isinstance(t, np.ndarray) else np.array([t])
         if self.live is None and np.isfinite(u).all():
             if rows is None:
                 self.calls += 1
             else:
                 self.nfe[rows] += 1
-            return self.rhs(times, u)
+            return self._eval(times, u)
         if self.live is None:
             self.live = np.ones(len(self.nfe), dtype=bool)
         rows = np.arange(len(u)) if rows is None else np.asarray(rows)
@@ -84,7 +94,7 @@ class _CountingRhs:
         self.nfe[rows[keep]] += 1
         out = np.full(u.shape, np.nan, dtype=np.result_type(u.dtype, float))
         if keep.any():
-            out[keep] = self.rhs(np.asarray(times)[keep], u[keep])
+            out[keep] = self._eval(times[keep], u[keep])
         return out
 
 
@@ -110,10 +120,9 @@ def _butcher_sweep(pair: ButcherPair, rhs, t, dt, u, f0, need_estimate):
 def _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
     """One attempt of a single state, or of each member of a stack."""
     if np.ndim(t) == 0:
-        one = rhs
-        res = _step_members(sweep, scheme, lambda t, u: np.asarray(one(t[0], u[0]))[None],
-                            np.array([t], dtype=float), np.array([dt], dtype=float),
-                            np.asarray(u)[None], [f0], need_estimate)
+        res = _step_members(sweep, scheme, rhs, np.array([t], dtype=float),
+                            np.array([dt], dtype=float), np.asarray(u)[None], [f0],
+                            need_estimate)
         return StepResult(res.u_new[0], None if res.err_diff is None else res.err_diff[0],
                           int(res.nfe[0]), None if res.fsal_f is None else res.fsal_f[0],
                           bool(res.finite[0]))
@@ -124,16 +133,18 @@ def _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
 def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
     """One sweep of the whole stack.
 
-    The members without a cached first stage get it in one call on their
-    rows; then every member shares the sweep.  A member whose state turns
-    NaN/Inf leaves the sweep with the evaluations made up to that state, as
-    its own run's guard leaves it, and the others sweep on.  A member is
-    finite when it lived through the sweep and its u_new and error estimate
-    are finite; the others get NaN in u_new.  Times and steps enter as
-    columns broadcasting over each state, or as floats for one member.
+    `rhs` is the problem's RHS: a batched one evaluates the stack, with a
+    time per member, in one call, any other one member at a time, with a
+    Python float time.  The members without a cached first stage get it on
+    their rows first; then every member shares the sweep.  A member whose
+    state turns NaN/Inf leaves the sweep with the evaluations made up to that
+    state, as its own run's guard leaves it, and the others sweep on.  A
+    member is finite when it lived through the sweep and its u_new and error
+    estimate are finite; the others get NaN in u_new.  Times and steps enter
+    as columns broadcasting over each state, or as floats for one member.
     """
     m = len(u)
-    cr = _CountingRhs(rhs, m)
+    cr = _Stack(rhs, m)
     with np.errstate(invalid="ignore"):
         first = None
         todo = [j for j, f in enumerate(f0) if f is None]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from rkadapt import dgsem
 from rkadapt.control import (CflConfig, ControllerConfig, ControllerState,
-                             accept_or_reject, cfl_dt, error_norm,
+                             accept_or_reject, cfl_dt, error_norm, error_norms,
                              initial_step, inverse_error, limit_factor,
                              pid_propose)
 
@@ -30,6 +31,40 @@ def test_error_norm_hand_value():
 def test_error_norm_nan_forces_rejection():
     c = cfg()
     assert error_norm(np.array([1.0, np.nan]), np.ones(2), c) == math.inf
+
+
+@st.composite
+def _norm_stacks(draw):
+    """Two stacks of m states with a tolerance pair per member; some rows
+    carry NaN, +inf or -inf in either state."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    u = np.array(draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(m, n)
+    noise = np.array(draw(st.lists(st.floats(-1e-2, 1e-2), min_size=m * n,
+                                   max_size=m * n))).reshape(m, n)
+    uhat = u + noise
+    for _ in range(draw(st.integers(0, m * n))):
+        target = draw(st.sampled_from([u, uhat]))
+        target[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    atol = draw(st.lists(st.floats(1e-8, 1e-2), min_size=m, max_size=m))
+    rtol = draw(st.lists(st.sampled_from([0.0, 1e-6, 1e-3]), min_size=m, max_size=m))
+    return u, uhat, atol, rtol
+
+
+@given(_norm_stacks())
+def test_error_norms_row_by_row(stacks):
+    # each member's norm is its norm alone, bit for bit; a member that is not
+    # finite gets +inf, and no warning escapes
+    u, uhat, atol, rtol = stacks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = error_norms(u, uhat, atol, rtol)
+        for j in range(len(u)):
+            alone = error_norm(u[j], uhat[j], cfg(atol=atol[j], rtol=rtol[j]))
+            assert w[j].tobytes() == np.float64(alone).tobytes(), j
+            if not (np.isfinite(u[j]).all() and np.isfinite(uhat[j]).all()):
+                assert w[j] == math.inf, j
 
 
 def test_error_norm_scale_consistency():

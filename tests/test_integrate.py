@@ -290,6 +290,25 @@ def test_error_norm_beyond_the_float_range_rejects_like_a_bounds_failure():
         0.1, 0.025, 0.00625, 0.0015625]
 
 
+@pytest.mark.parametrize("t0, t_end, dt0, match", [
+    (0.0, math.nan, None, "t_end"), (0.0, math.inf, None, "t_end"),
+    (0.0, 0.0, None, "t_end"), (math.nan, 1.0, None, "t0"),
+    (-math.inf, 1.0, None, "t0"), (0.0, 1.0, math.nan, "dt0"),
+    (0.0, 1.0, 0.0, "dt0"), (0.0, 1.0, -0.1, "dt0"), (0.0, 1.0, math.inf, None)])
+def test_a_horizon_or_first_step_that_is_not_a_number_is_refused(t0, t_end, dt0, match):
+    # NaN passes a plain `t_end <= t0` check and then runs to the attempt
+    # budget; an infinite dt0 is clipped to the horizon like any other
+    scheme = catalog_get("bs3")
+    prob = make_problem("dahlquist")
+    args = (scheme, prob.semi, [cfg_for(scheme, 1e-6)], t0, t_end, prob.u0)
+    if match is None:
+        report, = integrate_ensemble(*args, dt0=dt0, max_attempts=100)
+        assert report.t_final == t_end and not report.aborted
+    else:
+        with pytest.raises(ValueError, match=match):
+            integrate_ensemble(*args, dt0=dt0, max_attempts=100)
+
+
 # ---------------------------------------------------------------------------
 # ensembles: each member's report is its own run's, bit for bit
 

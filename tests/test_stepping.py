@@ -131,6 +131,8 @@ def test_nonfinite_stage_flags_not_raises():
 class _RowwiseRhs:
     """A stacked RHS made of per-member calls of `row`, counting its calls."""
 
+    batched = True
+
     def __init__(self, row):
         self.row, self.calls = row, 0
 
@@ -139,11 +141,25 @@ class _RowwiseRhs:
         return np.stack([self.row(tm, um) for tm, um in zip(t, u)])
 
 
+class _PlainRhs:
+    """`row` as a plain RHS, counting its calls; each must get a Python float
+    time and one state."""
+
+    def __init__(self, row):
+        self.row, self.calls = row, 0
+
+    def __call__(self, t, u):
+        assert type(t) is float and u.shape == (10,)
+        self.calls += 1
+        return self.row(t, u)
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_mixed_caches_and_a_death_sweep_once(name):
     """Three members in one stack: the first has a cached first stage, the
     second and third do not, and the second's first RHS call returns NaN.
-    Each member's result equals its own step, and the stack is swept once."""
+    Each member's result equals its own step, under a batched RHS (the stack
+    swept once) and under a plain one (one call per member evaluation)."""
     scheme = catalog_get(name)
     quadratic = quadratic_rhs(seed=11)
 
@@ -155,17 +171,20 @@ def test_mixed_caches_and_a_death_sweep_once(name):
     u[1, 0] = 7.0
     t, dt = np.array([0.1, 0.2, 0.3]), np.array([0.01, 0.02, 0.03])
     f0 = [row(t[0], u[0]), None, None]
-    stacked = _RowwiseRhs(row)
-    res = step(scheme, stacked, t, dt, u.copy(), f0=f0)
-    assert stacked.calls <= scheme.s + scheme.fsal
-    for j in range(3):
-        alone = step(scheme, row, t[j], dt[j], u[j].copy(), f0=f0[j])
-        assert res.u_new[j].tobytes() == alone.u_new.tobytes(), j
-        np.testing.assert_array_equal(res.err_diff[j], alone.err_diff)
-        if alone.fsal_f is None:
-            assert res.fsal_f is None
+    for rhs in (_RowwiseRhs(row), _PlainRhs(row)):
+        res = step(scheme, rhs, t, dt, u.copy(), f0=f0)
+        if isinstance(rhs, _RowwiseRhs):
+            assert rhs.calls <= scheme.s + scheme.fsal
         else:
-            np.testing.assert_array_equal(res.fsal_f[j], alone.fsal_f)
-        assert (res.nfe[j], res.finite[j]) == (alone.nfe, alone.finite), j
-    assert res.finite == [True, False, True]
-    assert res.nfe[1] == 1
+            assert rhs.calls == sum(res.nfe)
+        for j in range(3):
+            alone = step(scheme, row, t[j], dt[j], u[j].copy(), f0=f0[j])
+            assert res.u_new[j].tobytes() == alone.u_new.tobytes(), j
+            np.testing.assert_array_equal(res.err_diff[j], alone.err_diff)
+            if alone.fsal_f is None:
+                assert res.fsal_f is None
+            else:
+                np.testing.assert_array_equal(res.fsal_f[j], alone.fsal_f)
+            assert (res.nfe[j], res.finite[j]) == (alone.nfe, alone.finite), j
+        assert res.finite == [True, False, True]
+        assert res.nfe[1] == 1

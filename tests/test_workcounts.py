@@ -8,10 +8,17 @@ HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
         "| max error | sha256[:16] of `u_final` | status |\n|" + "---|" * 11 + "\n")
 
 
-def _table(path, rows, csv_digest):
+def _table(path, rows, csv_digest, acceptance=0, sweep=0):
     lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
-    path.write_text(HEAD + "\n".join(lines) + "\n\nacceptance suite: pytest exit 0\n"
+    path.write_text(HEAD + "\n".join(lines) + f"\n\nacceptance suite: pytest exit {acceptance}\n"
+                    f"dg_sweep vortex2d/bs3/pid@0.001: exit {sweep}\n"
+                    "controller_search command: exit 0\n"
                     f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n")
+
+
+def _diff(old, new):
+    return subprocess.run([sys.executable, TOOL, "--diff", str(old), str(new)],
+                          capture_output=True, text=True)
 
 
 def _row(controller, nfe, accepted, rejected, error="0.1", state="00ff"):
@@ -26,8 +33,9 @@ def test_diff_lists_moved_rows_and_counts_rounding_only_changes(tmp_path):
                  _row("C", 9, 4, 0)], "d1")
     _table(new, [_row("A", 10, 5, 1, error="0.2"), _row("A", 14, 6, 1),
                  _row("B", 7, 3, 0), _row("D", 9, 4, 0)], "d2")
-    out = subprocess.run([sys.executable, TOOL, "--diff", str(old), str(new)],
-                         capture_output=True, text=True, check=True).stdout
+    done = _diff(old, new)
+    assert done.returncode == 1
+    out = done.stdout
     assert "moved, old -> new: 1\n" in out
     assert "| A | 12 -> 14 | 6 | 0 -> 1 | ok |" in out
     assert "max error or the `u_final` hash: 1\n" in out
@@ -36,3 +44,21 @@ def test_diff_lists_moved_rows_and_counts_rounding_only_changes(tmp_path):
     assert "Rows only in NEW: 1\n" in out and "| D | 9 |" in out
     assert "search.csv: changed, d1 -> d2" in out
     assert "search.json: unchanged" in out
+
+
+def test_diff_of_matching_tables_exits_0_and_status_lines_count(tmp_path):
+    old, new = tmp_path / "old.md", tmp_path / "new.md"
+    rows = [_row("A", 10, 5, 1), _row("B", 7, 3, 0)]
+    _table(old, rows, "d1", sweep=2)
+    _table(new, rows, "d1", sweep=2)
+    done = _diff(old, new)
+    assert done.returncode == 0
+    assert "identical in every column: 2\n" in done.stdout
+    assert "Exit status lines changed: 0 of 3\n" in done.stdout
+    assert "dg_sweep vortex2d/bs3/pid@0.001: exit 2 in both" in done.stdout
+    # a red acceptance run differs even when every row is identical
+    _table(new, rows, "d1", acceptance=1, sweep=2)
+    done = _diff(old, new)
+    assert done.returncode == 1
+    assert "identical in every column: 2\n" in done.stdout
+    assert "acceptance suite: pytest exit 0 -> pytest exit 1" in done.stdout

@@ -21,8 +21,10 @@ Run it on two checkouts and compare the outputs: equal output means equal
 work and bit-identical results.  The acceptance suite takes about two
 minutes.  `--diff` compares two such outputs: it lists the rows whose nfe,
 accepted or rejected count or status moved, old against new, counts the rows
-that differ only in max error or final state, and says whether the search
-digests changed.
+that differ only in max error or final state, says whether the search
+digests changed, and lists the exit status lines (acceptance suite, each
+dg_sweep command, the controller_search command) that changed or report a
+failure.  It exits 1 when anything differs and 0 when the tables match.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import importlib
 import io
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -107,10 +110,14 @@ def _cli(cli, argv):
         return cli.main(argv)
 
 
+_STATUS = re.compile(r"(.+): ((?:pytest )?exit -?\d+)")
+
+
 def _read_table(path):
     """A table's rows, grouped by (run, problem, scheme, controller) in
-    order, and its 'sha256 NAME: DIGEST' lines as {NAME: DIGEST}."""
-    rows, digests = {}, {}
+    order, its 'sha256 NAME: DIGEST' lines as {NAME: DIGEST} and its
+    'LABEL: [pytest ]exit N' lines as {LABEL: '[pytest ]exit N'}."""
+    rows, digests, status = {}, {}, {}
     with open(path) as fh:
         for line in fh:
             if line.startswith("sha256 "):
@@ -119,13 +126,15 @@ def _read_table(path):
             elif line.startswith("| ") and line.split(" | ")[0][2:].isdigit():
                 cells = [c.strip() for c in line.strip().strip("|").split(" | ")][1:]
                 rows.setdefault(tuple(cells[:4]), []).append(cells[4:])
-    return rows, digests
+            elif match := _STATUS.fullmatch(line.strip()):
+                status[match[1]] = match[2]
+    return rows, digests, status
 
 
 def diff(old_path, new_path):
-    """Print what moved between two tables of this tool."""
-    old, old_digests = _read_table(old_path)
-    new, new_digests = _read_table(new_path)
+    """Print what moved between two tables of this tool; 1 if anything did."""
+    old, old_digests, old_status = _read_table(old_path)
+    new, new_digests, new_status = _read_table(new_path)
     moved, only_old, only_new = [], [], []
     same = rounding = 0
     for key in sorted(set(old) | set(new)):
@@ -161,7 +170,16 @@ def diff(old_path, new_path):
     for name in sorted(set(old_digests) | set(new_digests)):
         a, b = old_digests.get(name, "-"), new_digests.get(name, "-")
         print(f"{name}: " + ("unchanged" if a == b else f"changed, {a[:16]} -> {b[:16]}"))
-    return 0
+    labels = sorted(set(old_status) | set(new_status))
+    changed = [label for label in labels if old_status.get(label) != new_status.get(label)]
+    print(f"Exit status lines changed: {len(changed)} of {len(labels)}")
+    for label in changed:
+        print(f"    {label}: {old_status.get(label, '-')} -> {new_status.get(label, '-')}")
+    for label, exit_line in sorted(new_status.items()):
+        if label not in changed and exit_line.split()[-1] != "0":
+            print(f"    {label}: {exit_line} in both")
+    return int(bool(moved or rounding or only_old or only_new or changed
+                    or old_digests != new_digests))
 
 
 def main(argv=None):
