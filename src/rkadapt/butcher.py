@@ -91,23 +91,23 @@ def validate_pair(pair: ButcherPair) -> None:
 def _conditions():
     R = Fraction
     return [
-        ("t1",    1, lambda A, b, c, mv, hp: b @ np.ones(len(b)), R(1, 1)),
-        ("t2",    2, lambda A, b, c, mv, hp: b @ c, R(1, 2)),
-        ("t31",   3, lambda A, b, c, mv, hp: b @ hp(c, c), R(1, 3)),
-        ("t32",   3, lambda A, b, c, mv, hp: b @ mv(A, c), R(1, 6)),
-        ("t41",   4, lambda A, b, c, mv, hp: b @ hp(hp(c, c), c), R(1, 4)),
-        ("t42",   4, lambda A, b, c, mv, hp: b @ hp(c, mv(A, c)), R(1, 8)),
-        ("t43",   4, lambda A, b, c, mv, hp: b @ mv(A, hp(c, c)), R(1, 12)),
-        ("t44",   4, lambda A, b, c, mv, hp: b @ mv(A, mv(A, c)), R(1, 24)),
-        ("t51",   5, lambda A, b, c, mv, hp: b @ hp(hp(c, c), hp(c, c)), R(1, 5)),
-        ("t52",   5, lambda A, b, c, mv, hp: b @ hp(hp(c, c), mv(A, c)), R(1, 10)),
-        ("t53",   5, lambda A, b, c, mv, hp: b @ hp(mv(A, c), mv(A, c)), R(1, 20)),
-        ("t54",   5, lambda A, b, c, mv, hp: b @ hp(c, mv(A, hp(c, c))), R(1, 15)),
-        ("t55",   5, lambda A, b, c, mv, hp: b @ hp(c, mv(A, mv(A, c))), R(1, 30)),
-        ("t56",   5, lambda A, b, c, mv, hp: b @ mv(A, hp(hp(c, c), c)), R(1, 20)),
-        ("t57",   5, lambda A, b, c, mv, hp: b @ mv(A, hp(c, mv(A, c))), R(1, 40)),
-        ("t58",   5, lambda A, b, c, mv, hp: b @ mv(A, mv(A, hp(c, c))), R(1, 60)),
-        ("t59",   5, lambda A, b, c, mv, hp: b @ mv(A, mv(A, mv(A, c))), R(1, 120)),
+        ("t1",    1, lambda A, b, c: b @ np.ones(len(b)), R(1, 1)),
+        ("t2",    2, lambda A, b, c: b @ c, R(1, 2)),
+        ("t31",   3, lambda A, b, c: b @ (c * c), R(1, 3)),
+        ("t32",   3, lambda A, b, c: b @ (A @ c), R(1, 6)),
+        ("t41",   4, lambda A, b, c: b @ ((c * c) * c), R(1, 4)),
+        ("t42",   4, lambda A, b, c: b @ (c * (A @ c)), R(1, 8)),
+        ("t43",   4, lambda A, b, c: b @ (A @ (c * c)), R(1, 12)),
+        ("t44",   4, lambda A, b, c: b @ (A @ (A @ c)), R(1, 24)),
+        ("t51",   5, lambda A, b, c: b @ ((c * c) * (c * c)), R(1, 5)),
+        ("t52",   5, lambda A, b, c: b @ ((c * c) * (A @ c)), R(1, 10)),
+        ("t53",   5, lambda A, b, c: b @ ((A @ c) * (A @ c)), R(1, 20)),
+        ("t54",   5, lambda A, b, c: b @ (c * (A @ (c * c))), R(1, 15)),
+        ("t55",   5, lambda A, b, c: b @ (c * (A @ (A @ c))), R(1, 30)),
+        ("t56",   5, lambda A, b, c: b @ (A @ ((c * c) * c)), R(1, 20)),
+        ("t57",   5, lambda A, b, c: b @ (A @ (c * (A @ c))), R(1, 40)),
+        ("t58",   5, lambda A, b, c: b @ (A @ (A @ (c * c))), R(1, 60)),
+        ("t59",   5, lambda A, b, c: b @ (A @ (A @ (A @ c))), R(1, 120)),
     ]
 
 
@@ -123,13 +123,11 @@ def weight_residuals(A, w, c, up_to):
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     c = np.asarray(c, dtype=float)
-    mv = lambda M, v: M @ v
-    hp = lambda u, v: u * v
     out = []
     for cid, order, lhs, rhs in _CONDITIONS:
         if order > up_to:
             continue
-        out.append((cid, order, float(lhs(A, w, c, mv, hp)) - float(rhs)))
+        out.append((cid, order, float(lhs(A, w, c)) - float(rhs)))
     return out
 
 
@@ -151,13 +149,11 @@ def order_residuals(pair: ButcherPair, up_to: int):
     return out
 
 
-def max_order_residual(pair: ButcherPair, q=None, qhat=None) -> float:
+def max_order_residual(pair: ButcherPair) -> float:
     """Largest residual over main conditions through q and embedded through qhat."""
-    q = pair.q if q is None else q
-    qhat = pair.qhat if qhat is None else qhat
     worst = 0.0
-    for _, side, order, r in order_residuals(pair, max(q, qhat)):
-        lim = q if side == "main" else qhat
+    for _, side, order, r in order_residuals(pair, max(pair.q, pair.qhat)):
+        lim = pair.q if side == "main" else pair.qhat
         if order <= lim:
             worst = max(worst, abs(r))
     return worst

@@ -378,13 +378,7 @@ def load_coefficients(path):
         delta=_floats(doc, "delta", ndelta), q=q, qhat=qhat, fsal=fsal)
     if cls == "3s*":
         tail = _float("'bhat_fsal'", doc.get("bhat_fsal", 0.0))
-        scheme = LowStorageScheme(bhat=[0.0] * s + [tail], **kwargs)
-        # entries 1..s of bhat are implied by delta; fill them from the
-        # reconstructed tableau so analysis code sees the true weights
-        from .lowstorage import to_butcher
-        pair = to_butcher(scheme)
-        object.__setattr__(scheme, "bhat", pair.bhat.copy())
-        return scheme
+        return LowStorageScheme(bhat=[0.0] * s + [tail], **kwargs)
     bh = _floats(doc, "bhat", s, s + 1)
     if len(bh) == s:
         bh.append(1.0 - sum(bh) if fsal else 0.0)

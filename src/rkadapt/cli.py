@@ -140,12 +140,6 @@ def _controller(args, scheme, problem):
     return _pid_controller(args, scheme, atol, rtol)
 
 
-def _run_report(scheme, problem, controller, record_history=False):
-    return integrate(scheme, problem.semi, controller, problem.t0, problem.t_end,
-                     problem.u0, error_fn=problem.error_fn,
-                     record_history=record_history)
-
-
 def _write_snapshot(path, semi, u):
     """Final-state CSV: node coordinates followed by the state variables."""
     u = np.asarray(u)
@@ -168,19 +162,19 @@ def cmd_integrate(args):
     problem = _build_problem(args)
     controller = _controller(args, scheme, problem)
     try:
-        report = _run_report(scheme, problem, controller,
-                             record_history=args.history_out is not None)
+        report = integrate(scheme, problem.semi, controller, problem.t0, problem.t_end,
+                           problem.u0, error_fn=problem.error_fn,
+                           record_history=args.history_out is not None)
     except IntegrationAbort as exc:
-        print(json.dumps(exc.report.as_dict(), sort_keys=True, indent=1))
-        return EXIT_NUMERICAL
+        report = exc.report
     if args.history_out:
         rows = [(t, dt, "accepted" if accepted else "rejected")
                 for t, dt, accepted in report.history]
         _write_csv(args.history_out, ["t", "dt", "kind"], rows)
-    if args.solution_out:
+    if args.solution_out and not report.aborted:
         _write_snapshot(args.solution_out, problem.semi, report.u_final)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=1))
-    return EXIT_OK
+    return EXIT_NUMERICAL if report.aborted else EXIT_OK
 
 
 def cmd_sweep(args):
@@ -259,9 +253,9 @@ def cmd_search(args):
     names = args.problems.split(",") if args.problems else problems.SEARCH_DEFAULTS
     probs = [_make_problem(name, args, **problems.SEARCH_DEFAULTS.get(name, {}))
              for name in names]
-    tols = (_floats(args.tols, "--tols")
-            if args.tols else ([args.tol] if args.tol is not None else None))
-    for tol in tols or ():        # the controller's own checks, before any run
+    tols = (_floats(args.tols, "--tols") if args.tols else
+            [args.tol] if args.tol is not None else search.DEFAULT_TOLERANCES)
+    for tol in tols:        # the controller's own checks, before any run
         _usage_errors(ControllerConfig.for_scheme, scheme, tol=tol)
     if args.budget is not None and args.budget < 1:
         raise CliError("--budget must be at least 1", EXIT_USAGE)
@@ -317,14 +311,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def common(p, problem=True):
+    def common(p, problem=True, out=True):
         p.add_argument("--scheme")
         p.add_argument("--coeff-file")
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config")
+        if out:
+            p.add_argument("--out")
         if problem:
-            p.add_argument("--problem", choices=problems.PROBLEM_NAMES)
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--t-end", dest="t_end", type=float)
             p.add_argument("--elements", type=int)
             p.add_argument("--degree", type=int)
@@ -332,7 +326,8 @@ def build_parser():
             p.add_argument("--lambda", dest="lam", type=float)
 
     p_int = sub.add_parser("integrate", help="run one adaptive integration")
-    common(p_int)
+    common(p_int, out=False)
+    p_int.add_argument("--problem", choices=problems.PROBLEM_NAMES)
     p_int.add_argument("--tol", type=float)
     p_int.add_argument("--atol", type=float)
     p_int.add_argument("--rtol", type=float)
@@ -345,6 +340,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="tolerance or CFL-number sweep")
     common(p_sweep)
+    p_sweep.add_argument("--problem", choices=problems.PROBLEM_NAMES)
     p_sweep.add_argument("--tols")
     p_sweep.add_argument("--nus")
     p_sweep.add_argument("--beta")
@@ -386,14 +382,25 @@ def main(argv=None):
             if not isinstance(defaults, dict):
                 raise CliError(f"--config {args.config}: expected a JSON object",
                                EXIT_USAGE)
+            # each command's {config key: dest}: a flag's name without the dashes
+            # and its dest, "_" for "-" (t_end for --t-end; lambda and lam)
+            flags = {cmd: {name.lstrip("-").replace("-", "_"): a.dest for a in p._actions
+                           if a.dest != "help" for name in (*a.option_strings, a.dest)}
+                     for cmd, p in parser.commands.items()}
+            # a key that names no flag of any command is a typo; one that names
+            # another command's flag is ignored, so one file serves several
+            defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
+            unknown = [key for key in defaults if not any(key in f for f in flags.values())]
+            if unknown:
+                raise CliError(f"--config {args.config}: no command has a flag named "
+                               f"{', '.join(map(repr, unknown))}", EXIT_USAGE)
             # a flag that takes a value gets it as text, so the parser converts
             # and checks it as it does a command-line value
-            command = parser.commands[args.command]
+            command, dests = parser.commands[args.command], flags[args.command]
             takes_value = {a.dest for a in command._actions if a.nargs != 0}
-            defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
             command.set_defaults(**{
-                key: str(value) if key in takes_value and value is not None else value
-                for key, value in defaults.items()})
+                dests[key]: str(value) if dests[key] in takes_value and value is not None
+                else value for key, value in defaults.items() if key in dests})
             args, remaining = parser.parse_known_args(argv)
         if remaining:
             raise CliError(f"unrecognized arguments: {' '.join(remaining)}", EXIT_USAGE)

@@ -55,13 +55,13 @@ class LowStorageScheme:
     gamma3: np.ndarray
     beta: np.ndarray           # output weights of the main method
     delta: np.ndarray          # s entries for 3s*+, s+1 for 3s*
-    bhat: np.ndarray           # length s+1; 3s* entries derived from delta
+    bhat: np.ndarray           # length s+1; 3s* entries before bhat[s] derived from delta
     q: int
     qhat: int
     fsal: bool = False
-    c: np.ndarray = None       # abscissae; derived from the recurrence if omitted
-    stage_increments: np.ndarray = field(default=None, repr=False, compare=False)
     exact: dict | None = field(default=None, repr=False, compare=False)
+    c: np.ndarray = field(init=False)      # abscissae of the reconstructed tableau
+    stage_increments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for attr in _COEFFICIENTS:
@@ -87,11 +87,11 @@ class LowStorageScheme:
             raise InvariantViolation(f"{self.name}: bhat[{s}] must be zero for non-FSAL schemes")
         w = _solve_stage_increments(self.name, self.gamma1, self.gamma2, self.delta, self.beta)
         object.__setattr__(self, "stage_increments", np.array(w))
-        if self.c is None:
-            pair = to_butcher(self)
-            object.__setattr__(self, "c", pair.c)
-        else:
-            object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        pair = to_butcher(self)
+        object.__setattr__(self, "c", pair.c)
+        if self.scheme_class == "3s*":
+            # delta implies the embedded weights; only the FSAL weight is given
+            object.__setattr__(self, "bhat", np.append(pair.bhat[:s], self.bhat[s]))
 
     @property
     def s(self) -> int:

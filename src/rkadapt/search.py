@@ -45,7 +45,6 @@ class SearchSpace:
     beta1: tuple = tuple(_inclusive_grid(0.10, 1.00, 0.01))
     beta2: tuple = tuple(_inclusive_grid(-0.40, -0.05, 0.01))
     beta3: tuple = tuple(_inclusive_grid(0.00, 0.10, 0.01))
-    tolerances: tuple = DEFAULT_TOLERANCES
 
     @property
     def cardinality(self):
@@ -119,15 +118,13 @@ class SearchResult:
         return best
 
 
-def filter_stable(scheme, candidates, n_points=512):
-    """Split candidates into control-stable, unstable, and indeterminate
-    (no usable boundary samples) by the Schur-Cohn test on the control
-    quartic at the retained boundary samples."""
-    if isinstance(candidates, SearchSpace):
-        candidates = candidates.candidates()
+def filter_stable(scheme, candidates):
+    """Split an iterable of candidates into control-stable, unstable, and
+    indeterminate (no usable boundary samples) by the Schur-Cohn test on the
+    control quartic at the retained boundary samples."""
     candidates = list(candidates)
     try:
-        z, r, e, keep = stability.boundary_samples(scheme, n_points=n_points)
+        z, r, e, keep = stability.boundary_samples(scheme)
     except stability.TraceError:
         return [], [], candidates
     rk, ek = r[keep], e[keep]
@@ -139,16 +136,15 @@ def filter_stable(scheme, candidates, n_points=512):
     return stable, unstable, []
 
 
-def run_search(scheme, problems, space=None, budget=None, tolerances=None,
-               seed=0) -> SearchResult:
+def run_search(scheme, problems, space=SearchSpace(), budget=None,
+               tolerances=DEFAULT_TOLERANCES, seed=0) -> SearchResult:
     """Evaluate every (stable beta, tolerance, problem) combination.
 
     Integration failures (aborts, inadmissible blowups) are recorded with
     infinite cost rather than dropped, so min-max aggregation punishes
     fragile controllers.
     """
-    space = space or SearchSpace()
-    tolerances = tuple(tolerances) if tolerances is not None else space.tolerances
+    tolerances = tuple(tolerances)
     candidates = space.subsample(budget, seed=seed)
     stable, unstable, indeterminate = filter_stable(scheme, candidates)
 

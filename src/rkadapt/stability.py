@@ -37,13 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butcher import ButcherPair
 from .lowstorage import to_butcher
 
 polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
 
 BOUNDARY_TOL = 1e-10
+DTHETA = 2 * np.pi / 4096      # largest continuation step in theta
+MAX_WINDING = 64               # turns of theta before a trace counts as open
 DEGENERATE_TOL = 1e-14
 TANGENTIAL_TOL = 1e-3
 
@@ -105,7 +106,7 @@ def stability_polynomials(scheme) -> StabilityPolynomials:
     The embedded polynomial of an FSAL pair is computed on the extended
     tableau whose extra row is b, so it has degree up to s+1.
     """
-    pair = scheme if isinstance(scheme, ButcherPair) else to_butcher(scheme)
+    pair = to_butcher(scheme)
     R = _weight_polynomial(pair.A, pair.b)
     if pair.fsal:
         Ae, _ = pair.extended()
@@ -155,8 +156,7 @@ def _cdiv(a, b):
     return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
-def trace_boundary(polys: StabilityPolynomials, n_points=512, dtheta=2*np.pi/4096,
-                   max_winding=64) -> BoundaryTrace:
+def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
     """Trace the boundary-locus branch of |R| = 1 through the origin.
 
     Continuation in theta with a damped Newton corrector; the step in theta
@@ -173,8 +173,8 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512, dtheta=2*np.pi/409
     zs = [0.0 + 0.0j]
     ths = [0.0]
     z, th, Rz = 0.0 + 0.0j, 0.0, 1.0 + 0.0j     # R(z) = e^{i th} on the branch
-    step = dtheta
-    while th < 2 * np.pi * max_winding:
+    step = DTHETA
+    while th < 2 * np.pi * MAX_WINDING:
         th_new = th + step
         target = cmath.exp(1j * th_new)
         z0 = z + _cdiv(target - Rz, _horner(Rp, z))
@@ -202,7 +202,7 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512, dtheta=2*np.pi/409
         zs.append(z)
         ths.append(th)
         if dz < 0.05:
-            step = min(step * 1.5, dtheta)
+            step = min(step * 1.5, DTHETA)
         if th > np.pi and abs(z) < 1e-6:
             break
     else:

@@ -40,9 +40,9 @@ class StepResult:
 
     u_new: np.ndarray
     err_diff: np.ndarray | None   # u_new - uhat_new; None when no estimate requested
-    nfe: int                      # RHS evaluations consumed by this attempt
+    nfe: int | list               # RHS evaluations of this attempt; a list, one per member
     fsal_f: np.ndarray | None     # f(t+dt, u_new) for reuse on acceptance
-    finite: bool                  # False if any stage went NaN/Inf
+    finite: bool | list           # False if any stage went NaN/Inf; a list, one per member
 
 
 def _finite_members(states):

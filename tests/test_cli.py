@@ -214,6 +214,24 @@ def test_integrate_numerical_failure_exits_2(capsys):
     assert report["aborted"] is True
 
 
+def test_history_of_an_aborted_run_lists_its_attempts(tmp_path, capsys):
+    # at CFL number 3 the vortex leaves the admissible set after a few steps
+    hist = tmp_path / "h.csv"
+    code, out, _ = run(capsys, "integrate", "--scheme", "rk35-3s+fsal",
+                       "--problem", "vortex2d", "--elements", "8",
+                       "--degree", "2", "--t-end", "5", "--cfl", "3",
+                       "--history-out", str(hist))
+    assert code == 2
+    report = json.loads(out)
+    assert report["aborted"] is True
+    lines = hist.read_text().splitlines()
+    assert lines[0] == "t,dt,kind"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == report["n_accepted"] >= 2
+    assert all(kind == "accepted" for _, _, kind in rows)
+    assert float(rows[0][0]) == 0.0
+
+
 def test_integrate_solution_snapshot_csv(tmp_path, capsys):
     snap = tmp_path / "final.csv"
     code, _, _ = run(capsys, "integrate", "--scheme", "bs3",
@@ -275,6 +293,26 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
                        "--points", "256", "--out", out_prefix)
     assert code == 0
     assert json.loads(out)["points"] == 256
+
+
+def test_config_keys_name_flags_of_some_command(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.json"
+    flags = ["integrate", "--scheme", "bs3", "--problem", "dahlquist",
+             "--tol", "1e-5", "--t-end", "2"]
+    _, expected, _ = run(capsys, *flags, "--lambda", "-3")
+    # a flag's key is its name or its dest, and another command's flag
+    # ("points", "budget") is ignored, so one file serves several commands
+    for doc in ({"lambda": -3}, {"lam": -3}, {"lambda": -3, "points": 64, "budget": 2}):
+        cfgfile.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, *flags, "--config", str(cfgfile))
+        assert code == 0
+        assert json.loads(out)["nfe"] == json.loads(expected)["nfe"]
+    # a key that names no flag of any command is a typo
+    cfgfile.write_text(json.dumps({"scheme": "bs3", "problem": "dahlquist", "tol": 1e-5,
+                                   "tolerance_typo": 3}))
+    code, _, err = run(capsys, "integrate", "--config", str(cfgfile))
+    assert code == 1
+    assert err.startswith("error: ") and "'tolerance_typo'" in err
 
 
 @pytest.mark.parametrize("grid, differ", [("perturbed", True), ("uniform", False)])
@@ -359,6 +397,10 @@ BAD_COEFF_FILES = {
      "--cfl", "nan"],
     ["stability", "--scheme", "bs3", "--config", "typed.json"],
     ["stability", "--scheme", "bs3", "--config", "beta.json", "--control-map"],
+    # flags no command reads: integrate writes no --out, stability draws nothing
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-3",
+     "--out", "x"],
+    ["stability", "--scheme", "bs3", "--seed", "1"],
 ] + [["stability", "--coeff-file", name] for name in BAD_COEFF_FILES])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):
@@ -391,10 +433,10 @@ _PROBLEM_FLAGS = {
 _COMMON_FLAGS = {
     "--scheme": (["bs3", "rk35-3s+fsal", "ssp43", "bs5"], ["nosuch"]),
     "--coeff-file": (["euler.json"], ["missing.json", "list.json"]),
-    "--out": (["out"], ["missing/out"]),
-    "--seed": (["0", "3"], ["-1", "x"]),
-    "--config": (["good.json"], ["list.json", "typed.json", "missing.json"]),
+    "--config": (["good.json"], ["list.json", "typed.json", "typo.json", "missing.json"]),
 }
+_OUT = {"--out": (["out"], ["missing/out"])}
+_SEED = {"--seed": (["0", "3"], ["-1", "x"])}
 _BETA = (["0.7,-0.23", "0.6,-0.2,0", "1,-0.4,0.1"],
          ["nan,0", "inf,0", "1,2,3,4", "a,b"])
 _TOL_FLAGS = {
@@ -403,18 +445,18 @@ _TOL_FLAGS = {
     "--sigma": (["1", "0.3"], ["0", "nan", "x"]),
 }
 _GRAMMAR = {
-    "integrate": {**_COMMON_FLAGS, **_PROBLEM_FLAGS, **_TOL_FLAGS,
+    "integrate": {**_COMMON_FLAGS, **_SEED, **_PROBLEM_FLAGS, **_TOL_FLAGS,
                   "--cfl": (["0.5", "3"], ["0", "-1", "nan", "inf", "x"]),
                   "--history-out": (["h.csv"], ["missing/h.csv"]),
                   "--solution-out": (["s.csv"], ["missing/s.csv"])},
-    "sweep": {**_COMMON_FLAGS, **_PROBLEM_FLAGS, **_TOL_FLAGS,
+    "sweep": {**_COMMON_FLAGS, **_OUT, **_SEED, **_PROBLEM_FLAGS, **_TOL_FLAGS,
               "--tols": (["1e-3,1e-5", "1e-4"], ["0", "nan", "inf", "x"]),
               "--nus": (["0.5,1", "2"], ["0", "nan", "inf", "x"])},
-    "stability": {**_COMMON_FLAGS, "--scaled": ([None], []),
+    "stability": {**_COMMON_FLAGS, **_OUT, "--scaled": ([None], []),
                   "--control-map": ([None], []),
                   "--points": (["64", "100"], ["10", "-1", "x"]),
                   "--grid-map": (["0", "7"], ["-1", "x"]), "--beta": _BETA},
-    "search": {**_COMMON_FLAGS, "--lambda": _PROBLEM_FLAGS["--lambda"],
+    "search": {**_COMMON_FLAGS, **_OUT, **_SEED, "--lambda": _PROBLEM_FLAGS["--lambda"],
                "--t-end": _PROBLEM_FLAGS["--t-end"],
                "--tol": _TOL_FLAGS["--tol"],
                "--tols": (["1e-3,1e-5"], ["0", "nan", "inf", "x"]),
@@ -429,7 +471,8 @@ _CONFIGS = {"euler.json": FORWARD_EULER_DOC,
             "good.json": {"tol": 1e-4, "t_end": 0.1},
             "list.json": [1, 2],
             "typed.json": {"points": [64], "tol": "small", "budget": "two",
-                           "t_end": None, "grid_map": 2.5, "beta": 0.7}}
+                           "t_end": None, "grid_map": 2.5, "beta": 0.7},
+            "typo.json": {"tol": 1e-4, "tolerance_typo": 3}}
 
 
 @st.composite

@@ -53,7 +53,7 @@ def test_bs5_stability_prefilter():
 def test_full_grid_filter_keeps_the_eigenvalue_route_counts(name, n_stable):
     # counts from the 6x6 Jacobian eigenvalues that the quartic test replaced
     space = SearchSpace()
-    stable, unstable, indet = filter_stable(catalog_get(name), space)
+    stable, unstable, indet = filter_stable(catalog_get(name), space.candidates())
     assert len(stable) == n_stable
     assert len(stable) + len(unstable) == space.cardinality and not indet
 
@@ -71,9 +71,8 @@ def test_zero_sum_controllers_are_unstable(name):
 def test_degenerate_single_candidate_search_matches_direct_run():
     scheme = catalog_get("bs3")
     prob = make_problem("dahlquist", lam=-1.0, t_end=5.0)
-    space = SearchSpace(beta1=(0.60,), beta2=(-0.20,), beta3=(0.00,),
-                        tolerances=(1e-6,))
-    result = run_search(scheme, [prob], space=space)
+    space = SearchSpace(beta1=(0.60,), beta2=(-0.20,), beta3=(0.00,))
+    result = run_search(scheme, [prob], space=space, tolerances=(1e-6,))
     assert len(result.stable_candidates()) == 1
     cand = result.stable_candidates()[0]
     cfg = ControllerConfig.for_scheme(scheme, tol=1e-6, beta=(0.60, -0.20, 0.00))
@@ -89,14 +88,14 @@ def test_search_rows_equal_one_candidate_runs():
     # row must be the candidate's own run's
     scheme = catalog_get("rk35-3s+fsal")
     probs = [make_problem("source1d", t_end=0.5), make_problem("dahlquist", t_end=3.0)]
-    space = SearchSpace(beta1=(0.1, 0.47, 1.0), beta2=(-0.4, -0.24), beta3=(0.0, 0.1),
-                        tolerances=(1e-3, 1e-5))
-    result = run_search(scheme, probs, space=space)
+    space = SearchSpace(beta1=(0.1, 0.47, 1.0), beta2=(-0.4, -0.24), beta3=(0.0, 0.1))
+    tolerances = (1e-3, 1e-5)
+    result = run_search(scheme, probs, space=space, tolerances=tolerances)
     stable = result.stable_candidates()
     assert len(stable) >= 3
     for cand in stable:
         alone = [search._run_one(scheme, p, cand.beta, tol)
-                 for p in probs for tol in space.tolerances]
+                 for p in probs for tol in tolerances]
         assert repr(cand.runs) == repr(alone), cand.beta
 
 
@@ -143,10 +142,9 @@ def test_empty_stable_set_raises():
 def test_search_determinism():
     scheme = catalog_get("bs3")
     prob = make_problem("dahlquist", lam=-2.0, t_end=3.0)
-    space = SearchSpace(beta1=(0.4, 0.6), beta2=(-0.2,), beta3=(0.0,),
-                        tolerances=(1e-5, 1e-7))
-    r1 = run_search(scheme, [prob], space=space)
-    r2 = run_search(scheme, [prob], space=space)
+    space = SearchSpace(beta1=(0.4, 0.6), beta2=(-0.2,), beta3=(0.0,))
+    r1 = run_search(scheme, [prob], space=space, tolerances=(1e-5, 1e-7))
+    r2 = run_search(scheme, [prob], space=space, tolerances=(1e-5, 1e-7))
     assert [c.beta for c in r1.candidates] == [c.beta for c in r2.candidates]
     assert [c.runs for c in r1.stable_candidates()] == \
            [c.runs for c in r2.stable_candidates()]
@@ -155,8 +153,7 @@ def test_search_determinism():
 def test_recommended_candidates_are_stable_by_construction():
     scheme = catalog_get("bs3")
     prob = make_problem("dahlquist", lam=-1.0, t_end=2.0)
-    space = SearchSpace(beta1=(0.3, 0.6, 0.9), beta2=(-0.4, -0.2), beta3=(0.0,),
-                        tolerances=(1e-6,))
-    result = run_search(scheme, [prob], space=space)
+    space = SearchSpace(beta1=(0.3, 0.6, 0.9), beta2=(-0.4, -0.2), beta3=(0.0,))
+    result = run_search(scheme, [prob], space=space, tolerances=(1e-6,))
     for cand in recommend(result):
         assert cand.stable

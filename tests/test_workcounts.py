@@ -8,12 +8,17 @@ HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
         "| max error | sha256[:16] of `u_final` | status |\n|" + "---|" * 11 + "\n")
 
 
-def _table(path, rows, csv_digest, acceptance=0, sweep=0):
+def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None):
     lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
+    stability = ("" if rho_digest is None else
+                 "stability RK3(2)5 3S*+ FSAL: exit 0\n")
+    digests = ("" if rho_digest is None else
+               "sha256 stability RK3(2)5 3S*+ FSAL main.csv: m0\n"
+               f"sha256 stability RK3(2)5 3S*+ FSAL rho.csv: {rho_digest}\n")
     path.write_text(HEAD + "\n".join(lines) + f"\n\nacceptance suite: pytest exit {acceptance}\n"
-                    f"dg_sweep vortex2d/bs3/pid@0.001: exit {sweep}\n"
+                    f"dg_sweep vortex2d/bs3/pid@0.001: exit {sweep}\n" + stability +
                     "controller_search command: exit 0\n"
-                    f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n")
+                    f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n" + digests)
 
 
 def _diff(old, new):
@@ -62,3 +67,21 @@ def test_diff_of_matching_tables_exits_0_and_status_lines_count(tmp_path):
     assert done.returncode == 1
     assert "identical in every column: 2\n" in done.stdout
     assert "acceptance suite: pytest exit 0 -> pytest exit 1" in done.stdout
+
+
+def test_diff_compares_the_stability_map_digests(tmp_path):
+    old, new = tmp_path / "old.md", tmp_path / "new.md"
+    rows = [_row("A", 10, 5, 1)]
+    _table(old, rows, "d1", rho_digest="r1")
+    _table(new, rows, "d1", rho_digest="r1")
+    done = _diff(old, new)
+    assert done.returncode == 0
+    assert "stability RK3(2)5 3S*+ FSAL rho.csv: unchanged" in done.stdout
+    assert "Exit status lines changed: 0 of 4\n" in done.stdout
+    # identical rows, one moved stability map
+    _table(new, rows, "d1", rho_digest="r2")
+    done = _diff(old, new)
+    assert done.returncode == 1
+    assert "identical in every column: 1\n" in done.stdout
+    assert "stability RK3(2)5 3S*+ FSAL rho.csv: changed, r1 -> r2" in done.stdout
+    assert "stability RK3(2)5 3S*+ FSAL main.csv: unchanged" in done.stdout

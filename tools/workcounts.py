@@ -15,16 +15,21 @@ shows) and the sha256 of the final state's bytes.  Rows are sorted, so a
 version that runs the same integrations in another order (one ensemble
 instead of separate runs) prints the same table.  Last come the sha256
 digests of search.csv and search.json of the benchmark's controller_search
-command.
+command, and of the main, embedded, rho and rhomap CSVs that
+
+    rkadapt stability --scheme NAME --scaled --beta 0.6,-0.2,0 --control-map --grid-map 101
+
+writes for every catalog pair NAME.
 
 Run it on two checkouts and compare the outputs: equal output means equal
 work and bit-identical results.  The acceptance suite takes about two
 minutes.  `--diff` compares two such outputs: it lists the rows whose nfe,
 accepted or rejected count or status moved, old against new, counts the rows
-that differ only in max error or final state, says whether the search
-digests changed, and lists the exit status lines (acceptance suite, each
-dg_sweep command, the controller_search command) that changed or report a
-failure.  It exits 1 when anything differs and 0 when the tables match.
+that differ only in max error or final state, says which digests changed,
+and lists the exit status lines (acceptance suite, each dg_sweep command,
+the controller_search command, each stability command) that changed or
+report a failure.  It exits 1 when anything differs and 0 when the tables
+match.
 """
 
 from __future__ import annotations
@@ -103,6 +108,14 @@ class Recorder:
                           str(report.nfe), str(report.n_accepted), str(report.n_rejected),
                           repr(err), state,
                           f"aborted: {report.abort_reason}" if report.aborted else "ok"))
+
+
+def _file_digest(path):
+    """sha256 of a file's bytes, or '-' when the file is missing."""
+    if not os.path.exists(path):
+        return "-"
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _cli(cli, argv):
@@ -198,6 +211,7 @@ def main(argv=None):
     import rkadapt.cli  # noqa: F401  (every module that may hold the entry point)
     import rkadapt.search  # noqa: F401
     cli = sys.modules["rkadapt.cli"]
+    catalog = importlib.import_module("rkadapt.catalog")
     workloads = importlib.import_module("workloads")
 
     rec = Recorder()
@@ -229,8 +243,14 @@ def main(argv=None):
                               "--tol", repr(workloads.SEARCH_TOL),
                               "--budget", str(workloads.SEARCH_BUDGET),
                               "--seed", str(workloads.SEARCH_SEED), "--out", "search"])
-            digests = {name: hashlib.sha256(open(name, "rb").read()).hexdigest()
-                       for name in ("search.csv", "search.json")}
+            digests = {name: _file_digest(name) for name in ("search.csv", "search.json")}
+            for i, scheme in enumerate(catalog.catalog_names()):
+                argv = ["stability", "--scheme", scheme, "--scaled", "--beta", "0.6,-0.2,0",
+                        "--control-map", "--grid-map", "101", "--out", f"stab{i}"]
+                status.append(f"stability {scheme}: exit {_cli(cli, argv)}")
+                for part in ("main", "embedded", "rho", "rhomap"):
+                    digests[f"stability {scheme} {part}.csv"] = _file_digest(
+                        f"stab{i}.{part}.csv")
         finally:
             os.chdir(cwd)
 
