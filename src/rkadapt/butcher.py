@@ -20,6 +20,13 @@ class InvariantViolation(ValueError):
     """A coefficient set fails one of the structural invariants."""
 
 
+def frozen_array(values) -> np.ndarray:
+    """A read-only float64 copy, so no caller can change a frozen scheme."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ButcherPair:
     """Embedded explicit Runge-Kutta pair (A, b, c, bhat) with orders (q, qhat)."""
@@ -35,10 +42,8 @@ class ButcherPair:
     exact: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        object.__setattr__(self, "A", A)
-        for attr in ("b", "c", "bhat"):
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
+        for attr in ("A", "b", "c", "bhat"):
+            object.__setattr__(self, attr, frozen_array(getattr(self, attr)))
         validate_pair(self)
 
     @property

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .butcher import ButcherPair, InvariantViolation
+from .butcher import ButcherPair, InvariantViolation, frozen_array
 
 CONSISTENCY_TOL = 1e-10
 
@@ -65,7 +65,7 @@ class LowStorageScheme:
 
     def __post_init__(self):
         for attr in _COEFFICIENTS:
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
+            object.__setattr__(self, attr, frozen_array(getattr(self, attr)))
         s = self.s
         if self.scheme_class not in ("3s*", "3s*+"):
             raise InvariantViolation(f"unknown scheme class {self.scheme_class!r}")
@@ -86,12 +86,12 @@ class LowStorageScheme:
         if not self.fsal and self.bhat[s] != 0.0:
             raise InvariantViolation(f"{self.name}: bhat[{s}] must be zero for non-FSAL schemes")
         w = _solve_stage_increments(self.name, self.gamma1, self.gamma2, self.delta, self.beta)
-        object.__setattr__(self, "stage_increments", np.array(w))
+        object.__setattr__(self, "stage_increments", frozen_array(w))
         pair = to_butcher(self)
         object.__setattr__(self, "c", pair.c)
         if self.scheme_class == "3s*":
             # delta implies the embedded weights; only the FSAL weight is given
-            object.__setattr__(self, "bhat", np.append(pair.bhat[:s], self.bhat[s]))
+            object.__setattr__(self, "bhat", frozen_array(np.append(pair.bhat[:s], self.bhat[s])))
 
     @property
     def s(self) -> int:

@@ -43,7 +43,7 @@ polyval = np.polynomial.polynomial.polyval
 polyder = np.polynomial.polynomial.polyder
 
 BOUNDARY_TOL = 1e-10
-DTHETA = 2 * np.pi / 4096      # largest continuation step in theta
+DTHETA = 2 * np.pi / 256       # largest continuation step in theta
 MAX_WINDING = 64               # turns of theta before a trace counts as open
 DEGENERATE_TOL = 1e-14
 TANGENTIAL_TOL = 1e-3
@@ -73,7 +73,9 @@ class StabilityPolynomials:
 class BoundaryTrace:
     points: np.ndarray
     thetas: np.ndarray
-    total_theta: float
+    total_theta: float        # 2 pi * winding
+    winding: int              # turns of theta until the branch closes
+    halvings: int             # continuation steps halved (Newton failed or jumped)
 
 
 @dataclass(frozen=True)
@@ -122,79 +124,56 @@ def stability_polynomials(scheme) -> StabilityPolynomials:
 
 
 def _horner(c, x):
-    """polyval(x, c) for a Python complex x and a list of float coefficients,
-    in polyval's order of operations, so the result is the same bit for bit."""
+    """polyval(x, c) for a Python complex x and a list of float coefficients."""
     y = c[-1] + x * 0
     for ci in c[-2::-1]:
         y = ci + y * x
     return y
 
 
-def _over_zero(x):
-    """x / +0.0 as numpy computes it."""
-    return math.copysign(math.inf, x) if x == x and x != 0.0 else math.nan
-
-
-def _cdiv(a, b):
-    """a / b for Python complexes, rounded as numpy's complex128 division.
-
-    Python's own complex division differs from numpy's in the last bit for
-    many operands, which would move traced points.  A zero divisor gives
-    numpy's inf/nan instead of raising.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        if br == 0.0:
-            return complex(_over_zero(ar), _over_zero(ai))
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    if bi == 0.0:       # br is nan
-        return complex(math.nan, math.nan)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-
-
 def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
     """Trace the boundary-locus branch of |R| = 1 through the origin.
 
-    Continuation in theta with a damped Newton corrector; the step in theta
-    is halved whenever Newton stalls or the curve moves too far.  The trace
-    runs until the branch returns to the origin and is then resampled at
-    n_points parameter values.  The continuation runs on Python complex
-    scalars, several times faster than numpy scalar calls, with every
-    operation rounded as numpy rounds it (_horner, _cdiv).
+    A coarse continuation in theta (damped Newton on Python complex scalars,
+    the step halved whenever Newton fails or the curve jumps) finds the
+    branch and closes at the first multiple of 2 pi where it is back at the
+    origin.  One batched Newton then solves every sample at its own theta,
+    from the last traced point before it; a sample that does not converge
+    or leaves the traced step spanning it raises TraceError.
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
-    R = polys.main.tolist()
-    Rp = polyder(polys.main).tolist()
-    zs = [0.0 + 0.0j]
-    ths = [0.0]
+    R, Rp = polys.main, polyder(polys.main)
+    Rl, Rpl = R.tolist(), Rp.tolist()
+    zs, ths = [0j], [0.0]
     z, th, Rz = 0.0 + 0.0j, 0.0, 1.0 + 0.0j     # R(z) = e^{i th} on the branch
-    step = DTHETA
-    while th < 2 * np.pi * MAX_WINDING:
-        th_new = th + step
+    step, halvings, winding = DTHETA, 0, 0
+    while True:
+        turn = 2 * math.pi * (winding + 1)
+        th_new = min(th + step, turn)
         target = cmath.exp(1j * th_new)
-        z0 = z + _cdiv(target - Rz, _horner(Rp, z))
-        resid = _horner(R, z0) - target
-        converged = False
-        for _ in range(60):
-            size = abs(resid)
-            if size < 1e-12:
-                converged = True
-                break
-            delta = _cdiv(resid, _horner(Rp, z0))
-            lam = 1.0
-            trial = _horner(R, z0 - lam * delta) - target
-            while abs(trial) >= size and lam > 1e-8:
-                lam *= 0.5
-                trial = _horner(R, z0 - lam * delta) - target
-            z0, resid = z0 - lam * delta, trial
-        dz = abs(z0 - z)
-        if not converged or dz > 0.2:
+        try:
+            z0 = z + (target - Rz) / _horner(Rpl, z)
+            resid = _horner(Rl, z0) - target
+            for _ in range(60):
+                size = abs(resid)
+                if size < 1e-12:
+                    break
+                delta = resid / _horner(Rpl, z0)
+                lam = 1.0
+                trial = _horner(Rl, z0 - lam * delta) - target
+                while abs(trial) >= size and lam > 1e-8:
+                    lam *= 0.5
+                    trial = _horner(Rl, z0 - lam * delta) - target
+                z0, resid = z0 - lam * delta, trial
+            else:
+                z0 = None
+        except (ZeroDivisionError, OverflowError):     # R' vanished or blew up
+            z0 = None
+        dz = math.inf if z0 is None else abs(z0 - z)
+        if dz > 0.2:
             step *= 0.5
+            halvings += 1
             if step < 1e-10:
                 raise TraceError("Newton continuation stalled", th)
             continue
@@ -203,20 +182,36 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
         ths.append(th)
         if dz < 0.05:
             step = min(step * 1.5, DTHETA)
-        if th > np.pi and abs(z) < 1e-6:
-            break
-    else:
-        raise TraceError("boundary trace did not close", th)
-    zs = np.asarray(zs)
-    ths = np.asarray(ths)
-    total = ths[-1]
-    t_out = total * (np.arange(n_points) + 0.5) / n_points
-    idx = np.clip(np.searchsorted(ths, t_out), 0, len(zs) - 1)
-    pts = zs[idx]
-    resid = np.abs(np.abs(polyval(pts, polys.main)) - 1.0)
+        if th == turn:
+            winding += 1
+            if abs(z) < 1e-6:
+                break
+            if winding == MAX_WINDING:
+                raise TraceError("boundary trace did not close", th)
+    zs, ths = np.asarray(zs), np.asarray(ths)
+    t_out = ths[-1] * (np.arange(n_points) + 0.5) / n_points
+    j = np.searchsorted(ths, t_out, side="right") - 1
+    start = zs[j]
+    target = np.exp(1j * t_out)
+    with np.errstate(all="ignore"):
+        pts = start + (target - np.exp(1j * ths[j])) / polyval(start, Rp)
+        for _ in range(60):
+            resid = polyval(pts, R) - target
+            live = ~(np.abs(resid) < 1e-12)
+            if not live.any():
+                break
+            pts = np.where(live, pts - resid / polyval(pts, Rp), pts)
+        # the ends of a traced step solve R = e^{i theta} to 1e-12 / |R'| each
+        slack = 2e-12 / np.abs(polyval(pts, Rp))
+    bad = live | ~(np.abs(pts - start) <= np.abs(zs[j + 1] - start) + slack)
+    if np.any(bad):
+        raise TraceError("a sample did not converge within its traced step",
+                         float(t_out[np.argmax(bad)]))
+    resid = np.abs(np.abs(polyval(pts, R)) - 1.0)
     if np.max(resid) > BOUNDARY_TOL:
         raise TraceError("traced points violate |R| = 1", float(t_out[np.argmax(resid)]))
-    return BoundaryTrace(points=pts, thetas=t_out, total_theta=total)
+    return BoundaryTrace(points=pts, thetas=t_out, total_theta=ths[-1],
+                         winding=winding, halvings=halvings)
 
 
 def grid_boundary(polys: StabilityPolynomials, n_points=512):

@@ -70,3 +70,14 @@ def test_row_sum_mismatch_rejected():
 def test_fsal_tail_weight_guard():
     with pytest.raises(InvariantViolation, match="bhat"):
         ButcherPair("bad", [[0.0]], [1.0], [0.0], [1.0, 0.25], q=1, qhat=1, fsal=False)
+
+
+def test_pair_keeps_no_array_of_its_caller():
+    A, b, c, bhat = np.zeros((1, 1)), np.array([1.0]), np.zeros(1), np.array([1.0, 0.0])
+    pair = ButcherPair("euler", A, b, c, bhat, q=1, qhat=1)
+    A[0, 0], b[0], c[0], bhat[0] = 0.5, 0.5, 0.5, 0.5
+    assert pair.A[0, 0] == 0.0 and pair.b[0] == 1.0
+    assert pair.c[0] == 0.0 and pair.bhat[0] == 1.0
+    for arr in (pair.A, pair.b, pair.c, pair.bhat):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5

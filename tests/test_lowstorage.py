@@ -25,6 +25,20 @@ def test_one_stage_identity_is_forward_euler():
     assert pair.b == pytest.approx(np.array([1.0]))
 
 
+def test_scheme_keeps_no_array_of_its_caller():
+    beta, bhat = np.array([1.0]), np.array([1.0, 0.0])
+    scheme = LowStorageScheme(
+        name="fe", scheme_class="3s*+", gamma1=[0.0], gamma2=[1.0], gamma3=[0.0],
+        beta=beta, delta=[1.0], bhat=bhat, q=1, qhat=1)
+    beta[0] = bhat[0] = 0.5
+    assert scheme.beta[0] == 1.0 and scheme.bhat[0] == 1.0
+    assert scheme.stage_increments[0] == to_butcher(scheme).b[0] == 1.0
+    for attr in ("gamma1", "gamma2", "gamma3", "beta", "delta", "bhat", "c",
+                 "stage_increments"):
+        with pytest.raises(ValueError):
+            getattr(scheme, attr)[0] = 0.5
+
+
 def test_reconstruction_matches_stepper_on_linear_problem():
     scheme = catalog_get("RK3(2)5 3S*+")
     pair = to_butcher(scheme)

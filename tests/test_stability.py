@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkadapt import stability
@@ -87,6 +87,9 @@ def test_boundary_residual_and_conjugate_symmetry(name):
     dist = np.min(np.abs(conj[:, None] - pts[None, :]), axis=1)
     spacing = np.max(np.abs(np.diff(pts)))
     assert np.max(dist) <= 2.0 * spacing
+    # every sample lies at its own theta, and theta -> total - theta conjugates
+    assert np.max(np.abs(polyval(pts, polys.main) - np.exp(1j * trace.thetas))) <= 1e-12
+    assert np.max(np.abs(pts[::-1] - conj)) <= 1e-12
 
 
 def test_log_derivative_matches_finite_differences():
@@ -192,95 +195,140 @@ def test_control_stability_dense_map_consistent_with_scan():
 
 
 # ---------------------------------------------------------------------------
-# the scalar continuation kernel reproduces numpy's arithmetic bit for bit
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
+# the boundary trace against a fine numpy continuation, and its bookkeeping
 
 def _same(x, y):
     """Equal bit for bit, except that any two nans match."""
     return (math.isnan(x) and math.isnan(y)) or x.hex() == y.hex()
 
 
-def _numpy_div(a, b):
-    with np.errstate(all="ignore"):
-        return complex(np.complex128(a) / np.complex128(b))
-
-
-@given(ar=finite, ai=finite, x=finite, y=finite, swap=st.booleans())
-def test_cdiv_matches_numpy_division(ar, ai, x, y, swap):
-    # |Re b| >= |Im b| takes the first branch of the division, swap the other
-    big, small = (x, y) if abs(x) >= abs(y) else (y, x)
-    a, b = complex(ar, ai), complex(small, big) if swap else complex(big, small)
-    got, want = stability._cdiv(a, b), _numpy_div(a, b)
-    assert _same(got.real, want.real) and _same(got.imag, want.imag)
-
-
-@given(ar=st.floats(), ai=st.floats(),
-       br=st.one_of(st.just(0.0), st.just(-0.0), st.floats()),
-       bi=st.one_of(st.just(0.0), st.just(-0.0), st.floats()))
-@example(ar=1.0, ai=-0.0, br=0.0, bi=-0.0)
-@example(ar=-0.0, ai=math.nan, br=-0.0, bi=0.0)
-@example(ar=1.0, ai=1.0, br=math.nan, bi=0.0)
-def test_cdiv_zero_and_non_finite_divisors_match_numpy(ar, ai, br, bi):
-    # a zero divisor gives numpy's inf/nan, which the trace relies on to
-    # halve its step, and must not raise ZeroDivisionError
-    a, b = complex(ar, ai), complex(br, bi)
-    got, want = stability._cdiv(a, b), _numpy_div(a, b)
-    assert _same(got.real, want.real) and _same(got.imag, want.imag)
+def _numpy_newton(R, Rp, z, Rz, target):
+    """Predictor from (z, Rz), then damped Newton to |R - target| < 1e-12, on
+    numpy scalars; None when Newton stalls."""
+    z0 = z + (target - Rz) / polyval(z, Rp)
+    for _ in range(60):
+        resid = polyval(z0, R) - target
+        if abs(resid) < 1e-12:
+            return z0
+        delta = resid / polyval(z0, Rp)
+        lam = 1.0
+        while (abs(polyval(z0 - lam * delta, R) - target) >= abs(resid)
+               and lam > 1e-8):
+            lam *= 0.5
+        z0 = z0 - lam * delta
+    return None
 
 
 def _numpy_trace(polys, n_points, dtheta=2 * np.pi / 4096, max_winding=64):
-    """Reference: the continuation on numpy scalars (polyval, np.exp and
-    numpy's complex division), with trace_boundary's resampling."""
+    """Reference: the continuation on numpy scalars at a fine largest step,
+    closing wherever it is back at the origin; then each sample solved at
+    exactly its theta, from the last fine point before it."""
     R, Rp = polys.main, np.polynomial.polynomial.polyder(polys.main)
     zs, ths = [0j], [0.0]
     z, th, step = 0j, 0.0, dtheta
-    while th < 2 * np.pi * max_winding:
-        th_new = th + step
-        target = np.exp(1j * th_new)
-        z0 = z + (target - np.exp(1j * th)) / polyval(z, Rp)
-        converged = False
-        for _ in range(60):
-            resid = polyval(z0, R) - target
-            if abs(resid) < 1e-12:
-                converged = True
+    with np.errstate(all="ignore"):
+        while th < 2 * np.pi * max_winding:
+            th_new = th + step
+            z0 = _numpy_newton(R, Rp, z, np.exp(1j * th), np.exp(1j * th_new))
+            dz = np.inf if z0 is None else abs(z0 - z)
+            if not dz <= 0.2:
+                step *= 0.5
+                continue
+            z, th = z0, th_new
+            zs.append(z)
+            ths.append(th)
+            if dz < 0.05:
+                step = min(step * 1.5, dtheta)
+            if th > np.pi and abs(z) < 1e-6:
                 break
-            delta = resid / polyval(z0, Rp)
-            lam = 1.0
-            while (abs(polyval(z0 - lam * delta, R) - target) >= abs(resid)
-                   and lam > 1e-8):
-                lam *= 0.5
-            z0 = z0 - lam * delta
-        dz = abs(z0 - z)
-        if not converged or dz > 0.2:
-            step *= 0.5
-            continue
-        z, th = z0, th_new
-        zs.append(z)
-        ths.append(th)
-        if dz < 0.05:
-            step = min(step * 1.5, dtheta)
-        if th > np.pi and abs(z) < 1e-6:
-            break
-    zs, ths = np.asarray(zs), np.asarray(ths)
-    t_out = ths[-1] * (np.arange(n_points) + 0.5) / n_points
-    idx = np.clip(np.searchsorted(ths, t_out), 0, len(zs) - 1)
-    return zs[idx], t_out, ths[-1]
+    winding = round(ths[-1] / (2 * np.pi))
+    assert abs(ths[-1] - 2 * np.pi * winding) <= 1e-9
+    total = 2 * np.pi * winding
+    t_out = total * (np.arange(n_points) + 0.5) / n_points
+    j = np.searchsorted(ths, t_out, side="right") - 1
+    points = [_numpy_newton(R, Rp, zs[i], np.exp(1j * ths[i]), np.exp(1j * t))
+              for i, t in zip(j, t_out)]
+    return np.array(points), t_out, total
 
 
-@pytest.mark.parametrize("name", ["BS3(2)3 FSAL", "SSP3(2)4", "RK3(2)5 3S*+ FSAL"])
-@pytest.mark.parametrize("which", ["main", "embedded"])
-def test_trace_equals_numpy_scalar_continuation(name, which):
-    polys = stability_polynomials(catalog_get(name))
+def _region(polys, which):
     if which == "embedded":
-        polys = StabilityPolynomials(main=polys.embedded, embedded=polys.embedded,
-                                     diff=polys.diff, s_eff=polys.s_eff)
+        return StabilityPolynomials(main=polys.embedded, embedded=polys.embedded,
+                                    diff=polys.diff, s_eff=polys.s_eff)
+    return polys
+
+
+def _taylor_polys(degree):
+    """R(z) = sum_{j <= degree} z^j / j!: for degree p <= 4, the stability
+    polynomial of every p-stage explicit method of order p."""
+    main = [1.0 / math.factorial(j) for j in range(degree + 1)]
+    return StabilityPolynomials(main=main, embedded=main, diff=[0.0], s_eff=degree)
+
+
+REFERENCE_REGIONS = (
+    [(name, which) for name in catalog_names() for which in ("main", "embedded")]
+    + [("euler", "main"), ("rk4", "main")]
+    + [(f"taylor{p}", "main") for p in range(1, 11)])
+
+
+def _reference_region(name, which):
+    if name == "euler":
+        return stability_polynomials(forward_euler_pair())
+    if name == "rk4":
+        return stability_polynomials(classical_rk4_pair())
+    if name.startswith("taylor"):
+        return _taylor_polys(int(name[len("taylor"):]))
+    return _region(stability_polynomials(catalog_get(name)), which)
+
+
+@pytest.mark.parametrize("name,which", REFERENCE_REGIONS,
+                         ids=[f"{which}-{name}" for name, which in REFERENCE_REGIONS])
+def test_trace_equals_numpy_scalar_continuation(name, which):
+    polys = _reference_region(name, which)
     trace = trace_boundary(polys, n_points=256)
     points, thetas, total = _numpy_trace(polys, 256)
-    assert np.array_equal(trace.points, points)
-    assert np.array_equal(trace.thetas, thetas)
     assert trace.total_theta == total
+    assert trace.winding * 2 * np.pi == total
+    assert np.array_equal(trace.thetas, thetas)
+    assert np.max(np.abs(trace.points - points)) <= 1e-10
+
+
+# turns of theta until the branch through the origin closes, (main, embedded),
+# in catalog order
+WINDINGS = {
+    "BS3(2)3 FSAL": (3, 3), "BS5(4)7 FSAL": (5, 5),
+    "RK3(2)5 3S*+": (5, 5), "RK3(2)5 3S*+ FSAL": (5, 6),
+    "RK4(3)9 3S*+": (9, 9), "RK4(3)9 3S*+ FSAL": (9, 10),
+    "RK5(4)10 3S*+": (8, 8), "RK5(4)10 3S*+ FSAL": (8, 8),
+    "SSP3(2)3": (3, 2), "SSP3(2)4": (4, 4),
+}
+
+
+def test_windings_of_the_catalog_boundaries():
+    assert list(WINDINGS) == catalog_names()
+    for name, windings in WINDINGS.items():
+        polys = stability_polynomials(catalog_get(name))
+        traces = [trace_boundary(_region(polys, which), n_points=64)
+                  for which in ("main", "embedded")]
+        assert tuple(t.winding for t in traces) == windings, name
+        for t in traces:
+            assert t.total_theta == 2 * np.pi * t.winding
+            assert t.halvings == 0
+
+
+def test_a_vanishing_derivative_fails_the_step_instead_of_raising():
+    # R'(0) = 0: every predictor divides by zero, so the step halves until
+    # the continuation gives up
+    polys = StabilityPolynomials(main=[1.0, 0.0, 1.0], embedded=[1.0], diff=[0.0],
+                                 s_eff=1)
+    with pytest.raises(stability.TraceError, match="stalled"):
+        trace_boundary(polys, n_points=64)
+
+
+def test_dense_resampling_gives_distinct_points():
+    polys = stability_polynomials(catalog_get("BS3(2)3 FSAL"))
+    trace = trace_boundary(polys, n_points=20000)
+    assert len(np.unique(trace.points)) == 20000
 
 
 @given(c=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
