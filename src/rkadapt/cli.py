@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 empty result.
 Array data goes to CSV (no timestamps, byte-stable for fixed inputs); run
-summaries including wall time go to JSON on stdout.
+summaries including wall time go to JSON on stdout.  A CSV number is the
+shortest repr that reads back to the same float (`nan`, `inf` and `-inf`
+included); every CSV has its header row, even with no rows under it; and
+`stability --grid-map` writes a rhomap row only where rho is finite.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EMPTY = 3
+
+# rows a CSV writer formats and writes at a time, so a large map never holds
+# its whole text at once
+_CSV_BLOCK = 1024
 
 # problem flags; each reaches the problems whose factory takes a parameter of its name
 _PROBLEM_SETTINGS = ("t_end", "elements", "degree", "grid", "lam", "seed")
@@ -56,11 +63,23 @@ def _open_out(path):
         raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_USAGE) from None
 
 
-def _write_csv(path, header, rows):
+def _fields(col):
+    """A column's CSV fields: a float64 array's by repr of its Python floats,
+    the bytes _fmt writes for each, at one call per column."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return map(repr, col.tolist())
+    return map(_fmt, col)
+
+
+def _write_csv(path, header, columns):
+    """CSV of equal-length columns (arrays or sequences), _CSV_BLOCK rows at a
+    time; a header only when the columns are empty."""
+    n = len(columns[0]) if columns else 0
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n, _CSV_BLOCK):
+            block = [_fields(col[start:start + _CSV_BLOCK]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _floats(text, flag):
@@ -154,7 +173,7 @@ def _write_snapshot(path, semi, u):
     names = [f"u{k}" for k in range(nvar)] if nvar else ["u"]
     header = [c for c, _ in coords] + names
     cols = [c for _, c in coords] + [vals[:, k] for k in range(vals.shape[1])]
-    _write_csv(path, header, zip(*cols))
+    _write_csv(path, header, cols)
 
 
 def cmd_integrate(args):
@@ -170,7 +189,7 @@ def cmd_integrate(args):
     if args.history_out:
         rows = [(t, dt, "accepted" if accepted else "rejected")
                 for t, dt, accepted in report.history]
-        _write_csv(args.history_out, ["t", "dt", "kind"], rows)
+        _write_csv(args.history_out, ["t", "dt", "kind"], list(zip(*rows)))
     if args.solution_out and not report.aborted:
         _write_snapshot(args.solution_out, problem.semi, report.u_final)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=1))
@@ -199,7 +218,7 @@ def cmd_sweep(args):
             rows.append((val, rep.nfe, rep.n_rejected, err, "ok"))
     header = ["tol" if args.tols else "nu", "nfe", "n_rejected", "error", "status"]
     out = args.out or "sweep.csv"
-    _write_csv(out, header, rows)
+    _write_csv(out, header, list(zip(*rows)))
     print(json.dumps({"rows": len(rows), "out": out,
                       "failed_rows": sum(r[-1] == "failed" for r in rows)},
                      sort_keys=True))
@@ -211,10 +230,16 @@ def cmd_stability(args):
     polys = stability.stability_polynomials(scheme)
     scale = polys.s_eff if args.scaled else 1.0
     out = args.out or "stability"
+    # every setting is checked before the first trace or file
     if args.points < 64:
         raise CliError("--points must be at least 64", EXIT_USAGE)
     if args.grid_map is not None and args.grid_map < 0:
         raise CliError("--grid-map must not be negative", EXIT_USAGE)
+    if args.grid_map and not args.control_map:
+        raise CliError("--grid-map needs --control-map", EXIT_USAGE)
+    if args.control_map and not args.beta:
+        raise CliError("--control-map requires --beta", EXIT_USAGE)
+    beta = _parse_beta(args.beta) if args.control_map else None
     code = EXIT_OK
     # the embedded boundary is traced as the main boundary of its polynomial
     for part, region in (("main", polys),
@@ -226,24 +251,26 @@ def cmd_stability(args):
             code = EXIT_NUMERICAL
         vals = np.abs(np.polynomial.polynomial.polyval(pts, region.main))
         _write_csv(f"{out}.{part}.csv", ["re", "im", "value"],
-                   [(z.real / scale, z.imag / scale, v) for z, v in zip(pts, vals)])
+                   [pts.real / scale, pts.imag / scale, vals])
 
     summary = {"out": out, "scaled_by": scale, "points": int(args.points)}
     if args.control_map:
-        if not args.beta:
-            raise CliError("--control-map requires --beta", EXIT_USAGE)
-        beta = _parse_beta(args.beta)
         report = stability.control_stability_scan(scheme, beta, n_points=args.points)
+        zs = np.array([z for z, _ in report.samples], dtype=complex)
+        rhos = np.array([rho for _, rho in report.samples], dtype=float)
         _write_csv(out + ".rho.csv", ["re", "im", "value"],
-                   [(z.real / scale, z.imag / scale, rho) for z, rho in report.samples])
+                   [zs.real / scale, zs.imag / scale, rhos])
         summary["max_rho"] = report.max_rho
         summary["stable"] = report.stable
         summary["skipped_samples"] = report.n_skipped
         if args.grid_map:
             Z, rho = stability.control_stability_map(scheme, beta, n_grid=args.grid_map)
-            rows = [(z.real / scale, z.imag / scale, v)
-                    for z, v in zip(Z.ravel(), rho.ravel()) if np.isfinite(v)]
-            _write_csv(out + ".rhomap.csv", ["re", "im", "value"], rows)
+            finite = np.isfinite(rho)
+            Z, rho = Z[finite], rho[finite]
+            # real and imaginary parts divided apart, as complex Z / scale rounds
+            # differently
+            _write_csv(out + ".rhomap.csv", ["re", "im", "value"],
+                       [Z.real / scale, Z.imag / scale, rho])
     print(json.dumps(summary, sort_keys=True, indent=1))
     return code
 
@@ -284,7 +311,7 @@ def cmd_search(args):
                          nfe, nrej, err, "failed" if failed else "ok"))
     _write_csv(out + ".csv",
                ["beta1", "beta2", "beta3", "problem", "tol", "nfe",
-                "n_rejected", "error", "status"], rows)
+                "n_rejected", "error", "status"], list(zip(*rows)))
     best = ranked[0]
     summary = {
         "scheme": result.scheme,

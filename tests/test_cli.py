@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rkadapt.cli import main
+from rkadapt import cli, stability
+from rkadapt.catalog import resolve_scheme
+from rkadapt.cli import _CSV_BLOCK, _fmt, main
 
 
 def run(capsys, *argv):
@@ -143,6 +146,71 @@ def test_stability_control_map_reports_instability(tmp_path, capsys):
     assert summary["stable"] is False
     rows = np.loadtxt(str(out) + ".rho.csv", delimiter=",", skiprows=1)
     assert rows[:, 2].max() == pytest.approx(summary["max_rho"], rel=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--control-map"], ["--grid-map", "50"],
+                                   ["--control-map", "--beta", "1,2,3,4"]])
+def test_stability_checks_its_settings_before_any_output(tmp_path, monkeypatch,
+                                                         capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "stability", "--scheme", "bs3", *flags, "--out", "p")
+    assert code == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rhomap_has_a_row_for_each_finite_rho(tmp_path, capsys):
+    out = tmp_path / "bs5"
+    code, _, _ = run(capsys, "stability", "--scheme", "bs5", "--scaled",
+                     "--beta", "0.7,-0.4,0", "--control-map", "--grid-map", "41",
+                     "--out", str(out))
+    assert code == 0
+    scheme = resolve_scheme("bs5")
+    Z, rho = stability.control_stability_map(scheme, (0.7, -0.4, 0.0), n_grid=41)
+    finite = np.isfinite(rho)
+    assert not finite.all()     # E vanishes at a grid point: a degenerate rho
+    rows = np.loadtxt(str(out) + ".rhomap.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (finite.sum(), 3)
+    scale = stability.stability_polynomials(scheme).s_eff
+    assert np.array_equal(rows[:, 0], Z[finite].real / scale)
+    assert np.array_equal(rows[:, 1], Z[finite].imag / scale)
+    assert np.array_equal(rows[:, 2], rho[finite])
+
+
+# floats whose repr is easy to get wrong: the signed zeros and infinities,
+# subnormals, and the neighbours of 1e-5 and 1e16, where repr switches
+# between positional and exponent notation
+_TRICKY = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+           2.2250738585072014e-308, 1e-5, math.nextafter(1e-5, 0),
+           math.nextafter(1e-5, 1), 1e16, math.nextafter(1e16, 0),
+           math.nextafter(1e16, math.inf), 0.1, 1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([0, 1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+       floats=st.lists(st.one_of(st.sampled_from(_TRICKY), st.floats()), min_size=1,
+                       max_size=40),
+       ints=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=10),
+       words=st.lists(st.sampled_from(["ok", "failed", "", "vortex2d"]), min_size=1,
+                      max_size=5))
+def test_csv_writer_writes_the_bytes_of_a_per_row_reference(tmp_path, n, floats,
+                                                            ints, words):
+    # each drawn list repeated to n rows, so blocks meet mid-pattern
+    col_f = np.resize(np.array(floats), n)
+    col_i = np.resize(np.array(ints, dtype=np.int64), n)
+    columns = [col_f, col_i, col_i.tolist(), np.resize(words, n).tolist(),
+               col_f.tolist()]
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), ["f", "i", "j", "w", "g"], columns)
+    reference = "f,i,j,w,g\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+                                        for row in zip(*columns))
+    text = path.read_text()
+    assert text == reference
+    # every float reads back to its own bits (a NaN to a NaN: repr drops its payload)
+    parsed = np.array([float(line.split(",")[0]) for line in text.splitlines()[1:]])
+    nan = np.isnan(col_f)
+    assert np.array_equal(np.isnan(parsed), nan)
+    assert np.array_equal(parsed[~nan].view(np.int64), col_f[~nan].view(np.int64))
 
 
 def test_search_small_budget_recommends_a_candidate(tmp_path, capsys):
@@ -401,7 +469,10 @@ BAD_COEFF_FILES = {
     ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-3",
      "--out", "x"],
     ["stability", "--scheme", "bs3", "--seed", "1"],
-] + [["stability", "--coeff-file", name] for name in BAD_COEFF_FILES])
+] + [["stability", "--coeff-file", name] for name in BAD_COEFF_FILES] + [
+    # a dense map is drawn only with --control-map; without it, it drew nothing
+    ["stability", "--scheme", "bs3", "--grid-map", "50"],
+])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):
     monkeypatch.chdir(tmp_path)

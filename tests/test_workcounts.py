@@ -8,7 +8,8 @@ HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
         "| max error | sha256[:16] of `u_final` | status |\n|" + "---|" * 11 + "\n")
 
 
-def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None):
+def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None,
+           sweep_digest="s0"):
     lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
     stability = ("" if rho_digest is None else
                  "stability RK3(2)5 3S*+ FSAL: exit 0\n")
@@ -18,6 +19,8 @@ def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None):
     path.write_text(HEAD + "\n".join(lines) + f"\n\nacceptance suite: pytest exit {acceptance}\n"
                     f"dg_sweep vortex2d/bs3/pid@0.001: exit {sweep}\n" + stability +
                     "controller_search command: exit 0\n"
+                    "sha256 dg_sweep vortex2d/bs3/pid@0.001 solution+history.csv: "
+                    f"{sweep_digest}\n"
                     f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n" + digests)
 
 
@@ -61,6 +64,7 @@ def test_diff_of_matching_tables_exits_0_and_status_lines_count(tmp_path):
     assert "identical in every column: 2\n" in done.stdout
     assert "Exit status lines changed: 0 of 3\n" in done.stdout
     assert "dg_sweep vortex2d/bs3/pid@0.001: exit 2 in both" in done.stdout
+    assert "dg_sweep vortex2d/bs3/pid@0.001 solution+history.csv: unchanged" in done.stdout
     # a red acceptance run differs even when every row is identical
     _table(new, rows, "d1", acceptance=1, sweep=2)
     done = _diff(old, new)
@@ -85,3 +89,8 @@ def test_diff_compares_the_stability_map_digests(tmp_path):
     assert "identical in every column: 1\n" in done.stdout
     assert "stability RK3(2)5 3S*+ FSAL rho.csv: changed, r1 -> r2" in done.stdout
     assert "stability RK3(2)5 3S*+ FSAL main.csv: unchanged" in done.stdout
+    # identical rows and maps, one moved solution or history CSV
+    _table(new, rows, "d1", rho_digest="r1", sweep_digest="s1")
+    done = _diff(old, new)
+    assert done.returncode == 1
+    assert "solution+history.csv: changed, s0 -> s1" in done.stdout

@@ -14,8 +14,10 @@ controller, nfe, accepted and rejected counts, max error (repr, so every bit
 shows) and the sha256 of the final state's bytes.  Rows are sorted, so a
 version that runs the same integrations in another order (one ensemble
 instead of separate runs) prints the same table.  Last come the sha256
-digests of search.csv and search.json of the benchmark's controller_search
-command, and of the main, embedded, rho and rhomap CSVs that
+digests of the CSVs the commands write: one per dg_sweep command over its
+--solution-out and --history-out files, then search.csv and search.json of
+the benchmark's controller_search command, and the main, embedded, rho and
+rhomap CSVs that
 
     rkadapt stability --scheme NAME --scaled --beta 0.6,-0.2,0 --control-map --grid-map 101
 
@@ -110,12 +112,17 @@ class Recorder:
                           f"aborted: {report.abort_reason}" if report.aborted else "ok"))
 
 
-def _file_digest(path):
-    """sha256 of a file's bytes, or '-' when the file is missing."""
-    if not os.path.exists(path):
+def _file_digest(*paths):
+    """sha256 of the bytes of the files that exist, in order, or '-' when none
+    does."""
+    found = [path for path in paths if os.path.exists(path)]
+    if not found:
         return "-"
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    sha = hashlib.sha256()
+    for path in found:
+        with open(path, "rb") as fh:
+            sha.update(fh.read())
+    return sha.hexdigest()
 
 
 def _cli(cli, argv):
@@ -222,28 +229,33 @@ def main(argv=None):
                             os.path.join(root, "tests", "test_acceptance.py")])
     status = [f"acceptance suite: pytest exit {int(code)}"]
 
-    for group, scheme, problem, beta, settings in workloads.DG_GROUPS:
-        for value in settings:
-            rec.run = f"dg_sweep {group}@{value:g}"
-            argv = ["integrate", "--scheme", scheme, "--problem", problem,
-                    "--t-end", repr(workloads.T_END[problem])]
-            if beta is None:
-                argv += ["--cfl", repr(value)]
-            else:
-                argv += ["--tol", repr(value), "--beta", ",".join(repr(b) for b in beta)]
-            status.append(f"{rec.run}: exit {_cli(cli, argv)}")
-
-    rec.run = None
+    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            for group, scheme, problem, beta, settings in workloads.DG_GROUPS:
+                for value in settings:
+                    rec.run = f"dg_sweep {group}@{value:g}"
+                    files = [f"dg{len(digests)}.{part}.csv" for part in ("u", "history")]
+                    argv = ["integrate", "--scheme", scheme, "--problem", problem,
+                            "--t-end", repr(workloads.T_END[problem]),
+                            "--solution-out", files[0], "--history-out", files[1]]
+                    if beta is None:
+                        argv += ["--cfl", repr(value)]
+                    else:
+                        argv += ["--tol", repr(value),
+                                 "--beta", ",".join(repr(b) for b in beta)]
+                    status.append(f"{rec.run}: exit {_cli(cli, argv)}")
+                    digests[f"{rec.run} solution+history.csv"] = _file_digest(*files)
+
+            rec.run = None
             code = _cli(cli, ["search", "--scheme", workloads.SEARCH_SCHEME,
                               "--problems", workloads.SEARCH_PROBLEMS,
                               "--tol", repr(workloads.SEARCH_TOL),
                               "--budget", str(workloads.SEARCH_BUDGET),
                               "--seed", str(workloads.SEARCH_SEED), "--out", "search"])
-            digests = {name: _file_digest(name) for name in ("search.csv", "search.json")}
+            digests.update((name, _file_digest(name)) for name in ("search.csv", "search.json"))
             for i, scheme in enumerate(catalog.catalog_names()):
                 argv = ["stability", "--scheme", scheme, "--scaled", "--beta", "0.6,-0.2,0",
                         "--control-map", "--grid-map", "101", "--out", f"stab{i}"]
