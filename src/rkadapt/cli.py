@@ -73,7 +73,7 @@ def _fields(col):
 
 def _write_csv(path, header, columns):
     """CSV of equal-length columns (arrays or sequences), _CSV_BLOCK rows at a
-    time; a header only when the columns are empty."""
+    time; just the header when the columns hold no rows."""
     n = len(columns[0]) if columns else 0
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
@@ -239,7 +239,7 @@ def cmd_stability(args):
         raise CliError("--grid-map needs --control-map", EXIT_USAGE)
     if args.control_map and not args.beta:
         raise CliError("--control-map requires --beta", EXIT_USAGE)
-    beta = _parse_beta(args.beta) if args.control_map else None
+    beta = _parse_beta(args.beta) if args.beta else None
     code = EXIT_OK
     # the embedded boundary is traced as the main boundary of its polynomial
     for part, region in (("main", polys),

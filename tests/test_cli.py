@@ -149,7 +149,8 @@ def test_stability_control_map_reports_instability(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--control-map"], ["--grid-map", "50"],
-                                   ["--control-map", "--beta", "1,2,3,4"]])
+                                   ["--control-map", "--beta", "1,2,3,4"],
+                                   ["--beta", "a,b"]])
 def test_stability_checks_its_settings_before_any_output(tmp_path, monkeypatch,
                                                          capsys, flags):
     monkeypatch.chdir(tmp_path)
