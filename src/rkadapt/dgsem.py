@@ -9,10 +9,10 @@ equations.  States keep their tensor shape: (nel, n) or (nel, n, nvar) in
 Every semidiscretization is `batched`: it also takes a stack of m states,
 shape (m, *state shape), with a time per member, and `rhs`, `is_admissible`
 and `cfl_timescale` then answer per member, bit for bit as member-by-member
-calls do.  The kernels index from the end and take each volume derivative
-as one stacked matmul over slices whose last two axes are (node, rest):
-every slice is the same matrix product whatever the leading axes, so a
-stack's rows equal the per-member products.
+calls do.  Each volume derivative is one matrix product led by the node
+axis: slices whose last two axes are (node, rest), or the node-major
+working layout of `EulerSemidisc2d`.  Every column is the same product
+whatever the stack, so a stack's rows equal the per-member products.
 """
 
 from __future__ import annotations
@@ -373,24 +373,19 @@ def _sound_speed(rho, p):
         return np.sqrt(GAMMA * p / rho)
 
 
-def _llf_surface(du, u, f, speed, face, nb, left, right, jw0, jwN):
-    """Add the local Lax-Friedrichs surface terms on the faces normal to the
-    node axis `face` of the nodal speed array, whose element axis `nb` is
-    periodic.  Both axes count from the end; u, f and du carry one more
-    axis, the variables', last.
+def _llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
+    """Add the local Lax-Friedrichs surface terms on one family of faces.
 
-    Face states, fluxes and wave speeds are the end-node values of the
-    nodal arrays u, f and speed; `left`/`right` index each element's
-    neighbours and jw0, jwN are the Jacobian-weight scalings of its first
-    and last node.
+    The index tuples `first`/`last` pick each element's first/last node slab
+    of u, f, du and the wave speeds (with a size-1 variable axis): the face
+    states, fluxes and speeds.  `nb` is the slabs' periodic element axis,
+    from the end; `left`/`right` index each element's neighbours and jw0,
+    jwN are the Jacobian-weight scalings of its first and last node.
     """
-    after = (slice(None),) * (-face - 1)
-    first_node, last_node = (..., 0) + after, (..., -1) + after
-    first, last = first_node + (slice(None),), last_node + (slice(None),)
     uR, fR = u[first], f[first]
     uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
-    lam = np.maximum(speed[last_node].take(left, axis=nb + 1), speed[first_node])
-    fstar = 0.5 * (fL + fR) - 0.5 * lam[..., None] * (uR - uL)
+    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
+    fstar = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
     du[first] += (fstar - fR) / jw0
     du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
 
@@ -421,10 +416,10 @@ class EulerSemidisc1d(_Semidisc1d):
             f[..., 0] = u[..., 1]
             f[..., 1] = u[..., 1] * v + p
             f[..., 2] = (u[..., 2] + p) * v
-            speed = np.abs(v) + np.sqrt(GAMMA * p / rho)
+            speed = (np.abs(v) + np.sqrt(GAMMA * p / rho))[..., None]
             du = self._vol * np.matmul(self.op.D, f)
-            _llf_surface(du, u, f, speed, -1, -2, self._left, self._right,
-                         self._jw0, self._jwN)
+            _llf_surface(du, u, f, speed, np.s_[..., 0, :], np.s_[..., -1, :],
+                         -2, self._left, self._right, self._jw0, self._jwN)
         if self.energy_source is not None:
             if np.ndim(t):      # a time per member, each source a Python float
                 du[..., 2] += np.array([self.energy_source(float(tm))
@@ -442,16 +437,20 @@ class EulerSemidisc1d(_Semidisc1d):
 
 
 class EulerSemidisc2d(_Semidisc2d):
-    """2D compressible Euler on a periodic tensor-product grid."""
+    """2D compressible Euler on a periodic tensor-product grid.
+
+    `rhs` transposes its input once each way to work in the layout (node x,
+    node y, variable, *members, element x, element y); its float operations
+    and their order are the state layout's, so its results are the same bits.
+    """
 
     nvar = 4
 
     def __init__(self, grid: Grid2d, p: int):
         super().__init__(grid, p)
         w = self.op.weights
-        jx, jy = self.jx[:, None, None, None], self.jy[None, :, None, None]
-        self._vol_x = -(1.0 / jx[..., None])
-        self._vol_y = -(1.0 / jy[..., None])
+        jx, jy = self.jx[:, None], self.jy      # (element x, element y) last
+        self._vol_x, self._vol_y = -(1.0 / jx), -(1.0 / jy)
         self._jw0_x, self._jwN_x = jx * w[0], jx * w[-1]
         self._jw0_y, self._jwN_y = jy * w[0], jy * w[-1]
 
@@ -459,26 +458,27 @@ class EulerSemidisc2d(_Semidisc2d):
         return _finite_and_positive(u, euler_primitives_2d, self._axes)
 
     def rhs(self, t, u):
-        D = self.op.D
+        D, lead = self.op.D, np.ndim(u) - 5
+        axes = (lead + 2, lead + 3, lead + 4, *range(lead), lead, lead + 1)
+        q = np.ascontiguousarray(np.transpose(u, axes))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            rho, vx, vy, p = euler_primitives_2d(u)
+            rho, vx, vy, p = euler_primitives_2d(np.moveaxis(q, 2, -1))
             c = np.sqrt(GAMMA * p / rho)
             # u * v_n is the flux of mass and momentum; p and the energy
             # flux (E + p) v_n complete it
-            fx = u * vx[..., None]
-            fx[..., 1] += p
-            fx[..., 3] = (u[..., 3] + p) * vx
-            fy = u * vy[..., None]
-            fy[..., 2] += p
-            fy[..., 3] = (u[..., 3] + p) * vy
-            dfx = np.matmul(D, fx.reshape(fx.shape[:-3] + (len(D), -1))).reshape(fx.shape)
-            du = self._vol_x * dfx
-            du += self._vol_y * np.matmul(D, fy)
-            _llf_surface(du, u, fx, np.abs(vx) + c, -2, -4, self._lx, self._rx,
-                         self._jw0_x, self._jwN_x)
-            _llf_surface(du, u, fy, np.abs(vy) + c, -1, -3, self._ly, self._ry,
-                         self._jw0_y, self._jwN_y)
-        return du
+            fx = q * vx[:, :, None]
+            fx[:, :, 1] += p
+            fx[:, :, 3] = (q[:, :, 3] + p) * vx
+            fy = q * vy[:, :, None]
+            fy[:, :, 2] += p
+            fy[:, :, 3] = (q[:, :, 3] + p) * vy
+            du = self._vol_x * (D @ fx.reshape(len(D), -1)).reshape(q.shape)
+            du += self._vol_y * (D @ fy.reshape(len(D), len(D), -1)).reshape(q.shape)
+            _llf_surface(du, q, fx, (np.abs(vx) + c)[:, :, None], (0,), (-1,), -2,
+                         self._lx, self._rx, self._jw0_x, self._jwN_x)
+            _llf_surface(du, q, fy, (np.abs(vy) + c)[:, :, None], np.s_[:, 0], np.s_[:, -1],
+                         -1, self._ly, self._ry, self._jw0_y, self._jwN_y)
+        return np.ascontiguousarray(np.transpose(du, np.argsort(axes)))
 
     __call__ = rhs
 

@@ -538,6 +538,66 @@ def test_batched_kernels_equal_per_member_calls(m, nex, ney, p, kind, amplitude,
                                   equal_nan=True), (type(semi), method)
 
 
+def _output_contract_cases():
+    """Every built-in semidiscretization and the Dahlquist problem, each
+    with a state, on small perturbed grids."""
+    rng = np.random.default_rng(7)
+    g1 = _grid1d(3, "perturbed", 7)
+    g2 = Grid2d(g1, _grid1d(2, "perturbed", 8, 0.0, 3.0))
+    n = 3
+    cases = {
+        "advection1d": (AdvectionSemidisc1d(g1, 2, 0.7), rng.standard_normal((3, n))),
+        "advection2d": (AdvectionSemidisc2d(g2, 2, (0.7, -0.4)),
+                        rng.standard_normal((3, 2, n, n))),
+        "euler1d": (EulerSemidisc1d(g1, 2), _euler_state((3, n), 1, 7, 0.3)),
+        "euler1d+source": (EulerSemidisc1d(g1, 2, energy_source=_python_float_source),
+                           _euler_state((3, n), 1, 8, 0.3)),
+        "euler2d": (EulerSemidisc2d(g2, 2), _euler_state((3, 2, n, n), 2, 7, 0.3)),
+        "dahlquist": (DahlquistRhs(-0.8, 2), rng.standard_normal((3, n))),
+    }
+    return [pytest.param(rhs, state, id=name) for name, (rhs, state) in cases.items()]
+
+
+@pytest.mark.parametrize("rhs, state", _output_contract_cases())
+@pytest.mark.parametrize("m", [None, 1, 3])
+def test_rhs_returns_a_fresh_c_contiguous_array_and_keeps_its_input(rhs, state, m):
+    # integrate_ensemble keeps rows of earlier RHS results as FSAL caches
+    # across attempts, so a kernel that hands back a reused buffer, or a
+    # view of its input, would corrupt them without any error
+    if m is None:
+        t, u = 0.3, state.copy()
+    else:
+        t = np.linspace(0.1, 0.9, m)
+        u = np.stack([state * (1.0 + 1e-3 * k) for k in range(m)])
+    before = u.copy()
+    first = rhs(t, u)
+    second = rhs(t, u)
+    for du in (first, second):
+        assert type(du) is np.ndarray and du.dtype == np.float64
+        assert du.shape == u.shape and du.flags.c_contiguous
+        assert not np.shares_memory(du, u)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+    assert u.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("elements, m", [(8, 64), (20, 16)])
+def test_large_vortex_stacks_equal_each_members_own_call(elements, m):
+    # a stack widens the kernels' matrix products with its member count,
+    # past the sizes the generated stacks above reach; each row must still
+    # be its member's own call, and that call the recomputing formulation's
+    prob = make_problem("vortex2d", elements=elements, degree=2)
+    rng = np.random.default_rng(elements * 1000 + m)
+    semi, times = prob.semi, rng.uniform(0.0, 5.0, m)
+    u = prob.u0 * (1.0 + 1e-3 * rng.standard_normal((m,) + prob.u0.shape))
+    assert np.all(semi.is_admissible(u))
+    du = semi.rhs(times, u)
+    for k in range(m):
+        own = semi.rhs(float(times[k]), u[k])
+        assert np.array_equal(du[k], own), k
+        assert np.array_equal(own, _reference_rhs(semi, float(times[k]), u[k])), k
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_advection_1d_matrix_and_sigma_equal_the_column_build(p):
     nel = 8
