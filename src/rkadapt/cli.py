@@ -96,6 +96,8 @@ def _parse_beta(text):
         parts.append(0.0)
     if len(parts) != 3:
         raise CliError("--beta expects b1,b2[,b3]", EXIT_USAGE)
+    if not all(map(math.isfinite, parts)):
+        raise CliError(f"--beta must be finite, got {text!r}", EXIT_USAGE)
     return tuple(parts)
 
 
@@ -435,8 +437,6 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except IntegrationAbort:
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ embedded solution from the delta accumulator,
     uhat = (S2 + delta_s S1 + delta_{s+1} S3) / sum(delta),
 
 while the plus variants ("3s*+") accumulate an explicit bhat combination in a
-fourth register.
+fourth register.  Each register update skips its zero coefficients (SSP3(2)4
+has 7 zero gammas and 3 zero deltas), and S2 and the fourth register hold no
+array until their first term: on finite states, bit for bit the full sums
+up to the sign of an exact zero.
 
 Reconstruction to Butcher form runs the identical register program, with
 dt = 1, on the unit vectors of the basis {u^n, k_1, ..., k_m}: every f
@@ -128,6 +131,19 @@ def _solve_stage_increments(name, gamma1, gamma2, delta, beta):
     return w
 
 
+def _combine(*terms):
+    """sum of c * x over the terms (c, x), left to right from the first term
+    kept.  A term with c = 0, or with x None (a register still zero), adds
+    nothing, and c = 1 adds x itself; with every term skipped the sum is
+    0 * x of the last term.  Generic over the state algebra."""
+    total = None
+    for c, x in terms:
+        if c != 0 and x is not None:
+            term = x if c == 1 else c * x
+            total = term if total is None else total + term
+    return 0 * x if total is None else total
+
+
 def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True,
                      coefficients=None):
     """Shared register program for 3s*/3s*+; generic over the state algebra.
@@ -142,25 +158,23 @@ def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True,
                         scheme.delta, scheme.bhat, scheme.stage_increments, scheme.c)
     g1, g2, g3, be, de, bh, w, c = coefficients
     s = scheme.s
-    S1 = u
-    S2 = u * 0
-    S3 = u
+    S1 = S3 = u
+    S2 = E = None
     plus = scheme.scheme_class == "3s*+"
-    E = u * 0 if (plus and with_estimate) else None
     for i in range(s):
-        S2 = S2 + de[i] * S1
+        S2 = _combine((1, S2), (de[i], S1))
         f = f0 if (i == 0 and f0 is not None) else rhs(t + c[i] * dt, S1)
         k = dt * f
-        if E is not None:
-            E = E + (be[i] - bh[i]) * k
-        S1 = g1[i] * S1 + g2[i] * S2 + g3[i] * S3 + w[i] * k
+        if plus and with_estimate:
+            E = _combine((1, E), (be[i] - bh[i], k))
+        S1 = _combine((g1[i], S1), (g2[i], S2), (g3[i], S3), (w[i], k))
     u_new = S1
     if not with_estimate:
         return u_new, None, None
     if plus:
         err = E
     else:
-        uhat = (S2 + de[s - 1] * S1 + de[s] * S3) / np.sum(de)
+        uhat = _combine((1, S2), (de[s - 1], S1), (de[s], S3)) / np.sum(de)
         err = u_new - uhat
     fsal_f = None
     if scheme.fsal and bh[s] != 0:

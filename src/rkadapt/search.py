@@ -18,7 +18,8 @@ from scipy.stats import qmc
 
 from . import stability
 from .control import ControllerConfig
-from .integrate import IntegrationAbort, integrate, integrate_ensemble
+# `integrate` is not called here; perfbench/tracing.py wraps search.integrate
+from .integrate import integrate, integrate_ensemble  # noqa: F401
 
 DEFAULT_TOLERANCES = tuple(10.0 ** -e for e in range(8, 0, -1))   # 1e-8 .. 1e-1
 MAX_ATTEMPTS = 2_000_000     # step attempts per run before it counts as failed
@@ -178,16 +179,9 @@ def _run_ensemble(scheme, problem, betas, tol):
 
 
 def _run_one(scheme, problem, beta, tol):
-    """The search row of one candidate's run alone; equal to its row from
-    the ensemble."""
-    cfg = ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
-    try:
-        rep = integrate(scheme, problem.semi, cfg, problem.t0, problem.t_end,
-                        problem.u0, error_fn=problem.error_fn,
-                        max_attempts=MAX_ATTEMPTS)
-    except IntegrationAbort as exc:
-        rep = exc.report
-    return _row(problem, tol, rep)
+    """The search row of one candidate's run alone: the one-member
+    ensemble."""
+    return _run_ensemble(scheme, problem, [beta], tol)[0]
 
 
 def _row(problem, tol, rep):

@@ -1,5 +1,13 @@
 """Single Runge-Kutta steps: dense Butcher form and low-storage sweeps.
 
+`step` is the one step function.  The scheme's type picks its sweep: a
+ButcherPair the dense tableau sweep, a 3S*/3S*+ set its register sweep
+(`butcher_step` and `lowstorage_step` are other names of `step`).  Both
+sweeps build every linear combination with `lowstorage._combine`, which
+skips zero coefficients and the multiply by a coefficient of 1; on finite
+states that is bit for bit the sum with every term, up to the sign of an
+exact zero.
+
 Both forms share the FSAL contract: the error estimator of an FSAL pair ends
 with an evaluation f(t+dt, u_new) that doubles as the first stage of the next
 step, so a step following an accepted step consumes s evaluations and only
@@ -20,8 +28,8 @@ the one-member ensemble.
 Each attempt is one sweep of the whole stack.  A member whose state turns
 NaN/Inf leaves it there: the RHS no longer evaluates its rows, which hold
 NaN from then on, and its count stops at that state.  The others sweep on.
-The sweep runs under `np.errstate(invalid="ignore")`, since a dead row's
-registers meet zero coefficients and inf - inf.
+The sweep runs under `np.errstate(invalid="ignore")`, since a row whose RHS
+returned inf can meet inf - inf in its registers before it dies.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .butcher import ButcherPair
-from .lowstorage import _lowstorage_core
+from .lowstorage import _combine, _lowstorage_core
 
 
 @dataclass
@@ -64,13 +72,12 @@ class _Stack:
     a broadcasting column (or a vector) for several.  `rows`, when given,
     names the members a partial stack holds."""
 
-    __slots__ = ("rhs", "batched", "calls", "nfe", "live")
+    __slots__ = ("rhs", "batched", "nfe", "live")
 
     def __init__(self, rhs, m):
         self.rhs = rhs
         self.batched = getattr(rhs, "batched", False)
-        self.calls = 0                       # calls made while every member lived
-        self.nfe = np.zeros(m, dtype=int)    # per member: partial-stack calls, calls after a death
+        self.nfe = [0] * m                   # evaluations per member
         self.live = None                     # per-member mask once one has died
 
     def _eval(self, times, u):
@@ -80,18 +87,18 @@ class _Stack:
 
     def __call__(self, t, u, rows=None):
         times = t.reshape(len(u)) if isinstance(t, np.ndarray) else np.array([t])
+        rows = range(len(u)) if rows is None else rows
         if self.live is None and np.isfinite(u).all():
-            if rows is None:
-                self.calls += 1
-            else:
-                self.nfe[rows] += 1
+            for j in rows:
+                self.nfe[j] += 1
             return self._eval(times, u)
         if self.live is None:
             self.live = np.ones(len(self.nfe), dtype=bool)
-        rows = np.arange(len(u)) if rows is None else np.asarray(rows)
+        rows = np.asarray(rows)
         self.live[rows] &= _finite_members(u)
         keep = self.live[rows]
-        self.nfe[rows[keep]] += 1
+        for j in rows[keep]:
+            self.nfe[j] += 1
         out = np.full(u.shape, np.nan, dtype=np.result_type(u.dtype, float))
         if keep.any():
             out[keep] = self._eval(times[keep], u[keep])
@@ -105,33 +112,20 @@ def _butcher_sweep(pair: ButcherPair, rhs, t, dt, u, f0, need_estimate):
     A, b, c, bhat = pair.A, pair.b, pair.c, pair.bhat
     ks = [f0 if f0 is not None else rhs(t, u)]
     for i in range(1, s):
-        y = u + dt * sum(A[i, j] * ks[j] for j in range(i) if A[i, j] != 0.0)
+        y = u + dt * _combine(*zip(A[i, :i], ks))
         ks.append(rhs(t + c[i] * dt, y))
-    u_new = u + dt * sum(b[i] * ks[i] for i in range(s) if b[i] != 0.0)
+    u_new = u + dt * _combine(*zip(b, ks))
     err = fsal_f = None
     if need_estimate:
-        err = dt * sum((b[i] - bhat[i]) * ks[i] for i in range(s))
+        err = dt * _combine(*zip(b - bhat[:s], ks))
         if pair.fsal:
             fsal_f = rhs(t + dt, u_new)
             err = err - dt * bhat[s] * fsal_f
     return u_new, err, fsal_f
 
 
-def _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
-    """One attempt of a single state, or of each member of a stack."""
-    if np.ndim(t) == 0:
-        res = _step_members(sweep, scheme, rhs, np.array([t], dtype=float),
-                            np.array([dt], dtype=float), np.asarray(u)[None], [f0],
-                            need_estimate)
-        return StepResult(res.u_new[0], None if res.err_diff is None else res.err_diff[0],
-                          int(res.nfe[0]), None if res.fsal_f is None else res.fsal_f[0],
-                          bool(res.finite[0]))
-    return _step_members(sweep, scheme, rhs, np.asarray(t, dtype=float),
-                         np.asarray(dt, dtype=float), u, f0, need_estimate)
-
-
-def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
-    """One sweep of the whole stack.
+def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
+    """One attempt of a single state, or one sweep of a whole stack.
 
     `rhs` is the problem's RHS: a batched one evaluates the stack, with a
     time per member, in one call, any other one member at a time, with a
@@ -140,9 +134,13 @@ def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
     state turns NaN/Inf leaves the sweep with the evaluations made up to that
     state, as its own run's guard leaves it, and the others sweep on.  A
     member is finite when it lived through the sweep and its u_new and error
-    estimate are finite; the others get NaN in u_new.  Times and steps enter
-    as columns broadcasting over each state, or as floats for one member.
+    estimate are finite; the others get NaN in u_new.
     """
+    sweep = _butcher_sweep if isinstance(scheme, ButcherPair) else _lowstorage_core
+    single = np.ndim(t) == 0
+    if single:
+        t, dt, u, f0 = [t], [dt], np.asarray(u)[None], [f0]
+    t, dt = np.asarray(t, dtype=float), np.asarray(dt, dtype=float)
     m = len(u)
     cr = _Stack(rhs, m)
     with np.errstate(invalid="ignore"):
@@ -154,39 +152,27 @@ def _step_members(sweep, scheme, rhs, t, dt, u, f0, need_estimate):
                 for j, f in zip(todo, cr(t[todo], u[todo], todo)):
                     rows[j] = f
             first = _stacked(rows)
+        # times and steps broadcast over each state as columns, or as floats
+        # for one member
         if m == 1:
             tm, dtm = float(t[0]), float(dt[0])
         else:
             column = (m,) + (1,) * (u.ndim - 1)
             tm, dtm = t.reshape(column), dt.reshape(column)
         u_new, err, fsal_f = sweep(scheme, cr, tm, dtm, u, first, need_estimate)
-    nfe = (cr.nfe + cr.calls).tolist()
-    if (cr.live is None and np.isfinite(u_new).all()
-            and (err is None or np.isfinite(err).all())):
-        return StepResult(u_new, err, nfe, fsal_f, [True] * m)
     finite = _finite_members(u_new)
     if cr.live is not None:
         finite &= cr.live
     if err is not None:
         finite &= _finite_members(err)
-    u_new[~finite] = np.nan
-    return StepResult(u_new, err, nfe, fsal_f, finite.tolist())
+    if not finite.all():
+        u_new = u_new.copy()       # a scheme with zero weights returns u itself
+        u_new[~finite] = np.nan
+    finite = finite.tolist()
+    if single:
+        return StepResult(u_new[0], None if err is None else err[0], cr.nfe[0],
+                          None if fsal_f is None else fsal_f[0], finite[0])
+    return StepResult(u_new, err, cr.nfe, fsal_f, finite)
 
 
-def butcher_step(pair: ButcherPair, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
-    """One step of the dense tableau form."""
-    return _step(_butcher_sweep, pair, rhs, t, dt, u, f0, need_estimate)
-
-
-def lowstorage_step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
-    """One step of the memory-minimal register form of a scheme.
-
-    The gamma/delta sweep for 3S*/3S*+ sets; plain ButcherPairs, which have
-    no special low-storage structure, take the dense form.
-    """
-    sweep = _butcher_sweep if isinstance(scheme, ButcherPair) else _lowstorage_core
-    return _step(sweep, scheme, rhs, t, dt, u, f0, need_estimate)
-
-
-# every scheme steps in its native form (low-storage when it has one)
-step = lowstorage_step
+butcher_step = lowstorage_step = step

@@ -150,7 +150,8 @@ def test_stability_control_map_reports_instability(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--control-map"], ["--grid-map", "50"],
                                    ["--control-map", "--beta", "1,2,3,4"],
-                                   ["--beta", "a,b"]])
+                                   ["--beta", "a,b"],
+                                   ["--control-map", "--beta", "inf,-0.2"]])
 def test_stability_checks_its_settings_before_any_output(tmp_path, monkeypatch,
                                                          capsys, flags):
     monkeypatch.chdir(tmp_path)
@@ -473,6 +474,8 @@ BAD_COEFF_FILES = {
 ] + [["stability", "--coeff-file", name] for name in BAD_COEFF_FILES] + [
     # a dense map is drawn only with --control-map; without it, it drew nothing
     ["stability", "--scheme", "bs3", "--grid-map", "50"],
+    # a non-finite --beta wrote the boundary CSVs, then raised in the rho batch
+    ["stability", "--scheme", "bs3", "--control-map", "--beta", "nan,0", "--out", "s"],
 ])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):

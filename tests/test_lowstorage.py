@@ -249,3 +249,54 @@ def test_random_set_export_load_roundtrip_bit_identical(scheme):
                  "stage_increments", "c"):
         assert np.array_equal(getattr(loaded, attr), getattr(scheme, attr)), attr
     assert (loaded.scheme_class, loaded.fsal) == (scheme.scheme_class, scheme.fsal)
+
+
+def _full_coefficient_sweep(scheme, rhs, t, dt, u):
+    """The 3S*/3S*+ register sweep with every gamma, delta and weight
+    multiplied and zero registers held as u * 0, as it ran before zero
+    coefficients were skipped.  Returns (u_new, err_diff, fsal_f)."""
+    g1, g2, g3, be, de, bh = (getattr(scheme, attr) for attr in
+                              ("gamma1", "gamma2", "gamma3", "beta", "delta", "bhat"))
+    w, c, s = scheme.stage_increments, scheme.c, scheme.s
+    S1, S2, S3, E = u, u * 0, u, u * 0
+    for i in range(s):
+        S2 = S2 + de[i] * S1
+        k = dt * rhs(t + c[i] * dt, S1)
+        E = E + (be[i] - bh[i]) * k
+        S1 = g1[i] * S1 + g2[i] * S2 + g3[i] * S3 + w[i] * k
+    if scheme.scheme_class == "3s*+":
+        err = E
+    else:
+        err = S1 - (S2 + de[s - 1] * S1 + de[s] * S3) / np.sum(de)
+    fsal_f = None
+    if scheme.fsal and bh[s] != 0:
+        fsal_f = rhs(t + dt, S1)
+        err = err - bh[s] * (dt * fsal_f)
+    return S1, err, fsal_f
+
+
+def _assert_zero_skipping_is_bit_identical(scheme, seed, dt):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((6, 6)) * 0.3
+    rhs = lambda t, u: A @ u + 0.2 * u * u + 0.1 * np.sin(t)
+    u = rng.standard_normal(6)
+    res = step(scheme, rhs, 0.3, dt, u)
+    u_new, err, fsal_f = _full_coefficient_sweep(scheme, rhs, 0.3, dt, u)
+    assert res.u_new.tobytes() == u_new.tobytes()
+    assert res.err_diff.tobytes() == err.tobytes()
+    assert (res.fsal_f is None) == (fsal_f is None)
+    if fsal_f is not None:
+        assert res.fsal_f.tobytes() == fsal_f.tobytes()
+
+
+@pytest.mark.parametrize("name", [name for name in catalog_names()
+                                  if isinstance(catalog_get(name), LowStorageScheme)])
+def test_zero_skipping_is_bit_identical_on_catalog_sets(name):
+    for seed, dt in ((0, 0.01), (1, 0.1), (2, 0.5)):
+        _assert_zero_skipping_is_bit_identical(catalog_get(name), seed, dt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=threestar_sets(), seed=st.integers(0, 2**16), dt=st.floats(1e-3, 0.5))
+def test_zero_skipping_is_bit_identical_on_random_sets(scheme, seed, dt):
+    _assert_zero_skipping_is_bit_identical(scheme, seed, dt)

@@ -5,7 +5,7 @@ import pytest
 
 from rkadapt.catalog import catalog_get, catalog_names
 from rkadapt.control import ControllerConfig
-from rkadapt.integrate import integrate
+from rkadapt.integrate import IntegrationAbort, integrate
 from rkadapt.problems import make_problem
 from rkadapt import search
 from rkadapt.search import (CandidateResult, EmptyStableSetError, SearchSpace,
@@ -83,6 +83,20 @@ def test_degenerate_single_candidate_search_matches_direct_run():
     assert ranked[0].beta == (0.60, -0.20, 0.00)
 
 
+def _integrated_row(scheme, problem, beta, tol):
+    """A candidate's search row from its own `integrate` run, an abort
+    caught from the raise."""
+    cfg = ControllerConfig.for_scheme(scheme, tol=tol, beta=beta)
+    try:
+        rep = integrate(scheme, problem.semi, cfg, problem.t0, problem.t_end,
+                        problem.u0, error_fn=problem.error_fn,
+                        max_attempts=search.MAX_ATTEMPTS)
+    except IntegrationAbort:
+        return (problem.name, tol, math.inf, math.inf, math.inf, True)
+    err = max(rep.errors.values()) if rep.errors else math.nan
+    return (problem.name, tol, rep.nfe, rep.n_rejected, err, False)
+
+
 def test_search_rows_equal_one_candidate_runs():
     # each (problem, tol) runs its stable candidates as one ensemble; every
     # row must be the candidate's own run's
@@ -94,7 +108,7 @@ def test_search_rows_equal_one_candidate_runs():
     stable = result.stable_candidates()
     assert len(stable) >= 3
     for cand in stable:
-        alone = [search._run_one(scheme, p, cand.beta, tol)
+        alone = [_integrated_row(scheme, p, cand.beta, tol)
                  for p in probs for tol in tolerances]
         assert repr(cand.runs) == repr(alone), cand.beta
 

@@ -3,7 +3,7 @@ import pytest
 
 from rkadapt.butcher import ButcherPair
 from rkadapt.catalog import catalog_get, catalog_names
-from rkadapt.lowstorage import to_butcher
+from rkadapt.lowstorage import LowStorageScheme, to_butcher
 from rkadapt.stepping import butcher_step, lowstorage_step, step
 
 
@@ -108,6 +108,18 @@ def test_infinite_stage_flags_not_raises(name):
     res = step(catalog_get(name), rhs, 0.0, 0.1, np.ones(3))
     assert not res.finite
     assert np.all(np.isnan(res.u_new))
+
+
+def test_a_step_that_fails_leaves_the_callers_state_alone():
+    # all weights zero: u_new is u itself, and an infinite stage fails the step
+    scheme = LowStorageScheme(
+        name="still", scheme_class="3s*+", gamma1=[0.0], gamma2=[1.0], gamma3=[0.0],
+        beta=[0.0], delta=[1.0], bhat=[1.0, 0.0], q=1, qhat=1)
+    u = np.ones((2, 3))
+    res = step(scheme, lambda t, v: v * np.inf, np.zeros(2), np.full(2, 0.1), u,
+               f0=[None, None])
+    assert res.finite == [False, False] and np.all(np.isnan(res.u_new))
+    assert np.all(u == 1.0)
 
 
 def test_nonfinite_stage_flags_not_raises():

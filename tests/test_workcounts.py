@@ -9,7 +9,7 @@ HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
 
 
 def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None,
-           sweep_digest="s0"):
+           sweep_digest="s0", src_lines=None):
     lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
     stability = ("" if rho_digest is None else
                  "stability RK3(2)5 3S*+ FSAL: exit 0\n")
@@ -21,7 +21,8 @@ def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None,
                     "controller_search command: exit 0\n"
                     "sha256 dg_sweep vortex2d/bs3/pid@0.001 solution+history.csv: "
                     f"{sweep_digest}\n"
-                    f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n" + digests)
+                    f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n" + digests +
+                    ("" if src_lines is None else f"src lines: {src_lines}\n"))
 
 
 def _diff(old, new):
@@ -94,3 +95,34 @@ def test_diff_compares_the_stability_map_digests(tmp_path):
     done = _diff(old, new)
     assert done.returncode == 1
     assert "solution+history.csv: changed, s0 -> s1" in done.stdout
+
+
+def test_diff_reports_the_src_line_count_without_counting_it(tmp_path):
+    old, new = tmp_path / "old.md", tmp_path / "new.md"
+    rows = [_row("A", 10, 5, 1)]
+    _table(old, rows, "d1", src_lines=3278)
+    _table(new, rows, "d1", src_lines=3261)
+    done = _diff(old, new)
+    assert done.returncode == 0
+    assert "src lines: 3278 -> 3261\n" in done.stdout
+    # a table from before the count was printed shows '-'
+    _table(old, rows, "d1")
+    done = _diff(old, new)
+    assert done.returncode == 0
+    assert "src lines: - -> 3261\n" in done.stdout
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "rkadapt"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nfour\nfive")     # wc -l: 2 newlines
+    (package / "notes.txt").write_text("x\n" * 7)
+    (package / "sub" / "c.py").write_text("x\n" * 5)
+    code = ("import importlib.util, sys; "
+            f"spec = importlib.util.spec_from_file_location('workcounts', {TOOL!r}); "
+            "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool); "
+            f"print(tool._src_lines({str(tmp_path)!r}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "4\n"

@@ -31,13 +31,16 @@ that differ only in max error or final state, says which digests changed,
 and lists the exit status lines (acceptance suite, each dg_sweep command,
 the controller_search command, each stability command) that changed or
 report a failure.  It exits 1 when anything differs and 0 when the tables
-match.
+match.  Each table ends with `src lines: N`, the line count of
+CHECKOUT/src/rkadapt/*.py; `--diff` prints it as `src lines: OLD -> NEW`,
+for information only: it does not count toward the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import importlib
 import io
@@ -125,6 +128,15 @@ def _file_digest(*paths):
     return sha.hexdigest()
 
 
+def _src_lines(root):
+    """Lines of ROOT/src/rkadapt/*.py in all, as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "rkadapt", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def _cli(cli, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)
@@ -135,12 +147,15 @@ _STATUS = re.compile(r"(.+): ((?:pytest )?exit -?\d+)")
 
 def _read_table(path):
     """A table's rows, grouped by (run, problem, scheme, controller) in
-    order, its 'sha256 NAME: DIGEST' lines as {NAME: DIGEST} and its
-    'LABEL: [pytest ]exit N' lines as {LABEL: '[pytest ]exit N'}."""
-    rows, digests, status = {}, {}, {}
+    order, its 'sha256 NAME: DIGEST' lines as {NAME: DIGEST}, its
+    'LABEL: [pytest ]exit N' lines as {LABEL: '[pytest ]exit N'} and its
+    src line count ('-' when it has none)."""
+    rows, digests, status, src_lines = {}, {}, {}, "-"
     with open(path) as fh:
         for line in fh:
-            if line.startswith("sha256 "):
+            if line.startswith("src lines: "):
+                src_lines = line[len("src lines: "):].strip()
+            elif line.startswith("sha256 "):
                 name, digest = line[len("sha256 "):].split(":")
                 digests[name] = digest.strip()
             elif line.startswith("| ") and line.split(" | ")[0][2:].isdigit():
@@ -148,13 +163,13 @@ def _read_table(path):
                 rows.setdefault(tuple(cells[:4]), []).append(cells[4:])
             elif match := _STATUS.fullmatch(line.strip()):
                 status[match[1]] = match[2]
-    return rows, digests, status
+    return rows, digests, status, src_lines
 
 
 def diff(old_path, new_path):
     """Print what moved between two tables of this tool; 1 if anything did."""
-    old, old_digests, old_status = _read_table(old_path)
-    new, new_digests, new_status = _read_table(new_path)
+    old, old_digests, old_status, old_src = _read_table(old_path)
+    new, new_digests, new_status, new_src = _read_table(new_path)
     moved, only_old, only_new = [], [], []
     same = rounding = 0
     for key in sorted(set(old) | set(new)):
@@ -198,6 +213,7 @@ def diff(old_path, new_path):
     for label, exit_line in sorted(new_status.items()):
         if label not in changed and exit_line.split()[-1] != "0":
             print(f"    {label}: {exit_line} in both")
+    print(f"src lines: {old_src} -> {new_src}")
     return int(bool(moved or rounding or only_old or only_new or changed
                     or old_digests != new_digests))
 
@@ -276,6 +292,7 @@ def main(argv=None):
     print(f"controller_search command: exit {code}")
     for name, digest in digests.items():
         print(f"sha256 {name}: {digest}")
+    print(f"src lines: {_src_lines(root)}")
     return 0
 
 
