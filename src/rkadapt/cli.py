@@ -11,6 +11,7 @@ included); every CSV has its header row, even with no rows under it; and
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -396,7 +397,29 @@ def build_parser():
     return parser
 
 
+def _keep_freed_heap():
+    """Have glibc keep freed memory for reuse instead of returning it.
+
+    A right-hand side frees several state-sized temporaries per call, 115 kB
+    each on the 20x20 p=2 vortex.  At glibc's start-up thresholds the heap
+    top is given back once 128 KiB of it is free and larger blocks are
+    mapped afresh, so every call faults its temporaries' pages in again:
+    124 page faults per vortex2d call, which then takes about 1.5x as long.
+    Does nothing where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, at the largest values that
+    # glibc's own adaptive thresholds reach
+    mallopt(-1, 64 << 20)
+    mallopt(-3, 32 << 20)
+
+
 def main(argv=None):
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args, remaining = parser.parse_known_args(argv)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import stability
 from .control import ControllerConfig
@@ -58,22 +57,44 @@ class SearchSpace:
                     yield (float(b1), float(b2), float(b3))
 
     def subsample(self, budget, seed=0):
-        """Deterministic low-discrepancy subsample of at most `budget` points."""
+        """Deterministic low-discrepancy subsample of `budget` distinct points:
+        the first grid cells hit by the scrambled Halton sequence of `seed`.
+        A larger budget extends a smaller one's list."""
         if budget is None or budget >= self.cardinality:
             return list(self.candidates())
         axes = (self.beta1, self.beta2, self.beta3)
-        sampler = qmc.Halton(d=3, scramble=True, seed=seed)
-        picked = {}
-        # oversample to absorb grid-rounding duplicates
-        draw = sampler.random(4 * budget)
-        for row in draw:
-            idx = tuple(int(v * len(ax)) if v < 1.0 else len(ax) - 1
-                        for v, ax in zip(row, axes))
-            if idx not in picked:
-                picked[idx] = tuple(float(ax[i]) for ax, i in zip(axes, idx))
-                if len(picked) >= budget:
-                    break
-        return list(picked.values())
+        sizes = np.array([len(ax) for ax in axes])
+        n = 4 * budget       # oversample to absorb grid-rounding duplicates
+        while True:
+            idx = np.minimum((_halton(n, seed) * sizes).astype(np.int64), sizes - 1)
+            cells = np.ravel_multi_index(idx.T, sizes)
+            first = np.sort(np.unique(cells, return_index=True)[1])
+            if len(first) >= budget:
+                break
+            n *= 2           # a longer prefix of the same sequence
+        return [tuple(float(ax[i]) for ax, i in zip(axes, idx[k]))
+                for k in first[:budget]]
+
+
+def _halton(n, seed):
+    """The first `n` points of the scrambled 3-D Halton sequence, bit for bit
+    those of scipy.stats.qmc.Halton(d=3, scramble=True, seed=seed): one
+    shuffled digit permutation per base-`base` digit that a double resolves,
+    summed from the leading digit down."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((3, n))
+    for row, base in zip(out, (2, 3, 5)):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n, dtype=np.int64)
+        scale = 1.0 / base
+        for perm in perms:
+            row += perm[q % base] * scale
+            scale /= base
+            q //= base
+    return out.T
 
 
 @dataclass

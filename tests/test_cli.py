@@ -1,7 +1,12 @@
 import contextlib
+import ctypes
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -574,3 +579,30 @@ def test_fuzzed_argv_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no mallopt")
+def test_cli_runs_keep_freed_heap_for_the_next_rhs_call():
+    # a fresh process: whatever this one imported may have moved the thresholds
+    code = textwrap.dedent("""
+        import contextlib, io, resource
+        from rkadapt import cli
+        from rkadapt.problems import make_problem
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["integrate", "--scheme", "bs3", "--problem", "vortex2d",
+                      "--t-end", "0.01", "--tol", "1e-3"])
+        prob = make_problem("vortex2d")
+        prob.semi.rhs(0.0, prob.u0)
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            prob.semi.rhs(0.0, prob.u0)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    # at glibc's start-up thresholds each call faulted in about 68 pages
+    assert int(done.stdout) < 20

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +39,66 @@ def test_subsample_deterministic_and_bounded():
     assert len(set(a)) == 100
     c = space.subsample(100, seed=6)
     assert c != a
+
+
+SUBSAMPLE_16 = [(0.19, -0.39, 0.03), (0.64, -0.15, 0.07), (0.41, -0.27, 0.01),
+                (0.87, -0.35, 0.05), (0.3, -0.11, 0.09), (0.75, -0.23, 0.02),
+                (0.53, -0.31, 0.07), (0.98, -0.07, 0.0), (0.13, -0.19, 0.05),
+                (0.58, -0.4, 0.09), (0.36, -0.16, 0.02), (0.81, -0.28, 0.06),
+                (0.24, -0.36, 0.0), (0.7, -0.12, 0.04), (0.47, -0.24, 0.09),
+                (0.92, -0.32, 0.03)]
+
+
+@pytest.mark.parametrize("n", [1, 64, 600, 4096])
+def test_halton_is_scipys_scrambled_halton_bit_for_bit(n):
+    from scipy.stats import qmc
+    for seed in range(40):
+        expected = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
+        assert np.array_equal(search._halton(n, seed), expected), seed
+
+
+def _scipy_subsample(space, budget, seed):
+    # a fixed 4 * budget draw of scipy's sequence, first hits in draw order
+    from scipy.stats import qmc
+    axes = (space.beta1, space.beta2, space.beta3)
+    picked = {}
+    for row in qmc.Halton(d=3, scramble=True, seed=seed).random(4 * budget):
+        idx = tuple(int(v * len(ax)) if v < 1.0 else len(ax) - 1
+                    for v, ax in zip(row, axes))
+        picked.setdefault(idx, tuple(float(ax[i]) for ax, i in zip(axes, idx)))
+        if len(picked) >= budget:
+            break
+    return list(picked.values())
+
+
+def test_subsample_keeps_the_candidates_of_a_scipy_draw():
+    space = SearchSpace()
+    assert space.subsample(16, seed=0) == SUBSAMPLE_16
+    for budget in (16, 150):
+        for seed in (0, 5):
+            assert space.subsample(budget, seed) == _scipy_subsample(space, budget, seed)
+
+
+@pytest.mark.parametrize("budget", [30_000, 36_000, 36_035])
+def test_subsample_fills_its_budget_near_the_grid_size(budget):
+    space = SearchSpace()
+    picked = space.subsample(budget, seed=0)
+    assert len(picked) == budget and len(set(picked)) == budget
+    assert set(picked) <= set(space.candidates())
+    # a longer prefix of the same sequence extends the smaller budgets' lists
+    assert picked[:150] == space.subsample(150, seed=0)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, rkadapt, rkadapt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_bs5_stability_prefilter():
