@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .butcher import ButcherPair, InvariantViolation
-from .lowstorage import LowStorageScheme
+from .lowstorage import _COEFFICIENTS, LowStorageScheme
 
 log = logging.getLogger(__name__)
 
@@ -28,16 +28,16 @@ class UnknownMethodError(KeyError):
     pass
 
 
-def _bs32() -> ButcherPair:
+def _bs32(name) -> ButcherPair:
     A = [[0, 0, 0], [F(1, 2), 0, 0], [0, F(3, 4), 0]]
     b = [F(2, 9), F(1, 3), F(4, 9)]
     c = [0, F(1, 2), F(3, 4)]
     bhat = [F(7, 24), F(1, 4), F(1, 3), F(1, 8)]
-    return ButcherPair("BS3(2)3 FSAL", A, b, c, bhat, q=3, qhat=2, fsal=True,
+    return ButcherPair(name, A, b, c, bhat, q=3, qhat=2, fsal=True,
                        exact={"A": A, "b": b, "c": c, "bhat": bhat})
 
 
-def _bs54() -> ButcherPair:
+def _bs54(name) -> ButcherPair:
     A = [[0] * 7 for _ in range(7)]
     A[1][0] = F(1, 6)
     A[2][0] = F(2, 27); A[2][1] = F(4, 27)
@@ -52,19 +52,28 @@ def _bs54() -> ButcherPair:
     c = [0, F(1, 6), F(2, 9), F(3, 7), F(2, 3), F(3, 4), 1]
     bhat = [F(2479, 34992), 0, F(123, 416), F(612941, 3411720),
             F(43, 1440), F(2272, 6561), F(79937, 1113912), F(3293, 556956)]
-    return ButcherPair("BS5(4)7 FSAL", A, b, c, bhat, q=5, qhat=4, fsal=True,
+    return ButcherPair(name, A, b, c, bhat, q=5, qhat=4, fsal=True,
                        exact={"A": A, "b": b, "c": c, "bhat": bhat})
 
 
-def _threestar_plus(name, q, qhat, fsal, exact=False, **table):
-    co = {attr: [float(x) for x in vals] for attr, vals in table.items()}
-    co["bhat"].append(1.0 - sum(co["bhat"]) if fsal else 0.0)
-    rationals = None
-    if exact:
-        rationals = {attr: [F(x) for x in vals] for attr, vals in table.items()}
-        rationals["bhat"].append(1 - sum(rationals["bhat"]) if fsal else F(0))
-    return LowStorageScheme(name=name, scheme_class="3s*+", q=q, qhat=qhat,
-                            fsal=fsal, exact=rationals, **co)
+def _with_fsal_weight(bhat, fsal):
+    """s embedded weights and the weight of f(t+dt, u_new): for an FSAL pair
+    the one that makes the s+1 weights sum to 1, else 0."""
+    return [*bhat, 1 - sum(bhat) if fsal else 0]
+
+
+def _threestar_plus(q, qhat, fsal, table, exact=False):
+    """Function making a table's 3S*+ set by name; `exact` also keeps its rationals."""
+    def build(name):
+        co = {attr: [float(x) for x in vals] for attr, vals in table.items()}
+        co["bhat"] = _with_fsal_weight(co["bhat"], fsal)
+        rationals = None
+        if exact:
+            rationals = {attr: [F(x) for x in vals] for attr, vals in table.items()}
+            rationals["bhat"] = _with_fsal_weight(rationals["bhat"], fsal)
+        return LowStorageScheme(name=name, scheme_class="3s*+", q=q, qhat=qhat,
+                                fsal=fsal, exact=rationals, **co)
+    return build
 
 
 # The SSP pairs as exact-rational 3S*+ sets (Ketcheson, JCP 2010): SSP3(2)3
@@ -259,31 +268,20 @@ _RK510F_TABLE = dict(
 )
 
 
-_BUILDERS = {
-    "RK3(2)5 3S*+": lambda: _threestar_plus("RK3(2)5 3S*+", 3, 2, False, **_RK35_TABLE),
-    "RK3(2)5 3S*+ FSAL": lambda: _threestar_plus("RK3(2)5 3S*+ FSAL", 3, 2, True, **_RK35F_TABLE),
-    "RK4(3)9 3S*+": lambda: _threestar_plus("RK4(3)9 3S*+", 4, 3, False, **_RK49_TABLE),
-    "RK4(3)9 3S*+ FSAL": lambda: _threestar_plus("RK4(3)9 3S*+ FSAL", 4, 3, True, **_RK49F_TABLE),
-    "RK5(4)10 3S*+": lambda: _threestar_plus("RK5(4)10 3S*+", 5, 4, False, **_RK510_TABLE),
-    "RK5(4)10 3S*+ FSAL": lambda: _threestar_plus("RK5(4)10 3S*+ FSAL", 5, 4, True, **_RK510F_TABLE),
-    "SSP3(2)3": lambda: _threestar_plus("SSP3(2)3", 3, 2, False, exact=True, **_SSP33_TABLE),
-    "SSP3(2)4": lambda: _threestar_plus("SSP3(2)4", 3, 2, False, exact=True, **_SSP34_TABLE),
-    "BS3(2)3 FSAL": _bs32,
-    "BS5(4)7 FSAL": _bs54,
+# CLI alias -> (canonical name, function making the scheme under that name)
+_CATALOG = {
+    "rk35-3s+": ("RK3(2)5 3S*+", _threestar_plus(3, 2, False, _RK35_TABLE)),
+    "rk35-3s+fsal": ("RK3(2)5 3S*+ FSAL", _threestar_plus(3, 2, True, _RK35F_TABLE)),
+    "rk49-3s+": ("RK4(3)9 3S*+", _threestar_plus(4, 3, False, _RK49_TABLE)),
+    "rk49-3s+fsal": ("RK4(3)9 3S*+ FSAL", _threestar_plus(4, 3, True, _RK49F_TABLE)),
+    "rk510-3s+": ("RK5(4)10 3S*+", _threestar_plus(5, 4, False, _RK510_TABLE)),
+    "rk510-3s+fsal": ("RK5(4)10 3S*+ FSAL", _threestar_plus(5, 4, True, _RK510F_TABLE)),
+    "ssp33": ("SSP3(2)3", _threestar_plus(3, 2, False, _SSP33_TABLE, exact=True)),
+    "ssp43": ("SSP3(2)4", _threestar_plus(3, 2, False, _SSP34_TABLE, exact=True)),
+    "bs3": ("BS3(2)3 FSAL", _bs32),
+    "bs5": ("BS5(4)7 FSAL", _bs54),
 }
-
-ALIASES = {
-    "rk35-3s+": "RK3(2)5 3S*+",
-    "rk35-3s+fsal": "RK3(2)5 3S*+ FSAL",
-    "rk49-3s+": "RK4(3)9 3S*+",
-    "rk49-3s+fsal": "RK4(3)9 3S*+ FSAL",
-    "rk510-3s+": "RK5(4)10 3S*+",
-    "rk510-3s+fsal": "RK5(4)10 3S*+ FSAL",
-    "ssp33": "SSP3(2)3",
-    "ssp43": "SSP3(2)4",
-    "bs3": "BS3(2)3 FSAL",
-    "bs5": "BS5(4)7 FSAL",
-}
+_BUILDERS = dict(_CATALOG.values())     # canonical name -> its function
 
 _CACHE = {}
 
@@ -293,13 +291,14 @@ def catalog_names():
 
 
 def catalog_get(name: str):
-    """Return a built-in scheme by canonical name or CLI alias."""
-    key = name if name in _BUILDERS else ALIASES.get(name.strip().lower())
-    if key is None or key not in _BUILDERS:
+    """Return a built-in scheme by canonical name or CLI alias; both give the
+    same object."""
+    key = name if name in _BUILDERS else _CATALOG.get(name.strip().lower(), (None,))[0]
+    if key is None:
         raise UnknownMethodError(
             f"unknown method {name!r}; valid identifiers: {', '.join(catalog_names())}")
     if key not in _CACHE:
-        _CACHE[key] = _BUILDERS[key]()
+        _CACHE[key] = _BUILDERS[key](key)
     return _CACHE[key]
 
 
@@ -381,45 +380,24 @@ def load_coefficients(path):
         return LowStorageScheme(bhat=[0.0] * s + [tail], **kwargs)
     bh = _floats(doc, "bhat", s, s + 1)
     if len(bh) == s:
-        bh.append(1.0 - sum(bh) if fsal else 0.0)
+        bh = _with_fsal_weight(bh, fsal)
     return LowStorageScheme(bhat=bh, **kwargs)
 
 
 def export_coefficients(scheme, path):
     """Write a scheme to the JSON coefficient schema, round-trip exact."""
-    r = lambda x: repr(float(x))
     if isinstance(scheme, ButcherPair):
-        doc = {
-            "name": scheme.name, "class": "butcher", "s": scheme.s,
-            "q": scheme.q, "qhat": scheme.qhat, "fsal": scheme.fsal,
-            "A": [r(x) for x in scheme.A.ravel()],
-            "b": [r(x) for x in scheme.b],
-            "c": [r(x) for x in scheme.c],
-            "bhat": [r(x) for x in scheme.bhat],
-        }
+        cls, arrays = "butcher", ("A", "b", "c", "bhat")
     else:
-        doc = {
-            "name": scheme.name, "class": scheme.scheme_class, "s": scheme.s,
-            "q": scheme.q, "qhat": scheme.qhat, "fsal": scheme.fsal,
-            "gamma1": [r(x) for x in scheme.gamma1],
-            "gamma2": [r(x) for x in scheme.gamma2],
-            "gamma3": [r(x) for x in scheme.gamma3],
-            "beta": [r(x) for x in scheme.beta],
-            "delta": [r(x) for x in scheme.delta],
-        }
-        if scheme.scheme_class == "3s*":
-            doc["bhat_fsal"] = r(scheme.bhat[-1])
-        else:
-            doc["bhat"] = [r(x) for x in scheme.bhat]
+        cls = scheme.scheme_class
+        arrays = _COEFFICIENTS if cls == "3s*+" else _COEFFICIENTS[:-1]    # all but bhat
+    doc = {"name": scheme.name, "class": cls, "s": scheme.s,
+           "q": scheme.q, "qhat": scheme.qhat, "fsal": scheme.fsal}
+    # each array as a list, A row-major
+    doc.update((attr, [repr(x) for x in getattr(scheme, attr).ravel().tolist()])
+               for attr in arrays)
+    if cls == "3s*":
+        doc["bhat_fsal"] = repr(float(scheme.bhat[-1]))
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def resolve_scheme(name=None, coeff_file=None):
-    """CLI-facing resolution: a coefficient file wins over a catalog name."""
-    if coeff_file is not None:
-        return load_coefficients(coeff_file)
-    if name is None:
-        raise UnknownMethodError("no scheme given")
-    return catalog_get(name)

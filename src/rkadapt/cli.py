@@ -21,7 +21,8 @@ import numpy as np
 
 from . import problems, search, stability
 from .butcher import InvariantViolation
-from .catalog import (CoefficientParseError, UnknownMethodError, resolve_scheme)
+from .catalog import (CoefficientParseError, UnknownMethodError, catalog_get,
+                      load_coefficients)
 from .control import CflConfig, ControllerConfig
 from .integrate import IntegrationAbort, integrate, integrate_ensemble
 from .lowstorage import ReconstructionError
@@ -34,9 +35,6 @@ EXIT_EMPTY = 3
 # rows a CSV writer formats and writes at a time, so a large map never holds
 # its whole text at once
 _CSV_BLOCK = 1024
-
-# problem flags; each reaches the problems whose factory takes a parameter of its name
-_PROBLEM_SETTINGS = ("t_end", "elements", "degree", "grid", "lam", "seed")
 
 
 class CliError(Exception):
@@ -112,10 +110,11 @@ def _usage_errors(make, *a, **kw):
 
 
 def _make_problem(name, args, **defaults):
-    takes = problems.parameters(name)
+    """make_problem(name) with the defaults, and with every setting of the
+    problem's factory that a flag of the same name gives."""
     kw = dict(defaults)
-    kw.update((flag, getattr(args, flag)) for flag in _PROBLEM_SETTINGS
-              if flag in takes and getattr(args, flag, None) is not None)
+    kw.update((setting, getattr(args, setting)) for setting in problems.parameters(name)
+              if getattr(args, setting, None) is not None)
     problem = _usage_errors(problems.make_problem, name, **kw)
     if not problem.t0 < problem.t_end < math.inf:
         raise CliError(f"--t-end must be finite and exceed the start time {problem.t0:g}",
@@ -130,8 +129,13 @@ def _build_problem(args):
 
 
 def _resolve(args):
+    """The scheme of --coeff-file if given, else the catalog's --scheme."""
     try:
-        return resolve_scheme(args.scheme, getattr(args, "coeff_file", None))
+        if args.coeff_file is not None:
+            return load_coefficients(args.coeff_file)
+        if args.scheme is None:
+            raise CliError("give --scheme or --coeff-file", EXIT_USAGE)
+        return catalog_get(args.scheme)
     except (UnknownMethodError, CoefficientParseError, InvariantViolation,
             ReconstructionError, OSError) as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
@@ -294,6 +298,9 @@ def cmd_search(args):
     if args.policy not in search.POLICIES:     # a config file bypasses the choices
         raise CliError(f"--policy must be one of {', '.join(search.POLICIES)}",
                        EXIT_USAGE)
+    # the stability filter's samples, traced here so that a boundary that cannot
+    # be traced is a numerical failure rather than an empty result
+    stability.boundary_samples(scheme)
     result = search.run_search(scheme, probs, budget=args.budget,
                                tolerances=tols, seed=args.seed)
     try:
@@ -460,6 +467,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except stability.TraceError as exc:
+        print(f"error: the stability boundary could not be traced: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

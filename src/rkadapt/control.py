@@ -46,11 +46,11 @@ class ControllerConfig:
             raise ValueError("controller exponent base k must be >= 2")
 
     @classmethod
-    def for_scheme(cls, scheme, tol=None, atol=None, rtol=None, beta=DEFAULT_BETA, **kw):
+    def for_scheme(cls, scheme, tol=None, atol=None, rtol=None, beta=DEFAULT_BETA):
         """Config with the scheme's k and equal tolerances by default."""
         if tol is not None:
             atol = rtol = tol
-        return cls(beta[0], beta[1], beta[2], atol=atol, rtol=rtol, k=scheme.k, **kw)
+        return cls(beta[0], beta[1], beta[2], atol=atol, rtol=rtol, k=scheme.k)
 
     def describe(self):
         return (f"PID({self.beta1:g},{self.beta2:g},{self.beta3:g})"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,23 +49,11 @@ class RunReport:
     abort_reason: str | None = None
 
     def as_dict(self):
-        d = {
-            "scheme": self.scheme,
-            "controller": self.controller,
-            "t0": self.t0,
-            "t_end": self.t_end,
-            "t_final": self.t_final,
-            "nfe": self.nfe,
-            "n_accepted": self.n_accepted,
-            "n_rejected": self.n_rejected,
-            "wall_time": self.wall_time,
-            "aborted": self.aborted,
-        }
-        if self.abort_reason:
-            d["abort_reason"] = self.abort_reason
-        if self.errors is not None:
-            d["errors"] = self.errors
-        return d
+        """The fields a JSON summary shows: all but the final state and the
+        history, and none whose value is None."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("u_final", "history")}
+        return {key: value for key, value in d.items() if value is not None}
 
 
 class IntegrationAbort(RuntimeError):

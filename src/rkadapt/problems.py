@@ -43,24 +43,26 @@ class DahlquistRhs:
         return dgsem._per_member(np.all(np.isfinite(u), axis=self._axes))
 
 
-def _dahlquist(lam=-1.0, u0=1.0, t_end=10.0):
-    u0v = np.atleast_1d(np.asarray(u0, dtype=float))
-    rhs = DahlquistRhs(lam, u0v.ndim)
-    exact = lambda t: u0v * np.exp(lam * t)
+BOX = (-5.0, 5.0)             # advection2d and vortex2d run on BOX x BOX
+VELOCITY = (1.0, 1.0)         # advection2d's transport velocity
+
+
+def _dahlquist(lam=-1.0, t_end=10.0):
+    u0 = np.ones(1)
+    exact = lambda t: u0 * np.exp(lam * t)
     error_fn = lambda t, u: {"u": float(np.max(np.abs(u - exact(t))))}
-    return Problem("dahlquist", rhs, u0v, t_end, exact, error_fn)
+    return Problem("dahlquist", DahlquistRhs(lam), u0, t_end, exact, error_fn)
 
 
-def _advection2d(elements=8, degree=4, t_end=100.0, velocity=(1.0, 1.0),
-                 domain=(-5.0, 5.0), grid="uniform", seed=0, amplitude=0.2):
-    lo, hi = domain
+def _advection2d(elements=8, degree=4, t_end=100.0, grid="uniform", seed=0):
+    lo, hi = BOX
     if grid == "uniform":
         g = Grid2d.uniform(lo, hi, elements)
     elif grid == "perturbed":
-        g = Grid2d.perturbed(lo, hi, elements, amplitude=amplitude, seed=seed)
+        g = Grid2d.perturbed(lo, hi, elements, seed=seed)
     else:
         raise ValueError(f"unknown grid kind {grid!r}")
-    semi = AdvectionSemidisc2d(g, degree, velocity)
+    semi = AdvectionSemidisc2d(g, degree, VELOCITY)
     length = hi - lo
     kx = 2.0 * np.pi / length
 
@@ -68,26 +70,29 @@ def _advection2d(elements=8, degree=4, t_end=100.0, velocity=(1.0, 1.0),
         return np.sin(kx * (x - lo)) * np.sin(kx * (y - lo))
 
     def exact(t):
-        return profile(semi.X - velocity[0] * t, semi.Y - velocity[1] * t)
+        return profile(semi.X - VELOCITY[0] * t, semi.Y - VELOCITY[1] * t)
 
     u0 = exact(0.0)
     error_fn = lambda t, u: {"u": semi.l2_error(u, exact(t))}
     return Problem("advection2d", semi, u0, t_end, exact, error_fn)
 
 
-def _vortex_state(semi, t, Ma, beta, t_inf, center, domain):
-    """Isentropic vortex translated by Ma*(1,1)/sqrt(2), periodically wrapped.
+def _vortex_state(semi, t):
+    """Isentropic vortex of strength beta = 5 centred at the origin at t = 0,
+    translated by Ma*(1,1)/sqrt(2) with Ma = 0.5, periodically wrapped on BOX.
 
-    Steady profile: T = T_inf - (gamma-1) beta^2 exp(1-r^2) / (8 gamma pi^2),
-    tangential speed r beta exp((1-r^2)/2) / (2 pi), rho = T^(1/(gamma-1)),
-    p = rho T; the free-stream Mach number enters through the translation
-    velocity only, which keeps the translated profile an exact solution.
+    Steady profile: T = T_inf - (gamma-1) beta^2 exp(1-r^2) / (8 gamma pi^2)
+    with T_inf = 1, tangential speed r beta exp((1-r^2)/2) / (2 pi),
+    rho = T^(1/(gamma-1)), p = rho T; the free-stream Mach number enters
+    through the translation velocity only, which keeps the translated profile
+    an exact solution.
     """
-    lo, hi = domain
+    beta, t_inf = 5.0, 1.0
+    lo, hi = BOX
     length = hi - lo
-    vinf = Ma / math.sqrt(2.0)
-    x = semi.X - center[0] - vinf * t
-    y = semi.Y - center[1] - vinf * t
+    vinf = 0.5 / math.sqrt(2.0)
+    x = semi.X - vinf * t
+    y = semi.Y - vinf * t
     x = (x - lo) % length + lo
     y = (y - lo) % length + lo
     r2 = x * x + y * y
@@ -106,11 +111,9 @@ def _vortex_state(semi, t, Ma, beta, t_inf, center, domain):
     return u
 
 
-def _vortex2d(elements=20, degree=2, t_end=20.0, Ma=0.5, beta=5.0, t_inf=1.0,
-              domain=(-5.0, 5.0), center=(0.0, 0.0)):
-    g = Grid2d.uniform(domain[0], domain[1], elements)
-    semi = EulerSemidisc2d(g, degree)
-    exact = lambda t: _vortex_state(semi, t, Ma, beta, t_inf, center, domain)
+def _vortex2d(elements=20, degree=2, t_end=20.0):
+    semi = EulerSemidisc2d(Grid2d.uniform(*BOX, elements), degree)
+    exact = lambda t: _vortex_state(semi, t)
     u0 = exact(0.0)
 
     def error_fn(t, u):
@@ -121,15 +124,15 @@ def _vortex2d(elements=20, degree=2, t_end=20.0, Ma=0.5, beta=5.0, t_inf=1.0,
     return Problem("vortex2d", semi, u0, t_end, exact, error_fn)
 
 
-def _source1d(elements=20, degree=2, t_end=20.0, pressure_amplitude=50.0,
-              omega=math.pi / 5.0, domain=(-1.0, 1.0)):
+def _source1d(elements=20, degree=2, t_end=20.0, pressure_amplitude=50.0):
     """Smooth density wave with a pressure cycle driven through an energy source.
 
-    rho = 3/2 + sin(pi (x - t)), v = 1, p = 1 + A (1 + sin(omega t)); the
-    pressure swing modulates the acoustic CFL restriction over the run.
+    rho = 3/2 + sin(pi (x - t)), v = 1, p = 1 + A (1 + sin(omega t)) on
+    [-1, 1] with omega = pi/5; the pressure swing modulates the acoustic CFL
+    restriction over the run.
     """
-    g = Grid1d.uniform(domain[0], domain[1], elements)
-    A, w = pressure_amplitude, omega
+    g = Grid1d.uniform(-1.0, 1.0, elements)
+    A, w = pressure_amplitude, math.pi / 5.0
     # amplitude zero degenerates to a source-free traveling density wave
     source = None if A == 0.0 else (lambda t: A * w * math.cos(w * t) / (GAMMA - 1.0))
     semi = EulerSemidisc1d(g, degree, energy_source=source)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 from fractions import Fraction as F
@@ -5,10 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from rkadapt import cli
 from rkadapt.butcher import ButcherPair, InvariantViolation
 from rkadapt.catalog import (CoefficientParseError, UnknownMethodError,
                              catalog_get, catalog_names, export_coefficients,
-                             load_coefficients, resolve_scheme)
+                             load_coefficients)
 from rkadapt.lowstorage import LowStorageScheme, to_butcher
 
 
@@ -27,10 +29,27 @@ def test_unknown_name_lists_identifiers():
         catalog_get("nope")
 
 
+# the CLI aliases of the README's scheme list
+README_ALIASES = {
+    "rk35-3s+": "RK3(2)5 3S*+", "rk35-3s+fsal": "RK3(2)5 3S*+ FSAL",
+    "rk49-3s+": "RK4(3)9 3S*+", "rk49-3s+fsal": "RK4(3)9 3S*+ FSAL",
+    "rk510-3s+": "RK5(4)10 3S*+", "rk510-3s+fsal": "RK5(4)10 3S*+ FSAL",
+    "ssp33": "SSP3(2)3", "ssp43": "SSP3(2)4",
+    "bs3": "BS3(2)3 FSAL", "bs5": "BS5(4)7 FSAL",
+}
+
+
 def test_aliases_resolve():
     assert catalog_get("bs3").name == "BS3(2)3 FSAL"
     assert catalog_get("ssp43").name == "SSP3(2)4"
     assert catalog_get("rk510-3s+fsal").name == "RK5(4)10 3S*+ FSAL"
+    # ten names, once each; an alias, in any case, and its name give one object
+    assert catalog_names() == sorted(set(README_ALIASES.values()))
+    for alias, name in README_ALIASES.items():
+        scheme = catalog_get(name)
+        assert scheme.name == name
+        assert catalog_get(alias) is scheme
+        assert catalog_get(f" {alias.upper()} ") is scheme
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -110,7 +129,7 @@ def test_load_reports_missing_field(tmp_path):
 def test_file_shadows_catalog_with_warning(tmp_path, caplog):
     path = _write(tmp_path, _butcher_doc(name="SSP3(2)3"))
     with caplog.at_level(logging.WARNING):
-        scheme = resolve_scheme(name="SSP3(2)4", coeff_file=path)
+        scheme = cli._resolve(argparse.Namespace(scheme="SSP3(2)4", coeff_file=path))
     assert scheme.name == "SSP3(2)3"
     assert any("shadows" in rec.message for rec in caplog.records)
 

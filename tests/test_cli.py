@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rkadapt import cli, stability
-from rkadapt.catalog import resolve_scheme
+from rkadapt.catalog import catalog_get
 from rkadapt.cli import _CSV_BLOCK, _fmt, main
 
 
@@ -171,7 +171,7 @@ def test_rhomap_has_a_row_for_each_finite_rho(tmp_path, capsys):
                      "--beta", "0.7,-0.4,0", "--control-map", "--grid-map", "41",
                      "--out", str(out))
     assert code == 0
-    scheme = resolve_scheme("bs5")
+    scheme = catalog_get("bs5")
     Z, rho = stability.control_stability_map(scheme, (0.7, -0.4, 0.0), n_grid=41)
     finite = np.isfinite(rho)
     assert not finite.all()     # E vanishes at a grid point: a degenerate rho
@@ -276,6 +276,54 @@ def test_search_empty_stable_set_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == 3
     assert "control-stable" in err
+
+
+# the summary fields of a report: finished runs add errors, aborted ones the reason
+REPORT_KEYS = {"scheme", "controller", "t0", "t_end", "t_final", "nfe", "n_accepted",
+               "n_rejected", "wall_time", "aborted"}
+
+
+def test_integrate_json_has_the_report_fields(capsys):
+    code, out, _ = run(capsys, "integrate", "--scheme", "bs3", "--problem", "dahlquist",
+                       "--tol", "1e-6", "--t-end", "1")
+    assert code == 0
+    assert set(json.loads(out)) == REPORT_KEYS | {"errors"}
+    code, out, _ = run(capsys, "integrate", "--scheme", "rk35-3s+fsal",
+                       "--problem", "vortex2d", "--elements", "8",
+                       "--degree", "2", "--t-end", "5", "--cfl", "50")
+    assert code == 2
+    assert set(json.loads(out)) == REPORT_KEYS | {"abort_reason"}
+
+
+# R(z) = 1 + z^2, whose stability boundary trace stalls at theta = 0
+UNTRACEABLE_DOC = {"name": "Untraceable", "class": "butcher", "s": 2, "q": 1,
+                   "qhat": 1, "fsal": False, "A": ["0", "0", "1", "0"],
+                   "b": ["-1", "1"], "c": ["0", "1"], "bhat": ["1", "0", "0"]}
+
+
+@pytest.mark.parametrize("flags", [["--control-map"],
+                                   ["--control-map", "--grid-map", "21"]])
+def test_control_map_of_an_untraceable_boundary_exits_2(tmp_path, capsys, flags):
+    coeff = tmp_path / "untraceable.json"
+    coeff.write_text(json.dumps(UNTRACEABLE_DOC))
+    code, out, err = run(capsys, "stability", "--coeff-file", str(coeff),
+                         "--beta", "0.6,-0.2", *flags, "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert err.startswith("error: ") and "could not be traced" in err
+    assert out == ""
+    assert not (tmp_path / "s.rho.csv").exists()
+
+
+def test_search_on_an_untraceable_boundary_exits_2(tmp_path, capsys):
+    coeff = tmp_path / "untraceable.json"
+    coeff.write_text(json.dumps(UNTRACEABLE_DOC))
+    code, out, err = run(capsys, "search", "--coeff-file", str(coeff),
+                         "--problems", "dahlquist", "--tol", "1e-3", "--budget", "4",
+                         "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error: ") and "could not be traced" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [coeff]
 
 
 def test_integrate_numerical_failure_exits_2(capsys):

@@ -119,8 +119,7 @@ def test_source_term_manufactured_solution_convergence():
     p = 3
     resids = []
     for nel in (10, 20, 40):
-        prob = make_problem("source1d", elements=nel, degree=p,
-                            pressure_amplitude=A_p, omega=omega)
+        prob = make_problem("source1d", elements=nel, degree=p, pressure_amplitude=A_p)
         semi = prob.semi
         x = semi.x
         du_exact = np.empty(x.shape + (3,))

@@ -6,7 +6,17 @@ import pytest
 from rkadapt.catalog import catalog_get
 from rkadapt.control import ControllerConfig
 from rkadapt.integrate import integrate
-from rkadapt.problems import make_problem, search_suite
+from rkadapt.problems import PROBLEM_NAMES, make_problem, parameters, search_suite
+
+
+def test_parameters_are_the_settings_callers_set():
+    assert {name: list(parameters(name)) for name in PROBLEM_NAMES} == {
+        "dahlquist": ["lam", "t_end"],
+        "advection2d": ["elements", "degree", "t_end", "grid", "seed"],
+        "vortex2d": ["elements", "degree", "t_end"],
+        "source1d": ["elements", "degree", "t_end", "pressure_amplitude"],
+    }
+    assert parameters("tgv3d") == {}
 
 
 def test_unknown_problem_name():

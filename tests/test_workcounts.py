@@ -119,10 +119,24 @@ def test_src_lines_counts_the_package_modules_only(tmp_path):
     (package / "b.py").write_text("three\nfour\nfive")     # wc -l: 2 newlines
     (package / "notes.txt").write_text("x\n" * 7)
     (package / "sub" / "c.py").write_text("x\n" * 5)
+    assert _tool_print(f"tool._src_lines({str(tmp_path)!r})") == "4\n"
+
+
+def test_json_digest_blanks_the_wall_time_only():
+    text = '{\n "nfe": 5,\n "t_final": 1.0,\n "wall_time": 0.25\n}'
+    same = text.replace("0.25", "1e-09")
+    other = text.replace('"nfe": 5', '"nfe": 6')
+    assert _tool_print(f"tool._text_digest({text!r}) == tool._text_digest({same!r}), "
+                       f"tool._text_digest({text!r}) == tool._text_digest({other!r})"
+                       ) == "True False\n"
+
+
+def _tool_print(expr):
+    """What the tool module prints for expr, in a fresh interpreter."""
     code = ("import importlib.util, sys; "
             f"spec = importlib.util.spec_from_file_location('workcounts', {TOOL!r}); "
             "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool); "
-            f"print(tool._src_lines({str(tmp_path)!r}))")
+            f"print({expr})")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "4\n"
+    return done.stdout

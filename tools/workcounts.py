@@ -14,8 +14,9 @@ controller, nfe, accepted and rejected counts, max error (repr, so every bit
 shows) and the sha256 of the final state's bytes.  Rows are sorted, so a
 version that runs the same integrations in another order (one ensemble
 instead of separate runs) prints the same table.  Last come the sha256
-digests of the CSVs the commands write: one per dg_sweep command over its
---solution-out and --history-out files, then search.csv and search.json of
+digests of what the commands write: one per dg_sweep command over its
+--solution-out and --history-out files and one over the JSON report it
+prints, with its `wall_time` value blanked, then search.csv and search.json of
 the benchmark's controller_search command, and the main, embedded, rho and
 rhomap CSVs that
 
@@ -138,8 +139,19 @@ def _src_lines(root):
 
 
 def _cli(cli, argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+    """cli.main(argv) with its output captured: (exit code, stdout text)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
+
+
+_WALL_TIME = re.compile(r'("wall_time": )[^,\n]*')
+
+
+def _text_digest(text):
+    """sha256 of a command's JSON text with the value of `wall_time`, the one
+    field that varies from run to run, blanked."""
+    return hashlib.sha256(_WALL_TIME.sub(r"\1-", text).encode()).hexdigest()
 
 
 _STATUS = re.compile(r"(.+): ((?:pytest )?exit -?\d+)")
@@ -262,20 +274,22 @@ def main(argv=None):
                     else:
                         argv += ["--tol", repr(value),
                                  "--beta", ",".join(repr(b) for b in beta)]
-                    status.append(f"{rec.run}: exit {_cli(cli, argv)}")
+                    code, text = _cli(cli, argv)
+                    status.append(f"{rec.run}: exit {code}")
                     digests[f"{rec.run} solution+history.csv"] = _file_digest(*files)
+                    digests[f"{rec.run} integrate.json"] = _text_digest(text)
 
             rec.run = None
-            code = _cli(cli, ["search", "--scheme", workloads.SEARCH_SCHEME,
-                              "--problems", workloads.SEARCH_PROBLEMS,
-                              "--tol", repr(workloads.SEARCH_TOL),
-                              "--budget", str(workloads.SEARCH_BUDGET),
-                              "--seed", str(workloads.SEARCH_SEED), "--out", "search"])
+            code, _ = _cli(cli, ["search", "--scheme", workloads.SEARCH_SCHEME,
+                                 "--problems", workloads.SEARCH_PROBLEMS,
+                                 "--tol", repr(workloads.SEARCH_TOL),
+                                 "--budget", str(workloads.SEARCH_BUDGET),
+                                 "--seed", str(workloads.SEARCH_SEED), "--out", "search"])
             digests.update((name, _file_digest(name)) for name in ("search.csv", "search.json"))
             for i, scheme in enumerate(catalog.catalog_names()):
                 argv = ["stability", "--scheme", scheme, "--scaled", "--beta", "0.6,-0.2,0",
                         "--control-map", "--grid-map", "101", "--out", f"stab{i}"]
-                status.append(f"stability {scheme}: exit {_cli(cli, argv)}")
+                status.append(f"stability {scheme}: exit {_cli(cli, argv)[0]}")
                 for part in ("main", "embedded", "rho", "rhomap"):
                     digests[f"stability {scheme} {part}.csv"] = _file_digest(
                         f"stab{i}.{part}.csv")
