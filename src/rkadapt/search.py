@@ -221,9 +221,10 @@ def recommend(result: SearchResult, policy="min-max"):
     """
     stable = result.stable_candidates()
     if not stable:
-        raise EmptyStableSetError(
-            f"no control-stable candidates for {result.scheme}; "
-            "step size control stability cannot be achieved on this grid")
+        why = ("no boundary sample carried controller information, so no candidate "
+               "was judged" if result.indeterminate and not result.candidates else
+               "step size control stability cannot be achieved on this grid")
+        raise EmptyStableSetError(f"no control-stable candidates for {result.scheme}; {why}")
     keyed = sorted(
         stable,
         key=lambda c: (c.aggregate(policy), -c.beta[0], abs(c.beta[1]), c.beta[2]))

@@ -16,7 +16,10 @@ control quartic
 
 The stability filter and the boundary scan share one criterion, a Schur-Cohn
 test that every root of p lies strictly inside the unit circle at every
-retained sample; reported radii come from 4x4 companion matrices of p.
+retained sample.  Reported radii are the largest root moduli of p, from
+Ferrari's closed form polished by one Newton step, or from the eigenvalues
+of p's 4x4 companion matrix where the closed form cannot resolve them, as
+where two roots nearly coincide (`_rho_batch`).
 Samples are excluded when they carry no controller information:
 
 * degenerate points, |R(z)| or |E(z)| below 1e-14 (E always vanishes at the
@@ -47,6 +50,7 @@ DTHETA = 2 * np.pi / 256       # largest continuation step in theta
 MAX_WINDING = 64               # turns of theta before a trace counts as open
 DEGENERATE_TOL = 1e-14
 TANGENTIAL_TOL = 1e-3
+ROOT_SEPARATION = 1e-3          # closer control-quartic roots take eigvals
 
 
 class TraceError(RuntimeError):
@@ -350,11 +354,64 @@ def _stable_batch(r, e, betas, k):
 
 def _rho_batch(r, e, beta, k):
     """Spectral radii of the control Jacobians for arrays of (r, e) samples:
-    the largest root modulus of the control quartic, from 4x4 companions."""
-    C = np.zeros((len(r), 4, 4))
-    C[:, 0] = -np.stack(_quartic(r, e, beta, k), axis=1)
-    C[:, 1, 0] = C[:, 2, 1] = C[:, 3, 2] = 1.0
-    return np.max(np.abs(np.linalg.eigvals(C)), axis=1)
+    the largest root modulus of the control quartic.
+
+    Ferrari's closed form.  With lam = y - a3/4 the quartic is depressed to
+    y^4 + p y^2 + q y + s = (y^2 + p/2 + m)^2 - (w y - c)^2, w^2 = 2m, where
+    m >= 0 is the resolvent cubic's largest real root (Cardano); c = q/(2w),
+    or sqrt(p^2/4 - s) on the biquadratic branch m = 0.  Each root of the
+    two real quadratics then takes one Newton step on p.  A sample is
+    unresolved when a root is not finite, when the roots' sum misses -a3 by
+    more than 1e-10 of the Cauchy bound 1 + max|a_i|, or when two roots lie
+    within ROOT_SEPARATION of that bound (near a multiple root no method
+    resolves more than about sqrt(eps)); those samples take the eigenvalues
+    of their 4x4 companion matrices.
+    """
+    a3, a2, a1, a0 = _quartic(r, e, beta, k)
+    with np.errstate(all="ignore"):
+        h = a3 / 4
+        hh = h * h
+        p = a2 - 6 * hh
+        q = a1 - 2 * h * a2 + 8 * hh * h
+        s = a0 - h * a1 + hh * a2 - 3 * hh * hh
+        # resolvent m^3 + p m^2 + (p^2/4 - s) m - q^2/8 = 0 with m = t - p/3:
+        # t^3 + P t + Q = 0, one real root if D > 0, else three
+        P = -p * p / 12 - s
+        Q = -p * p * p / 108 + p * s / 3 - q * q / 8
+        D = Q * Q / 4 + P * P * P / 27
+        A = -np.copysign(np.cbrt(np.abs(Q) / 2 + np.sqrt(D)), Q)
+        radius = np.sqrt(-P / 3)
+        cosine = np.clip(-Q / (2 * radius * radius * radius), -1.0, 1.0)
+        t = np.where(D > 0, A - P / (3 * A), 2 * radius * np.cos(np.arccos(cosine) / 3))
+        m = t - p / 3
+        # a small m cancels in t - p/3; m (m^2 + p m + p^2/4 - s) = q^2/8 then
+        # gives it back, contracting its error by 8 m^2 |2m + p| / q^2
+        qq = q * q
+        m = np.where(8 * m * m * np.abs(2 * m + p) < qq,
+                     qq / (8 * (m * m + p * m + p * p / 4 - s)), np.maximum(m, 0.0))
+        w = np.sqrt(2 * m)
+        c = np.where(w > 0, q / (2 * w), np.sqrt(p * p / 4 - s))
+        # y^2 -+ w y + p/2 + m +- c = 0
+        disc = w * w - 4 * (p / 2 + m + np.stack([c, -c]))
+        half = np.sqrt(np.abs(disc)) / 2
+        centre = np.stack([w, -w]) / 2 - h
+        root = np.where(disc >= 0, half, 1j * half)
+        lam = np.concatenate([centre + root, centre - root])
+        value = (((lam + a3) * lam + a2) * lam + a1) * lam + a0
+        slope = ((4 * lam + 3 * a3) * lam + 2 * a2) * lam + a1
+        lam = lam - value / slope
+        scale = 1 + np.max(np.abs([a3, a2, a1, a0]), axis=0)
+        gap = np.min([np.abs(lam[i] - lam[j]) for i in range(4) for j in range(i)], axis=0)
+        unresolved = ~(np.all(np.isfinite(lam), axis=0)
+                       & (np.abs(lam.sum(axis=0) + a3) <= 1e-10 * scale)
+                       & (gap >= ROOT_SEPARATION * scale))
+        rho = np.max(np.abs(lam), axis=0)
+    if unresolved.any():
+        C = np.zeros((int(unresolved.sum()), 4, 4))
+        C[:, 0] = -np.stack([a[unresolved] for a in (a3, a2, a1, a0)], axis=1)
+        C[:, 1, 0] = C[:, 2, 1] = C[:, 3, 2] = 1.0
+        rho[unresolved] = np.max(np.abs(np.linalg.eigvals(C)), axis=1)
+    return rho
 
 
 def control_stability_scan(scheme, beta, n_points=512) -> ControlStabilityReport:

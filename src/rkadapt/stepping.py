@@ -129,12 +129,13 @@ def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
 
     `rhs` is the problem's RHS: a batched one evaluates the stack, with a
     time per member, in one call, any other one member at a time, with a
-    Python float time.  The members without a cached first stage get it on
-    their rows first; then every member shares the sweep.  A member whose
-    state turns NaN/Inf leaves the sweep with the evaluations made up to that
-    state, as its own run's guard leaves it, and the others sweep on.  A
-    member is finite when it lived through the sweep and its u_new and error
-    estimate are finite; the others get NaN in u_new.
+    Python float time.  The members without a cached first stage (every
+    member when f0 is None) get it on their rows first; then every member
+    shares the sweep.  A member whose state turns NaN/Inf leaves the sweep
+    with the evaluations made up to that state, as its own run's guard
+    leaves it, and the others sweep on.  A member is finite when it lived
+    through the sweep and its u_new and error estimate are finite; the others
+    get NaN in u_new.
     """
     sweep = _butcher_sweep if isinstance(scheme, ButcherPair) else _lowstorage_core
     single = np.ndim(t) == 0
@@ -142,6 +143,8 @@ def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
         t, dt, u, f0 = [t], [dt], np.asarray(u)[None], [f0]
     t, dt = np.asarray(t, dtype=float), np.asarray(dt, dtype=float)
     m = len(u)
+    if f0 is None:
+        f0 = [None] * m
     cr = _Stack(rhs, m)
     with np.errstate(invalid="ignore"):
         first = None

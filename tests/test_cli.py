@@ -276,6 +276,8 @@ def test_search_empty_stable_set_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == 3
     assert "control-stable" in err
+    assert "no boundary sample carried controller information" in err
+    assert "cannot be achieved" not in err
 
 
 # the summary fields of a report: finished runs add errors, aborted ones the reason

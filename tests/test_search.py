@@ -11,8 +11,8 @@ from rkadapt.control import ControllerConfig
 from rkadapt.integrate import IntegrationAbort, integrate
 from rkadapt.problems import make_problem
 from rkadapt import search
-from rkadapt.search import (CandidateResult, EmptyStableSetError, SearchSpace,
-                            filter_stable, recommend, run_search)
+from rkadapt.search import (CandidateResult, EmptyStableSetError, SearchResult,
+                            SearchSpace, filter_stable, recommend, run_search)
 
 
 def test_grid_cardinality():
@@ -211,7 +211,8 @@ def test_failed_runs_cost_infinity():
 
 
 def test_empty_stable_set_raises():
-    result = type("R", (), {"stable_candidates": lambda self: [], "scheme": "x"})()
+    result = SearchResult(scheme="x", candidates=[], indeterminate=[], tolerances=(),
+                          problems=())
     with pytest.raises(EmptyStableSetError, match="control-stable"):
         recommend(result)
 

@@ -429,6 +429,72 @@ def test_schur_cohn_verdict_agrees_with_the_radius(samples, candidates, k):
             assert stable == (rho < 1.0), (beta, rho)
 
 
+def _companion_roots(r, e, beta, k):
+    """numpy's eigenvalues of the control quartic's 4x4 companion matrices at
+    each (r, e), and the Cauchy bound 1 + max|a_i| on their moduli."""
+    a = np.stack(stability._quartic(r, e, beta, k), axis=1)
+    C = np.zeros((len(r), 4, 4))
+    C[:, 0] = -a
+    C[:, 1, 0] = C[:, 2, 1] = C[:, 3, 2] = 1.0
+    return np.linalg.eigvals(C), 1 + np.max(np.abs(a), axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                        min_size=1, max_size=16),
+       beta=betas, k=orders)
+def test_radius_is_the_largest_companion_eigenvalue_modulus(samples, beta, k):
+    r, e = np.array(samples).T
+    roots, bound = _companion_roots(r, e, beta, k)
+    gap = np.min([np.abs(roots[:, i] - roots[:, j]) for i in range(4) for j in range(i)],
+                 axis=0)
+    separated = gap >= 1e-3 * bound
+    rho = stability._rho_batch(r, e, beta, k)
+    np.testing.assert_allclose(rho[separated], np.max(np.abs(roots[separated]), axis=1),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("r, e, beta, k", [
+    (0.0, 5.02e-185, (0.0, -0.5, 0.0), 2),      # a double root at 1 split by 1e-93
+    (0.5, 1.0, (0.0, 0.0, 2.2e-311), 2),        # subnormal coefficients
+    (0.0, 0.0, (0.6, -0.2, 0.0), 3),            # lam^2 (lam - 1)^2
+])
+def test_radius_at_multiple_roots_is_the_companion_radius(r, e, beta, k):
+    r, e = np.array([r]), np.array([e])
+    roots, _ = _companion_roots(r, e, beta, k)
+    rho = stability._rho_batch(r, e, beta, k)
+    assert rho[0] == np.max(np.abs(roots)) == 1.0
+    assert stability._stable_batch(r, e, [beta], k).tolist() == [False]
+
+
+@pytest.mark.parametrize("beta", [(0.6, -0.2, -0.4), (1.0, -0.5, -0.5), (0.2, 0.1, -0.3)])
+@pytest.mark.parametrize("k", [2, 5])
+def test_radius_is_at_least_1_when_the_betas_sum_to_zero(beta, k):
+    # p(1) = r (b1 + b2 + b3) / k = 0, a simple root while r (2 b1 + b2) != 0
+    r, e = [a.ravel() for a in np.meshgrid(np.linspace(0.5, 8.0, 16), [-4.0, 0.0, 4.0])]
+    assert np.all(stability._rho_batch(r, e, beta, k) >= 1 - 1e-12)
+
+
+def test_a_stacks_radii_are_its_samples_radii(monkeypatch):
+    rng = np.random.default_rng(7)
+    r, e = rng.uniform(-12.0, 12.0, (2, 40))
+    r[[3, 17]], e[[3, 17]] = 0.0, [0.0, 5.02e-185]      # repeated roots
+    beta, k = (0.0, -0.5, 0.0), 2
+    companions = []
+    eigvals = np.linalg.eigvals
+
+    def counted_eigvals(C):
+        companions.append(len(C))
+        return eigvals(C)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    stack = stability._rho_batch(r, e, beta, k)
+    assert companions == [2]
+    one_by_one = [stability._rho_batch(r[i:i + 1], e[i:i + 1], beta, k)[0]
+                  for i in range(len(r))]
+    assert stack.tobytes() == np.array(one_by_one).tobytes()
+
+
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(stability._BLOCK + 1, 2500))
 def test_filter_stable_across_chunks_equals_one_call_per_candidate(seed, n):

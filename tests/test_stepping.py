@@ -167,6 +167,20 @@ class _PlainRhs:
 
 
 @pytest.mark.parametrize("name", catalog_names())
+def test_a_stack_without_f0_has_no_cached_stage(name):
+    scheme = catalog_get(name)
+    u = np.random.default_rng(5).standard_normal((2, 10))
+    t, dt = np.array([0.0, 0.5]), np.array([0.01, 0.02])
+    rhs = _RowwiseRhs(quadratic_rhs(seed=3))
+    bare = step(scheme, rhs, t, dt, u)
+    listed = step(scheme, rhs, t, dt, u, f0=[None, None])
+    assert bare.u_new.tobytes() == listed.u_new.tobytes()
+    assert bare.err_diff.tobytes() == listed.err_diff.tobytes()
+    assert (bare.nfe, bare.finite) == (listed.nfe, listed.finite)
+    assert bare.nfe == [scheme.s + scheme.fsal] * 2
+
+
+@pytest.mark.parametrize("name", catalog_names())
 def test_mixed_caches_and_a_death_sweep_once(name):
     """Three members in one stack: the first has a cached first stage, the
     second and third do not, and the second's first RHS call returns NaN.

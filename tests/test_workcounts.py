@@ -9,10 +9,11 @@ HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
 
 
 def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None,
-           sweep_digest="s0", src_lines=None):
+           sweep_digest="s0", src_lines=None, verdicts=()):
     lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
     stability = ("" if rho_digest is None else
                  "stability RK3(2)5 3S*+ FSAL: exit 0\n")
+    stability += "".join(f"verdict stability {name}: {value}\n" for name, value in verdicts)
     digests = ("" if rho_digest is None else
                "sha256 stability RK3(2)5 3S*+ FSAL main.csv: m0\n"
                f"sha256 stability RK3(2)5 3S*+ FSAL rho.csv: {rho_digest}\n")
@@ -95,6 +96,48 @@ def test_diff_compares_the_stability_map_digests(tmp_path):
     done = _diff(old, new)
     assert done.returncode == 1
     assert "solution+history.csv: changed, s0 -> s1" in done.stdout
+
+
+def test_diff_lists_verdict_changes_apart_from_radius_moves(tmp_path):
+    old, new = tmp_path / "old.md", tmp_path / "new.md"
+    rows = [_row("A", 10, 5, 1)]
+    before = [("BS3(2)3 FSAL", "stable true max_rho 0.9748335132752606"),
+              ("SSP3(2)3", "stable false max_rho 1.25"),
+              ("SSP3(2)4", "stable true max_rho 0.5")]
+    _table(old, rows, "d1", verdicts=before)
+    _table(new, rows, "d1", verdicts=before)
+    done = _diff(old, new)
+    assert done.returncode == 0
+    assert "Stability verdicts changed: 0 of 3\n" in done.stdout
+    assert "Stability max_rho moved: 0 of 3, largest relative move 0\n" in done.stdout
+    # one radius moves by 1e-12 relative: no verdict changed, but the tables differ
+    _table(new, rows, "d1",
+           verdicts=before[:2] + [("SSP3(2)4", "stable true max_rho 0.5000000000005")])
+    done = _diff(old, new)
+    assert done.returncode == 1
+    assert "Stability verdicts changed: 0 of 3\n" in done.stdout
+    assert "Stability max_rho moved: 1 of 3, largest relative move 1e-12\n" in done.stdout
+    # one verdict flips with its radius
+    _table(new, rows, "d1", verdicts=before[:1] + [("SSP3(2)3", "stable true max_rho 0.75"),
+                                                   before[2]])
+    done = _diff(old, new)
+    assert done.returncode == 1
+    assert ("Stability verdicts changed: 1 of 3\n"
+            "    stability SSP3(2)3: stable false -> true\n") in done.stdout
+    assert "Stability max_rho moved: 1 of 3, largest relative move 0.4\n" in done.stdout
+    # a table made before verdict lines were recorded still parses and compares
+    _table(old, rows, "d1")
+    _table(new, rows, "d1", verdicts=before)
+    done = _diff(old, new)
+    assert done.returncode == 0
+    assert "Stability verdicts: not recorded in OLD\n" in done.stdout
+    assert "identical in every column: 1\n" in done.stdout
+
+
+def test_verdict_line_reads_the_stability_summary():
+    summary = '{"max_rho": 0.9748335132752606, "points": 512, "stable": true}'
+    assert _tool_print(f"tool._verdict({summary!r}), tool._verdict('')") == (
+        "stable true max_rho 0.9748335132752606 -\n")
 
 
 def test_diff_reports_the_src_line_count_without_counting_it(tmp_path):

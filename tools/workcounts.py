@@ -22,19 +22,24 @@ rhomap CSVs that
 
     rkadapt stability --scheme NAME --scaled --beta 0.6,-0.2,0 --control-map --grid-map 101
 
-writes for every catalog pair NAME.
+writes for every catalog pair NAME.  Each of these stability commands also
+leaves a verdict line, the `stable` value and the `max_rho` (repr) of the JSON
+summary it prints.
 
 Run it on two checkouts and compare the outputs: equal output means equal
 work and bit-identical results.  The acceptance suite takes about two
 minutes.  `--diff` compares two such outputs: it lists the rows whose nfe,
 accepted or rejected count or status moved, old against new, counts the rows
 that differ only in max error or final state, says which digests changed,
-and lists the exit status lines (acceptance suite, each dg_sweep command,
-the controller_search command, each stability command) that changed or
-report a failure.  It exits 1 when anything differs and 0 when the tables
-match.  Each table ends with `src lines: N`, the line count of
-CHECKOUT/src/rkadapt/*.py; `--diff` prints it as `src lines: OLD -> NEW`,
-for information only: it does not count toward the exit status.
+lists the stability commands whose `stable` verdict changed apart from those
+whose `max_rho` only moved (with the largest relative move), and lists the
+exit status lines (acceptance suite, each dg_sweep command, the
+controller_search command, each stability command) that changed or report a
+failure.  It exits 1 when anything differs and 0 when the tables match; a
+table made before verdict lines were recorded has none to compare.  Each
+table ends with `src lines: N`, the line count of CHECKOUT/src/rkadapt/*.py;
+`--diff` prints it as `src lines: OLD -> NEW`, for information only: it does
+not count toward the exit status.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import glob
 import hashlib
 import importlib
 import io
+import json
 import math
 import os
 import re
@@ -154,15 +160,25 @@ def _text_digest(text):
     return hashlib.sha256(_WALL_TIME.sub(r"\1-", text).encode()).hexdigest()
 
 
+def _verdict(text):
+    """'stable S max_rho R' from a stability command's JSON summary, or '-'."""
+    try:
+        summary = json.loads(text)
+    except ValueError:
+        return "-"
+    return f"stable {json.dumps(summary.get('stable'))} max_rho {summary.get('max_rho')!r}"
+
+
 _STATUS = re.compile(r"(.+): ((?:pytest )?exit -?\d+)")
 
 
 def _read_table(path):
     """A table's rows, grouped by (run, problem, scheme, controller) in
     order, its 'sha256 NAME: DIGEST' lines as {NAME: DIGEST}, its
+    'verdict NAME: stable S max_rho R' lines as {NAME: (S, R)}, its
     'LABEL: [pytest ]exit N' lines as {LABEL: '[pytest ]exit N'} and its
     src line count ('-' when it has none)."""
-    rows, digests, status, src_lines = {}, {}, {}, "-"
+    rows, digests, verdicts, status, src_lines = {}, {}, {}, {}, "-"
     with open(path) as fh:
         for line in fh:
             if line.startswith("src lines: "):
@@ -170,18 +186,33 @@ def _read_table(path):
             elif line.startswith("sha256 "):
                 name, digest = line[len("sha256 "):].split(":")
                 digests[name] = digest.strip()
+            elif line.startswith("verdict "):
+                name, value = line[len("verdict "):].rsplit(": ", 1)
+                words = value.split()
+                verdicts[name] = (words[1], words[3]) if len(words) == 4 else ("-", "-")
             elif line.startswith("| ") and line.split(" | ")[0][2:].isdigit():
                 cells = [c.strip() for c in line.strip().strip("|").split(" | ")][1:]
                 rows.setdefault(tuple(cells[:4]), []).append(cells[4:])
             elif match := _STATUS.fullmatch(line.strip()):
                 status[match[1]] = match[2]
-    return rows, digests, status, src_lines
+    return rows, digests, verdicts, status, src_lines
+
+
+def _relative_move(a, b):
+    """|b - a| / |a| of two repr'd floats; inf where that is not a number."""
+    try:
+        a, b = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
 
 
 def diff(old_path, new_path):
     """Print what moved between two tables of this tool; 1 if anything did."""
-    old, old_digests, old_status, old_src = _read_table(old_path)
-    new, new_digests, new_status, new_src = _read_table(new_path)
+    old, old_digests, old_verdicts, old_status, old_src = _read_table(old_path)
+    new, new_digests, new_verdicts, new_status, new_src = _read_table(new_path)
     moved, only_old, only_new = [], [], []
     same = rounding = 0
     for key in sorted(set(old) | set(new)):
@@ -217,6 +248,23 @@ def diff(old_path, new_path):
     for name in sorted(set(old_digests) | set(new_digests)):
         a, b = old_digests.get(name, "-"), new_digests.get(name, "-")
         print(f"{name}: " + ("unchanged" if a == b else f"changed, {a[:16]} -> {b[:16]}"))
+    verdicts_moved = False
+    if old_verdicts and new_verdicts:
+        names = sorted(set(old_verdicts) | set(new_verdicts))
+        pairs = [(name, old_verdicts.get(name, ("-", "-")), new_verdicts.get(name, ("-", "-")))
+                 for name in names]
+        flipped = [(name, a, b) for name, a, b in pairs if a[0] != b[0]]
+        moved_rho = [(name, a, b) for name, a, b in pairs if a[1] != b[1]]
+        print(f"Stability verdicts changed: {len(flipped)} of {len(names)}")
+        for name, a, b in flipped:
+            print(f"    {name}: stable {a[0]} -> {b[0]}")
+        largest = max((_relative_move(a[1], b[1]) for _, a, b in moved_rho), default=0.0)
+        print(f"Stability max_rho moved: {len(moved_rho)} of {len(names)}, "
+              f"largest relative move {largest:.3g}")
+        verdicts_moved = bool(flipped or moved_rho)
+    else:
+        missing = [side for side, v in (("OLD", old_verdicts), ("NEW", new_verdicts)) if not v]
+        print(f"Stability verdicts: not recorded in {' and '.join(missing)}")
     labels = sorted(set(old_status) | set(new_status))
     changed = [label for label in labels if old_status.get(label) != new_status.get(label)]
     print(f"Exit status lines changed: {len(changed)} of {len(labels)}")
@@ -227,7 +275,7 @@ def diff(old_path, new_path):
             print(f"    {label}: {exit_line} in both")
     print(f"src lines: {old_src} -> {new_src}")
     return int(bool(moved or rounding or only_old or only_new or changed
-                    or old_digests != new_digests))
+                    or old_digests != new_digests or verdicts_moved))
 
 
 def main(argv=None):
@@ -257,7 +305,7 @@ def main(argv=None):
                             os.path.join(root, "tests", "test_acceptance.py")])
     status = [f"acceptance suite: pytest exit {int(code)}"]
 
-    digests = {}
+    digests, verdicts = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -289,7 +337,9 @@ def main(argv=None):
             for i, scheme in enumerate(catalog.catalog_names()):
                 argv = ["stability", "--scheme", scheme, "--scaled", "--beta", "0.6,-0.2,0",
                         "--control-map", "--grid-map", "101", "--out", f"stab{i}"]
-                status.append(f"stability {scheme}: exit {_cli(cli, argv)[0]}")
+                exit_code, text = _cli(cli, argv)
+                status.append(f"stability {scheme}: exit {exit_code}")
+                verdicts.append(f"verdict stability {scheme}: {_verdict(text)}")
                 for part in ("main", "embedded", "rho", "rhomap"):
                     digests[f"stability {scheme} {part}.csv"] = _file_digest(
                         f"stab{i}.{part}.csv")
@@ -304,6 +354,8 @@ def main(argv=None):
     for line in status:
         print(line)
     print(f"controller_search command: exit {code}")
+    for line in verdicts:
+        print(line)
     for name, digest in digests.items():
         print(f"sha256 {name}: {digest}")
     print(f"src lines: {_src_lines(root)}")
