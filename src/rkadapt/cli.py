@@ -263,6 +263,9 @@ def cmd_stability(args):
     summary = {"out": out, "scaled_by": scale, "points": int(args.points)}
     if args.control_map:
         report = stability.control_stability_scan(scheme, beta, n_points=args.points)
+        if not report.samples:
+            raise CliError(f"no control-stability verdict for {scheme.name}; "
+                           f"{stability.NO_INFORMATIVE_SAMPLE}", EXIT_EMPTY)
         zs = np.array([z for z, _ in report.samples], dtype=complex)
         rhos = np.array([rho for _, rho in report.samples], dtype=float)
         _write_csv(out + ".rho.csv", ["re", "im", "value"],
@@ -298,9 +301,6 @@ def cmd_search(args):
     if args.policy not in search.POLICIES:     # a config file bypasses the choices
         raise CliError(f"--policy must be one of {', '.join(search.POLICIES)}",
                        EXIT_USAGE)
-    # the stability filter's samples, traced here so that a boundary that cannot
-    # be traced is a numerical failure rather than an empty result
-    stability.boundary_samples(scheme)
     result = search.run_search(scheme, probs, budget=args.budget,
                                tolerances=tols, seed=args.seed)
     try:

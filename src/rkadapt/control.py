@@ -7,7 +7,8 @@ The controller follows the digital-signal-processing form
 with eps = 1/w the inverse of the weighted RMS error estimate, optionally
 passed through the growth limiter x -> 1 + arctan(x - 1).  A step is accepted
 when the (limited) factor is at least 0.9^2; out-of-bounds solutions retry at
-a quarter of the step.
+a quarter of the step.  `pid_decide` runs this whole recursion for one
+attempt, given its error norm.
 """
 
 from __future__ import annotations
@@ -128,6 +129,23 @@ def accept_or_reject(factor, dt_current, dt_next, admissible, cfg: ControllerCon
     if factor >= ACCEPT_THRESHOLD:
         return StepDecision(True, dt_next)
     return StepDecision(False, dt_next)
+
+
+def pid_decide(state: ControllerState, w: float, cfg: ControllerConfig) -> bool:
+    """Accept or reject the attempt of step state.dt_current with error norm
+    w, and set state.dt_current to the next step.  A finite w pushes 1/w
+    before the decision, also when the step is rejected for it; w = +inf (a
+    step not finite or admissible, or an error beyond the float range)
+    pushes nothing and retries at a quarter of the step."""
+    ok = w < math.inf
+    if ok:
+        state.push(inverse_error(w))
+        dt_next, factor = pid_propose(state, cfg)
+    else:
+        dt_next, factor = state.dt_current, 0.0
+    decision = accept_or_reject(factor, state.dt_current, dt_next, ok, cfg)
+    state.dt_current = decision.dt_next
+    return decision.accept
 
 
 def initial_step(rhs, t0, u0, cfg: ControllerConfig, q, horizon=None, admissible=None):

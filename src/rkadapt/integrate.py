@@ -8,10 +8,9 @@ for bit the report of the member's run alone.  The member states advance as
 one stack; members that finish or abort leave the stack.  `integrate` is
 the one-member ensemble.
 
-The problem's RHS, admissibility test and CFL timescale follow one rule, the
-rule `step` applies: an RHS with `batched = True` gets the stack, with a
-time per member, in one call; any other RHS is called once per member, with
-a Python float time.
+The loop only schedules: it clips steps, calls `step` (which decides whether
+each result is usable), applies each member's verdict (`control.pid_decide`)
+and retires members.  The CFL timescale follows `stepping.per_member`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import control as ctrl
 from .control import CflConfig, ControllerConfig, ControllerState
-from .stepping import step
+from .stepping import per_member, step
 
 DT_UNDERFLOW = 1e-14   # times the horizon; below this the run aborts
 
@@ -140,7 +139,7 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                 member.leave(u[j], "attempt budget exhausted")
             break
         if cfl:
-            timescales = _per_member(rhs.cfl_timescale, batched, u)
+            timescales = per_member(rhs.cfl_timescale, batched, u)
             for j, (member, ts) in enumerate(zip(live, timescales)):
                 try:
                     member.state.dt_current = ctrl.cfl_step(ts, member.controller)
@@ -151,13 +150,13 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
                 break
         for member in live:
             member.clipped = member.t + member.state.dt_current >= t_end
-            member.dt_try = t_end - member.t if member.clipped else member.state.dt_current
-            member.state.dt_current = member.dt_try
+            if member.clipped:
+                member.state.dt_current = t_end - member.t
 
         res = step(scheme, rhs, np.array([m.t for m in live]),
-                   np.array([m.dt_try for m in live]), u,
+                   np.array([m.state.dt_current for m in live]), u,
                    f0=[m.fcache for m in live], need_estimate=not cfl)
-        norms = _error_norms(res, admissible, batched, [m.controller for m in live])
+        norms = _error_norms(res, [m.controller for m in live])
 
         accepted = [False] * len(live)
         for j, (member, w) in enumerate(zip(live, norms)):
@@ -167,11 +166,12 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
             if cfl and not ok:
                 member.leave(u[j], "solution left the admissible set under CFL control")
                 continue
-            accept = accepted[j] = cfl or member.pid_decision(w)
+            dt = member.state.dt_current
+            accept = accepted[j] = cfl or ctrl.pid_decide(member.state, w, member.controller)
             if record_history:
-                report.history.append((member.t, member.dt_try, accept))
+                report.history.append((member.t, dt, accept))
             if accept:
-                member.t = t_end if member.clipped else member.t + member.dt_try
+                member.t = t_end if member.clipped else member.t + dt
                 member.fcache = None if res.fsal_f is None else res.fsal_f[j]
                 report.n_accepted += 1
             else:
@@ -200,29 +200,12 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
 class _Member:
     """One run of an ensemble: its controller, report and loop state."""
 
-    __slots__ = ("controller", "report", "t", "state", "fcache", "clipped", "dt_try",
-                 "done")
+    __slots__ = ("controller", "report", "t", "state", "fcache", "clipped", "done")
 
     def __init__(self, controller, report, t0):
         self.controller, self.report, self.t = controller, report, t0
         self.state = self.fcache = None
         self.done = False
-
-    def pid_decision(self, w):
-        """Accept or reject the attempt with error norm w (+inf for a step that
-        is not finite or not admissible), and set the next step size."""
-        state, cfg = self.state, self.controller
-        ok = w < math.inf
-        if ok:
-            state.push(ctrl.inverse_error(w))
-            dt_next, factor = ctrl.pid_propose(state, cfg)
-        else:
-            # same robustness path for NaN stages, physical-bounds failures
-            # and error estimates beyond the float range
-            dt_next, factor = self.dt_try, 0.0
-        decision = ctrl.accept_or_reject(factor, self.dt_try, dt_next, ok, cfg)
-        state.dt_current = decision.dt_next
-        return decision.accept
 
     def leave(self, u, abort_reason=None):
         """Finish at u, or abort there with the reason."""
@@ -243,25 +226,12 @@ def _remaining(live, u):
     return [live[j] for j in keep], u[keep]
 
 
-def _error_norms(res, admissible, batched, controllers):
-    """Each member's error norm as a float: +inf where its step is not finite
-    or not admissible, else its weighted RMS error, or 0 without an estimate.
-    `step` has set NaN in the u_new of a member that is not finite."""
+def _error_norms(res, controllers):
+    """Each member's error norm as a float: +inf where `step` found its result
+    unusable (and set NaN in its u_new), else its weighted RMS error, or 0
+    without an estimate."""
     if res.err_diff is None:
-        w = [0.0 if finite else math.inf for finite in res.finite]
-    else:
-        w = ctrl.error_norms(res.u_new, res.u_new - res.err_diff,
-                             [c.atol for c in controllers],
-                             [c.rtol for c in controllers]).tolist()
-    rows = [j for j, x in enumerate(w) if x < math.inf]
-    if admissible is not None and rows:
-        u_new = res.u_new if len(rows) == len(w) else res.u_new[rows]
-        for j, ok in zip(rows, _per_member(admissible, batched, u_new)):
-            if not ok:
-                w[j] = math.inf
-    return w
-
-
-def _per_member(fn, batched, u):
-    """fn of each member of a stack: one call of a batched problem's, else one per member."""
-    return fn(u) if batched else [fn(um) for um in u]
+        return [0.0 if finite else math.inf for finite in res.finite]
+    return ctrl.error_norms(res.u_new, res.u_new - res.err_diff,
+                            [c.atol for c in controllers],
+                            [c.rtol for c in controllers]).tolist()

@@ -5,7 +5,8 @@ candidate is integrated on each problem at each tolerance, failed runs cost
 +inf, and the aggregation minimizes the maximum, median, or 95th percentile
 of the RHS-evaluation counts across runs.  The stable candidates of each
 (problem, tolerance) run as one ensemble, bit for bit equal to separate
-runs.
+runs.  A boundary that cannot be traced raises `stability.TraceError`
+out of `filter_stable` and `run_search`.
 """
 
 from __future__ import annotations
@@ -118,9 +119,7 @@ class CandidateResult:
 class SearchResult:
     scheme: str
     candidates: list                    # CandidateResult, stable ones carry runs
-    indeterminate: list                 # betas whose stability scan failed
-    tolerances: tuple
-    problems: tuple
+    indeterminate: list                 # betas no boundary sample could judge
 
     def stable_candidates(self):
         return [c for c in self.candidates if c.stable]
@@ -145,10 +144,7 @@ def filter_stable(scheme, candidates):
     indeterminate (no usable boundary samples) by the Schur-Cohn test on the
     control quartic at the retained boundary samples."""
     candidates = list(candidates)
-    try:
-        z, r, e, keep = stability.boundary_samples(scheme)
-    except stability.TraceError:
-        return [], [], candidates
+    z, r, e, keep = stability.boundary_samples(scheme)
     rk, ek = r[keep], e[keep]
     if len(rk) == 0:
         return [], [], candidates
@@ -182,8 +178,6 @@ def run_search(scheme, problems, space=SearchSpace(), budget=None,
         scheme=getattr(scheme, "name", type(scheme).__name__),
         candidates=results,
         indeterminate=indeterminate,
-        tolerances=tolerances,
-        problems=tuple(p.name for p in problems),
     )
 
 
@@ -221,8 +215,8 @@ def recommend(result: SearchResult, policy="min-max"):
     """
     stable = result.stable_candidates()
     if not stable:
-        why = ("no boundary sample carried controller information, so no candidate "
-               "was judged" if result.indeterminate and not result.candidates else
+        why = (f"{stability.NO_INFORMATIVE_SAMPLE}, so no candidate was judged"
+               if result.indeterminate and not result.candidates else
                "step size control stability cannot be achieved on this grid")
         raise EmptyStableSetError(f"no control-stable candidates for {result.scheme}; {why}")
     keyed = sorted(

@@ -51,6 +51,7 @@ MAX_WINDING = 64               # turns of theta before a trace counts as open
 DEGENERATE_TOL = 1e-14
 TANGENTIAL_TOL = 1e-3
 ROOT_SEPARATION = 1e-3          # closer control-quartic roots take eigvals
+NO_INFORMATIVE_SAMPLE = "no boundary sample carried controller information"
 
 
 class TraceError(RuntimeError):

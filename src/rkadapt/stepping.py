@@ -16,20 +16,22 @@ as `f0`.
 
 A step also advances an ensemble: with `t` and `dt` arrays of length m, `u`
 holds m member states along a leading axis and `f0` lists each member's
-cached first stage (or None).  The step takes the problem's RHS as
-`integrate_ensemble` does: an RHS with `batched = True` gets the stack, with
-a time per member, in one call; any other RHS is called once per member,
-with a Python float time.  Every member steps exactly as it would alone: its
-own time and step size, its own FSAL cache and its own finite guard, with its
-evaluations counted as its own run counts them.  The result's `nfe` and
-`finite` are then lists with one entry per member.  A single state steps as
-the one-member ensemble.
+cached first stage (or None).  `per_member` is the one rule for calling a
+problem's functions on a stack: a problem with `batched = True` gets the
+stack, with a time per member, in one call; any other is called once per
+member, with a Python float time.  Every member steps exactly as it would
+alone: its own time and step size, its own FSAL cache and its own finite
+guard, with its evaluations counted as its own run counts them.  The
+result's `nfe` and `finite` are then lists with one entry per member.  A
+single state steps as the one-member ensemble.
 
 Each attempt is one sweep of the whole stack.  A member whose state turns
 NaN/Inf leaves it there: the RHS no longer evaluates its rows, which hold
 NaN from then on, and its count stops at that state.  The others sweep on.
 The sweep runs under `np.errstate(invalid="ignore")`, since a row whose RHS
-returned inf can meet inf - inf in its registers before it dies.
+returned inf can meet inf - inf in its registers before it dies.  `step`
+also decides whether a member's result is usable (`finite`), which takes
+the problem's `is_admissible` too.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class StepResult:
     err_diff: np.ndarray | None   # u_new - uhat_new; None when no estimate requested
     nfe: int | list               # RHS evaluations of this attempt; a list, one per member
     fsal_f: np.ndarray | None     # f(t+dt, u_new) for reuse on acceptance
-    finite: bool | list           # False if any stage went NaN/Inf; a list, one per member
+    finite: bool | list           # False unless usable (see `step`); a list, one per member
 
 
 def _finite_members(states):
@@ -61,6 +63,16 @@ def _finite_members(states):
 def _stacked(rows):
     """Member arrays as a stack; a single member's as a view."""
     return np.asarray(rows[0])[None] if len(rows) == 1 else np.stack(rows)
+
+
+def per_member(fn, batched, u, times=None):
+    """fn of each member of a stack (after its time, when `times` is given):
+    a batched problem's in one call, any other's as a list of member calls."""
+    if batched:
+        return fn(u) if times is None else fn(times, u)
+    if times is None:
+        return [fn(um) for um in u]
+    return [fn(float(tm), um) for tm, um in zip(times, u)]
 
 
 class _Stack:
@@ -81,9 +93,8 @@ class _Stack:
         self.live = None                     # per-member mask once one has died
 
     def _eval(self, times, u):
-        if self.batched:
-            return self.rhs(times, u)
-        return _stacked([self.rhs(float(tm), um) for tm, um in zip(times, u)])
+        out = per_member(self.rhs, self.batched, u, times)
+        return out if self.batched else _stacked(out)
 
     def __call__(self, t, u, rows=None):
         times = t.reshape(len(u)) if isinstance(t, np.ndarray) else np.array([t])
@@ -133,9 +144,9 @@ def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
     member when f0 is None) get it on their rows first; then every member
     shares the sweep.  A member whose state turns NaN/Inf leaves the sweep
     with the evaluations made up to that state, as its own run's guard
-    leaves it, and the others sweep on.  A member is finite when it lived
-    through the sweep and its u_new and error estimate are finite; the others
-    get NaN in u_new.
+    leaves it, and the others sweep on.  A member is finite (usable) when it
+    lived through the sweep, its u_new and error estimate are finite and the
+    RHS's `is_admissible`, if any, accepts u_new; the others get NaN in u_new.
     """
     sweep = _butcher_sweep if isinstance(scheme, ButcherPair) else _lowstorage_core
     single = np.ndim(t) == 0
@@ -168,6 +179,10 @@ def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
         finite &= cr.live
     if err is not None:
         finite &= _finite_members(err)
+    admissible = getattr(rhs, "is_admissible", None)
+    if admissible is not None and finite.any():
+        rows = slice(None) if finite.all() else np.flatnonzero(finite)
+        finite[rows] = per_member(admissible, cr.batched, u_new[rows])
     if not finite.all():
         u_new = u_new.copy()       # a scheme with zero weights returns u itself
         u_new[~finite] = np.nan

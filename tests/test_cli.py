@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rkadapt import cli, stability
-from rkadapt.catalog import catalog_get
+from rkadapt import cli, search, stability
+from rkadapt.catalog import catalog_get, load_coefficients
 from rkadapt.cli import _CSV_BLOCK, _fmt, main
+from rkadapt.problems import make_problem
 
 
 def run(capsys, *argv):
@@ -256,20 +257,22 @@ def test_search_problem_flags_override_suite_sizes(tmp_path, capsys):
     assert coarse != longer
 
 
+# embedded weights equal to the main weights: E == 0, every boundary sample
+# is degenerate, no candidate can be classified stable
+NO_ESTIMATOR_DOC = {
+    "name": "NoEstimator", "class": "butcher", "s": 3, "q": 3, "qhat": 2,
+    "fsal": False,
+    "A": ["0", "0", "0", "1", "0", "0", "0.25", "0.25", "0"],
+    "b": ["0.16666666666666666", "0.16666666666666666", "0.6666666666666666"],
+    "c": ["0", "1", "0.5"],
+    "bhat": ["0.16666666666666666", "0.16666666666666666",
+             "0.6666666666666666", "0"],
+}
+
+
 def test_search_empty_stable_set_exits_3(tmp_path, capsys):
-    # embedded weights equal to the main weights: E == 0, every boundary
-    # sample is degenerate, no candidate can be classified stable
-    doc = {
-        "name": "NoEstimator", "class": "butcher", "s": 3, "q": 3, "qhat": 2,
-        "fsal": False,
-        "A": ["0", "0", "0", "1", "0", "0", "0.25", "0.25", "0"],
-        "b": ["0.16666666666666666", "0.16666666666666666", "0.6666666666666666"],
-        "c": ["0", "1", "0.5"],
-        "bhat": ["0.16666666666666666", "0.16666666666666666",
-                 "0.6666666666666666", "0"],
-    }
     coeff = tmp_path / "bad.json"
-    coeff.write_text(json.dumps(doc))
+    coeff.write_text(json.dumps(NO_ESTIMATOR_DOC))
     code, _, err = run(capsys, "search", "--coeff-file", str(coeff),
                        "--problems", "dahlquist", "--lambda", "-1",
                        "--t-end", "2", "--tol", "1e-6", "--budget", "3",
@@ -278,6 +281,21 @@ def test_search_empty_stable_set_exits_3(tmp_path, capsys):
     assert "control-stable" in err
     assert "no boundary sample carried controller information" in err
     assert "cannot be achieved" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--grid-map", "21"]])
+def test_control_map_without_an_informative_sample_exits_3(tmp_path, capsys, flags):
+    coeff = tmp_path / "bad.json"
+    coeff.write_text(json.dumps(NO_ESTIMATOR_DOC))
+    code, out, err = run(capsys, "stability", "--coeff-file", str(coeff),
+                         "--beta", "0.6,-0.2", "--control-map", *flags,
+                         "--out", str(tmp_path / "s"))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "no boundary sample carried controller information" in err
+    assert out == ""
+    assert not (tmp_path / "s.rho.csv").exists()
+    assert not (tmp_path / "s.rhomap.csv").exists()
 
 
 # the summary fields of a report: finished runs add errors, aborted ones the reason
@@ -326,6 +344,17 @@ def test_search_on_an_untraceable_boundary_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "could not be traced" in err
     assert out == ""
     assert list(tmp_path.iterdir()) == [coeff]
+
+
+def test_filter_stable_and_run_search_raise_on_an_untraceable_boundary(tmp_path):
+    coeff = tmp_path / "untraceable.json"
+    coeff.write_text(json.dumps(UNTRACEABLE_DOC))
+    scheme = load_coefficients(str(coeff))
+    with pytest.raises(stability.TraceError):
+        search.filter_stable(scheme, [(0.6, -0.2, 0.0)])
+    with pytest.raises(stability.TraceError):
+        search.run_search(scheme, [make_problem("dahlquist")], budget=4,
+                          tolerances=(1e-3,))
 
 
 def test_integrate_numerical_failure_exits_2(capsys):

@@ -10,7 +10,7 @@ from rkadapt import dgsem
 from rkadapt.control import (CflConfig, ControllerConfig, ControllerState,
                              accept_or_reject, cfl_dt, error_norm, error_norms,
                              initial_step, inverse_error, limit_factor,
-                             pid_propose)
+                             pid_decide, pid_propose)
 
 
 def cfg(beta=(0.6, -0.2, 0.0), atol=1e-5, rtol=1e-5, k=3, **kw):
@@ -132,6 +132,29 @@ def test_bounds_rejection_quarters_the_step():
     d = accept_or_reject(2.0, 1.0, 2.0, False, cfg())
     assert not d.accept
     assert d.dt_next == 0.25
+
+
+def test_pid_decide_on_a_scripted_error_sequence():
+    # the recursion's rules: a finite norm pushes eps = 1/w before the
+    # decision, also when the attempt is then rejected for its error; a bounds
+    # failure (w = inf) pushes nothing and retries at a quarter of the step
+    c = cfg(beta=(0.6, -0.2, 0.1), k=3)
+    state = ControllerState(dt_current=0.1)
+
+    def factor(e0, e1, e2):
+        return limit_factor(e0 ** (0.6 / 3) * e1 ** (-0.2 / 3) * e2 ** (0.1 / 3))
+
+    dt1 = 0.1 * factor(2.0, 1.0, 1.0)
+    dt2 = dt1 * factor(1 / 3.0, 2.0, 1.0)
+    dt4 = dt2 / 4 * factor(1.25, 1 / 3.0, 2.0)
+    script = [(0.5, True, [2.0, 1.0, 1.0], dt1),
+              (3.0, False, [1 / 3.0, 2.0, 1.0], dt2),
+              (math.inf, False, [1 / 3.0, 2.0, 1.0], dt2 / 4),
+              (0.8, True, [1.25, 1 / 3.0, 2.0], dt4)]
+    for w, accept, history, dt in script:
+        assert pid_decide(state, w, c) is accept, w
+        assert state.eps_history == history, w
+        assert state.dt_current == pytest.approx(dt, rel=1e-14), w
 
 
 def test_small_factor_rejects_with_pid_proposal():

@@ -474,6 +474,36 @@ def test_cfl_ensemble_members_abort_on_their_own_undefined_timescale():
     assert reports[0].abort_reason.startswith("CFL control undefined")
 
 
+class PositiveDecay:
+    """u' = lam * u on one state or a stack of them; a state with a negative
+    entry is not admissible, per member, and each refusal is counted."""
+
+    batched = True
+
+    def __init__(self, lam):
+        self.lam, self.refused = lam, 0
+
+    def __call__(self, t, u):
+        return self.lam * u
+
+    def is_admissible(self, u):
+        ok = np.all(u >= 0, axis=-1)
+        self.refused += int(np.size(ok) - np.count_nonzero(ok))
+        return ok.item() if ok.ndim == 0 else ok
+
+
+def test_ensemble_members_with_inadmissible_results_equal_their_own_runs():
+    # steps near the stability limit overshoot below zero; the refused
+    # member retries at a quarter of its step while the others advance
+    scheme = catalog_get("SSP3(2)3")
+    rhs = PositiveDecay(lam=-10.0)
+    problem = Problem("decay", rhs, np.array([1.0]), 2.0, None, None)
+    reports = assert_members_equal_their_runs(
+        scheme, problem, [cfg_for(scheme, tol) for tol in (1e-2, 1e-4, 1e-7)])
+    assert rhs.refused > 0
+    assert all(r.t_final == 2.0 and not r.aborted for r in reports)
+
+
 def test_unbatched_rhs_ensemble_members_underflow_as_their_own_runs():
     scheme = catalog_get("SSP3(2)3")
     problem = Problem("capped", CappedRhs(cap=1.5), np.array([1.0]), 2.0, None, None)

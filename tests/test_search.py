@@ -211,8 +211,7 @@ def test_failed_runs_cost_infinity():
 
 
 def test_empty_stable_set_raises():
-    result = SearchResult(scheme="x", candidates=[], indeterminate=[], tolerances=(),
-                          problems=())
+    result = SearchResult(scheme="x", candidates=[], indeterminate=[])
     with pytest.raises(EmptyStableSetError, match="control-stable"):
         recommend(result)
 

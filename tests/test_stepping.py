@@ -214,3 +214,36 @@ def test_mixed_caches_and_a_death_sweep_once(name):
             assert (res.nfe[j], res.finite[j]) == (alone.nfe, alone.finite), j
         assert res.finite == [True, False, True]
         assert res.nfe[1] == 1
+
+
+class _RefusingRhs(_RowwiseRhs):
+    """_RowwiseRhs whose `is_admissible` refuses a state whose first entry
+    exceeds `cap`, per member."""
+
+    def __init__(self, row, cap):
+        super().__init__(row)
+        self.cap = cap
+
+    def is_admissible(self, u):
+        return u[..., 0] <= self.cap
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_an_inadmissible_result_is_not_finite(name):
+    """The middle member's finite u_new is refused: it gets `finite` False
+    and a NaN row after a full sweep, and the others equal their own steps."""
+    scheme = catalog_get(name)
+    row = quadratic_rhs(seed=7)
+    u = np.random.default_rng(6).standard_normal((3, 10)) * 0.1
+    u[1, 0] = 5.0
+    t, dt = np.array([0.0, 0.1, 0.2]), np.array([0.01, 0.02, 0.03])
+    res = step(scheme, _RefusingRhs(row, cap=4.0), t, dt, u)
+    assert res.finite == [True, False, True]
+    assert np.all(np.isnan(res.u_new[1]))
+    assert res.nfe == [scheme.s + scheme.fsal] * 3
+    for j in (0, 2):
+        alone = step(scheme, row, t[j], dt[j], u[j])
+        assert res.u_new[j].tobytes() == alone.u_new.tobytes(), j
+        assert res.err_diff[j].tobytes() == alone.err_diff.tobytes(), j
+    alone = step(scheme, _RefusingRhs(row, cap=4.0), t[1], dt[1], u[1])
+    assert alone.finite is False and np.all(np.isnan(alone.u_new))

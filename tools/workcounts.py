@@ -1,4 +1,4 @@
-"""Work counts of every acceptance and dg_sweep integration, for comparing versions.
+"""Work counts of every acceptance, dg_sweep and sweep integration, for comparing versions.
 
     python tools/workcounts.py [--root CHECKOUT] > counts.md
     python tools/workcounts.py --diff OLD.md NEW.md
@@ -7,7 +7,8 @@ Imports the package from CHECKOUT/src (default: this checkout) and wraps its
 integration entry point, `integrate_ensemble` where the version has one and
 `integrate` otherwise, in every module that imported it.  Then it runs
 CHECKOUT/tests/test_acceptance.py in-process and every dg_sweep integration
-that CHECKOUT/perfbench/workloads.py specifies, through `rkadapt integrate`.
+that CHECKOUT/perfbench/workloads.py specifies, through `rkadapt integrate`,
+and the two `rkadapt sweep` ensembles of SWEEPS.
 It prints one table row per integration: problem (with a digest of its grid's
 element boundaries, which tells a perturbed grid from a uniform one), scheme,
 controller, nfe, accepted and rejected counts, max error (repr, so every bit
@@ -16,7 +17,8 @@ version that runs the same integrations in another order (one ensemble
 instead of separate runs) prints the same table.  Last come the sha256
 digests of what the commands write: one per dg_sweep command over its
 --solution-out and --history-out files and one over the JSON report it
-prints, with its `wall_time` value blanked, then search.csv and search.json of
+prints, with its `wall_time` value blanked, one over each sweep's CSV and one
+over the JSON it prints, then search.csv and search.json of
 the benchmark's controller_search command, and the main, embedded, rho and
 rhomap CSVs that
 
@@ -33,8 +35,8 @@ accepted or rejected count or status moved, old against new, counts the rows
 that differ only in max error or final state, says which digests changed,
 lists the stability commands whose `stable` verdict changed apart from those
 whose `max_rho` only moved (with the largest relative move), and lists the
-exit status lines (acceptance suite, each dg_sweep command, the
-controller_search command, each stability command) that changed or report a
+exit status lines (acceptance suite, each dg_sweep command, each sweep
+command, the controller_search command, each stability command) that changed or report a
 failure.  It exits 1 when anything differs and 0 when the tables match; a
 table made before verdict lines were recorded has none to compare.  Each
 table ends with `src lines: N`, the line count of CHECKOUT/src/rkadapt/*.py;
@@ -60,6 +62,13 @@ import tempfile
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.dont_write_bytecode = True
+
+# the sweep ensembles: SSP3(2)4 under CFL control, whose nu = 4 member leaves
+# the admissible set, and PI34 on BS5(4)7 FSAL, which rejects often
+SWEEPS = (("--scheme", "ssp43", "--problem", "vortex2d", "--elements", "4",
+           "--t-end", "1", "--nus", "0.5,4,1"),
+          ("--scheme", "bs5", "--problem", "source1d", "--t-end", "2",
+           "--tols", "1e-3,1e-5,1e-7", "--beta", "0.7,-0.4,0"))
 
 HEADER = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
           "| max error | sha256[:16] of `u_final` | status |")
@@ -326,6 +335,12 @@ def main(argv=None):
                     status.append(f"{rec.run}: exit {code}")
                     digests[f"{rec.run} solution+history.csv"] = _file_digest(*files)
                     digests[f"{rec.run} integrate.json"] = _text_digest(text)
+            for i, flags in enumerate(SWEEPS):
+                rec.run = "sweep " + " ".join(flags)
+                code, text = _cli(cli, ["sweep", *flags, "--out", f"sweep{i}.csv"])
+                status.append(f"{rec.run}: exit {code}")
+                digests[f"{rec.run} sweep.csv"] = _file_digest(f"sweep{i}.csv")
+                digests[f"{rec.run} sweep.json"] = _text_digest(text)
 
             rec.run = None
             code, _ = _cli(cli, ["search", "--scheme", workloads.SEARCH_SCHEME,
