@@ -33,8 +33,7 @@ def _bs32(name) -> ButcherPair:
     b = [F(2, 9), F(1, 3), F(4, 9)]
     c = [0, F(1, 2), F(3, 4)]
     bhat = [F(7, 24), F(1, 4), F(1, 3), F(1, 8)]
-    return ButcherPair(name, A, b, c, bhat, q=3, qhat=2, fsal=True,
-                       exact={"A": A, "b": b, "c": c, "bhat": bhat})
+    return ButcherPair(name, A, b, c, bhat, q=3, qhat=2, fsal=True)
 
 
 def _bs54(name) -> ButcherPair:
@@ -52,8 +51,7 @@ def _bs54(name) -> ButcherPair:
     c = [0, F(1, 6), F(2, 9), F(3, 7), F(2, 3), F(3, 4), 1]
     bhat = [F(2479, 34992), 0, F(123, 416), F(612941, 3411720),
             F(43, 1440), F(2272, 6561), F(79937, 1113912), F(3293, 556956)]
-    return ButcherPair(name, A, b, c, bhat, q=5, qhat=4, fsal=True,
-                       exact={"A": A, "b": b, "c": c, "bhat": bhat})
+    return ButcherPair(name, A, b, c, bhat, q=5, qhat=4, fsal=True)
 
 
 def _with_fsal_weight(bhat, fsal):

@@ -151,7 +151,7 @@ def _cfl_controller(args, problem, nu):
 
 def _pid_controller(args, scheme, atol, rtol):
     """PID control with --beta if given, else the scheme's default."""
-    beta = {"beta": _parse_beta(args.beta)} if args.beta else {}
+    beta = {"beta": _parse_beta(args.beta)} if args.beta is not None else {}
     return _usage_errors(ControllerConfig.for_scheme, scheme, atol=atol, rtol=rtol,
                          **beta)
 
@@ -208,7 +208,8 @@ def cmd_sweep(args):
     problem = _build_problem(args)
     if (args.tols is None) == (args.nus is None):
         raise CliError("give exactly one of --tols or --nus", EXIT_USAGE)
-    settings = _floats(args.tols or args.nus, "--tols" if args.tols else "--nus")
+    flag, text = ("--tols", args.tols) if args.tols is not None else ("--nus", args.nus)
+    settings = _floats(text, flag)
     if args.nus is not None:
         controllers = [_cfl_controller(args, problem, val) for val in settings]
     else:
@@ -223,7 +224,7 @@ def cmd_sweep(args):
         else:
             err = max(rep.errors.values()) if rep.errors else math.nan
             rows.append((val, rep.nfe, rep.n_rejected, err, "ok"))
-    header = ["tol" if args.tols else "nu", "nfe", "n_rejected", "error", "status"]
+    header = ["tol" if flag == "--tols" else "nu", "nfe", "n_rejected", "error", "status"]
     out = args.out or "sweep.csv"
     _write_csv(out, header, list(zip(*rows)))
     print(json.dumps({"rows": len(rows), "out": out,
@@ -244,9 +245,9 @@ def cmd_stability(args):
         raise CliError("--grid-map must not be negative", EXIT_USAGE)
     if args.grid_map and not args.control_map:
         raise CliError("--grid-map needs --control-map", EXIT_USAGE)
-    if args.control_map and not args.beta:
+    if args.control_map and args.beta is None:
         raise CliError("--control-map requires --beta", EXIT_USAGE)
-    beta = _parse_beta(args.beta) if args.beta else None
+    beta = _parse_beta(args.beta) if args.beta is not None else None
     code = EXIT_OK
     # the embedded boundary is traced as the main boundary of its polynomial
     for part, region in (("main", polys),
@@ -263,9 +264,6 @@ def cmd_stability(args):
     summary = {"out": out, "scaled_by": scale, "points": int(args.points)}
     if args.control_map:
         report = stability.control_stability_scan(scheme, beta, n_points=args.points)
-        if not report.samples:
-            raise CliError(f"no control-stability verdict for {scheme.name}; "
-                           f"{stability.NO_INFORMATIVE_SAMPLE}", EXIT_EMPTY)
         zs = np.array([z for z, _ in report.samples], dtype=complex)
         rhos = np.array([rho for _, rho in report.samples], dtype=float)
         _write_csv(out + ".rho.csv", ["re", "im", "value"],
@@ -287,10 +285,10 @@ def cmd_stability(args):
 
 def cmd_search(args):
     scheme = _resolve(args)
-    names = args.problems.split(",") if args.problems else problems.SEARCH_DEFAULTS
+    names = problems.SEARCH_DEFAULTS if args.problems is None else args.problems.split(",")
     probs = [_make_problem(name, args, **problems.SEARCH_DEFAULTS.get(name, {}))
              for name in names]
-    tols = (_floats(args.tols, "--tols") if args.tols else
+    tols = (_floats(args.tols, "--tols") if args.tols is not None else
             [args.tol] if args.tol is not None else search.DEFAULT_TOLERANCES)
     for tol in tols:        # the controller's own checks, before any run
         _usage_errors(ControllerConfig.for_scheme, scheme, tol=tol)
@@ -303,11 +301,7 @@ def cmd_search(args):
                        EXIT_USAGE)
     result = search.run_search(scheme, probs, budget=args.budget,
                                tolerances=tols, seed=args.seed)
-    try:
-        ranked = search.recommend(result, policy=args.policy)
-    except search.EmptyStableSetError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return EXIT_EMPTY
+    ranked = search.recommend(result, policy=args.policy)
 
     out = args.out or "search"
     rows = []
@@ -328,7 +322,6 @@ def cmd_search(args):
         "policy": args.policy,
         "n_candidates": len(result.candidates),
         "n_stable": len(result.stable_candidates()),
-        "n_indeterminate": len(result.indeterminate),
         "recommendation": {
             "beta": list(best.beta),
             "aggregate": best.aggregate(args.policy),
@@ -453,13 +446,20 @@ def main(argv=None):
             if unknown:
                 raise CliError(f"--config {args.config}: no command has a flag named "
                                f"{', '.join(map(repr, unknown))}", EXIT_USAGE)
-            # a flag that takes a value gets it as text, so the parser converts
-            # and checks it as it does a command-line value
+            # null leaves a flag at its parser default; a flag that takes a
+            # value gets it as text, so the parser converts and checks it as it
+            # does a command-line value; a switch takes only true or false
             command, dests = parser.commands[args.command], flags[args.command]
             takes_value = {a.dest for a in command._actions if a.nargs != 0}
-            command.set_defaults(**{
-                dests[key]: str(value) if dests[key] in takes_value and value is not None
-                else value for key, value in defaults.items() if key in dests})
+            given = {dests[key]: value for key, value in defaults.items()
+                     if key in dests and value is not None}
+            for dest, value in given.items():
+                if dest in takes_value:
+                    given[dest] = str(value)
+                elif not isinstance(value, bool):
+                    raise CliError(f"--config {args.config}: {dest!r} takes true or "
+                                   f"false, got {json.dumps(value)}", EXIT_USAGE)
+            command.set_defaults(**given)
             args, remaining = parser.parse_known_args(argv)
         if remaining:
             raise CliError(f"unrecognized arguments: {' '.join(remaining)}", EXIT_USAGE)
@@ -470,6 +470,9 @@ def main(argv=None):
     except stability.TraceError as exc:
         print(f"error: the stability boundary could not be traced: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except stability.EmptyResultError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EMPTY
 
 
 if __name__ == "__main__":

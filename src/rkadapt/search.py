@@ -5,8 +5,9 @@ candidate is integrated on each problem at each tolerance, failed runs cost
 +inf, and the aggregation minimizes the maximum, median, or 95th percentile
 of the RHS-evaluation counts across runs.  The stable candidates of each
 (problem, tolerance) run as one ensemble, bit for bit equal to separate
-runs.  A boundary that cannot be traced raises `stability.TraceError`
-out of `filter_stable` and `run_search`.
+runs.  A boundary that cannot be traced raises `stability.TraceError`, and
+one with no informative sample `stability.NoVerdictError`, out of
+`filter_stable` and `run_search`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ POLICIES = {
 }
 
 
-class EmptyStableSetError(RuntimeError):
+class EmptyStableSetError(stability.EmptyResultError):
     """No control-stable candidate exists; the pair is uncontrollable here."""
 
 
@@ -119,7 +120,6 @@ class CandidateResult:
 class SearchResult:
     scheme: str
     candidates: list                    # CandidateResult, stable ones carry runs
-    indeterminate: list                 # betas no boundary sample could judge
 
     def stable_candidates(self):
         return [c for c in self.candidates if c.stable]
@@ -140,15 +140,11 @@ class SearchResult:
 
 
 def filter_stable(scheme, candidates):
-    """Split an iterable of candidates into control-stable, unstable, and
-    indeterminate (no usable boundary samples) by the Schur-Cohn test on the
-    control quartic at the retained boundary samples."""
+    """Split an iterable of candidates into the control-stable and the
+    unstable ones by `stability.control_verdicts`; the third list is always
+    empty, as a boundary without an informative sample raises instead."""
     candidates = list(candidates)
-    z, r, e, keep = stability.boundary_samples(scheme)
-    rk, ek = r[keep], e[keep]
-    if len(rk) == 0:
-        return [], [], candidates
-    verdicts = stability._stable_batch(rk, ek, candidates, scheme.k)
+    verdicts = stability.control_verdicts(scheme, candidates)
     stable = [b for b, ok in zip(candidates, verdicts) if ok]
     unstable = [b for b, ok in zip(candidates, verdicts) if not ok]
     return stable, unstable, []
@@ -164,7 +160,7 @@ def run_search(scheme, problems, space=SearchSpace(), budget=None,
     """
     tolerances = tuple(tolerances)
     candidates = space.subsample(budget, seed=seed)
-    stable, unstable, indeterminate = filter_stable(scheme, candidates)
+    stable, unstable, _ = filter_stable(scheme, candidates)
 
     results = [CandidateResult(beta=b, stable=False) for b in unstable]
     evaluated = [CandidateResult(beta=beta, stable=True) for beta in stable]
@@ -174,11 +170,8 @@ def run_search(scheme, problems, space=SearchSpace(), budget=None,
                 cand.runs.append(run)
     results += evaluated
     results.sort(key=lambda c: c.beta)
-    return SearchResult(
-        scheme=getattr(scheme, "name", type(scheme).__name__),
-        candidates=results,
-        indeterminate=indeterminate,
-    )
+    return SearchResult(scheme=getattr(scheme, "name", type(scheme).__name__),
+                        candidates=results)
 
 
 def _run_ensemble(scheme, problem, betas, tol):
@@ -215,10 +208,8 @@ def recommend(result: SearchResult, policy="min-max"):
     """
     stable = result.stable_candidates()
     if not stable:
-        why = (f"{stability.NO_INFORMATIVE_SAMPLE}, so no candidate was judged"
-               if result.indeterminate and not result.candidates else
-               "step size control stability cannot be achieved on this grid")
-        raise EmptyStableSetError(f"no control-stable candidates for {result.scheme}; {why}")
+        raise EmptyStableSetError(f"no control-stable candidates for {result.scheme}; "
+                                  "step size control stability cannot be achieved on this grid")
     keyed = sorted(
         stable,
         key=lambda c: (c.aggregate(policy), -c.beta[0], abs(c.beta[1]), c.beta[2]))

@@ -14,12 +14,13 @@ control quartic
 
     p(lam) = lam^2 (lam - 1)^2 + ((lam - 1) e + r)(b1 lam^2 + b2 lam + b3) / k.
 
-The stability filter and the boundary scan share one criterion, a Schur-Cohn
-test that every root of p lies strictly inside the unit circle at every
-retained sample.  Reported radii are the largest root moduli of p, from
-Ferrari's closed form polished by one Newton step, or from the eigenvalues
-of p's 4x4 companion matrix where the closed form cannot resolve them, as
-where two roots nearly coincide (`_rho_batch`).
+The stability filter and the boundary scan share one criterion,
+`control_verdicts`: every root of p strictly inside the unit circle at every
+retained sample (Schur-Cohn), and NoVerdictError where none is retained.
+Reported radii are the largest root moduli of p, from Ferrari's closed form
+polished by one Newton step, or from the eigenvalues of p's 4x4 companion
+matrix where the closed form cannot resolve them, as where two roots nearly
+coincide (`_rho_batch`).
 Samples are excluded when they carry no controller information:
 
 * degenerate points, |R(z)| or |E(z)| below 1e-14 (E always vanishes at the
@@ -51,13 +52,20 @@ MAX_WINDING = 64               # turns of theta before a trace counts as open
 DEGENERATE_TOL = 1e-14
 TANGENTIAL_TOL = 1e-3
 ROOT_SEPARATION = 1e-3          # closer control-quartic roots take eigvals
-NO_INFORMATIVE_SAMPLE = "no boundary sample carried controller information"
 
 
 class TraceError(RuntimeError):
     def __init__(self, msg, theta):
         super().__init__(f"{msg} (last theta = {theta:.6f})")
         self.theta = theta
+
+
+class EmptyResultError(RuntimeError):
+    """No answer exists for this scheme; the CLI's exit 3."""
+
+
+class NoVerdictError(EmptyResultError):
+    """No boundary sample carried controller information."""
 
 
 @dataclass(frozen=True)
@@ -415,26 +423,25 @@ def _rho_batch(r, e, beta, k):
     return rho
 
 
-def control_stability_scan(scheme, beta, n_points=512) -> ControlStabilityReport:
-    """Spectral radius of the control Jacobian along the stability boundary.
+def control_verdicts(scheme, betas, n_points=512):
+    """Per candidate beta, the Schur-Cohn verdict at the retained boundary
+    samples: the one criterion of the stability filter and the scan.
+    NoVerdictError when no sample is retained."""
+    _, r, e, keep = boundary_samples(scheme, n_points=n_points)
+    if not keep.any():
+        raise NoVerdictError(f"no control-stability verdict for {scheme.name}; "
+                             "no boundary sample carried controller information")
+    return _stable_batch(r[keep], e[keep], betas, scheme.k)
 
-    stable is the Schur-Cohn verdict of the stability filter: every root of
-    the control quartic strictly inside the unit circle at every retained
-    sample (and at least one sample retained).  The samples carry the radii.
-    """
+
+def control_stability_scan(scheme, beta, n_points=512) -> ControlStabilityReport:
+    """Spectral radius of the control Jacobian along the stability boundary:
+    `control_verdicts`' verdict, and the radii at the same retained samples."""
+    stable = bool(control_verdicts(scheme, [beta], n_points)[0])
     z, r, e, keep = boundary_samples(scheme, n_points=n_points)
-    rk, ek, zk = r[keep], e[keep], z[keep]
-    n_skipped = int(len(z) - keep.sum())
-    if len(rk) == 0:
-        return ControlStabilityReport(samples=[], max_rho=np.inf, stable=False,
-                                      n_skipped=n_skipped)
-    rho = _rho_batch(rk, ek, beta, scheme.k)
-    return ControlStabilityReport(
-        samples=list(zip(zk, rho)),
-        max_rho=float(rho.max()),
-        stable=bool(_stable_batch(rk, ek, [beta], scheme.k)[0]),
-        n_skipped=n_skipped,
-    )
+    rho = _rho_batch(r[keep], e[keep], beta, scheme.k)
+    return ControlStabilityReport(samples=list(zip(z[keep], rho)), max_rho=float(rho.max()),
+                                  stable=stable, n_skipped=int(len(z) - keep.sum()))
 
 
 def control_stability_map(scheme, beta, n_grid=101):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rkadapt import cli, search, stability
-from rkadapt.catalog import catalog_get, load_coefficients
+from rkadapt.catalog import catalog_get, catalog_names, load_coefficients
 from rkadapt.cli import _CSV_BLOCK, _fmt, main
 from rkadapt.problems import make_problem
 
@@ -270,17 +270,22 @@ NO_ESTIMATOR_DOC = {
 }
 
 
+# the one exit-3 report of both commands on NO_ESTIMATOR_DOC
+NO_VERDICT = ("no control-stability verdict for NoEstimator; "
+              "no boundary sample carried controller information")
+
+
 def test_search_empty_stable_set_exits_3(tmp_path, capsys):
     coeff = tmp_path / "bad.json"
     coeff.write_text(json.dumps(NO_ESTIMATOR_DOC))
-    code, _, err = run(capsys, "search", "--coeff-file", str(coeff),
-                       "--problems", "dahlquist", "--lambda", "-1",
-                       "--t-end", "2", "--tol", "1e-6", "--budget", "3",
-                       "--out", str(tmp_path / "x"))
+    code, out, err = run(capsys, "search", "--coeff-file", str(coeff),
+                         "--problems", "dahlquist", "--lambda", "-1",
+                         "--t-end", "2", "--tol", "1e-6", "--budget", "3",
+                         "--out", str(tmp_path / "x"))
     assert code == 3
-    assert "control-stable" in err
-    assert "no boundary sample carried controller information" in err
-    assert "cannot be achieved" not in err
+    assert err == f"error: {NO_VERDICT}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == [coeff]
 
 
 @pytest.mark.parametrize("flags", [[], ["--grid-map", "21"]])
@@ -291,11 +296,34 @@ def test_control_map_without_an_informative_sample_exits_3(tmp_path, capsys, fla
                          "--beta", "0.6,-0.2", "--control-map", *flags,
                          "--out", str(tmp_path / "s"))
     assert code == 3
-    assert err.startswith("error: ")
-    assert "no boundary sample carried controller information" in err
+    assert err == f"error: {NO_VERDICT}\n"
     assert out == ""
-    assert not (tmp_path / "s.rho.csv").exists()
-    assert not (tmp_path / "s.rhomap.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.json", "s.embedded.csv", "s.main.csv"]
+
+
+def test_scan_and_filter_give_one_verdict(tmp_path):
+    coeff = tmp_path / "bad.json"
+    coeff.write_text(json.dumps(NO_ESTIMATOR_DOC))
+    no_estimator = load_coefficients(str(coeff))
+    schemes = [catalog_get(name) for name in catalog_names()]
+    space = search.SearchSpace()
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.tuples(*(st.sampled_from(axis)
+                            for axis in (space.beta1, space.beta2, space.beta3))))
+    def check(beta):
+        beta = tuple(map(float, beta))
+        for scheme in schemes:
+            assert (stability.control_stability_scan(scheme, beta).stable
+                    == (beta in search.filter_stable(scheme, [beta])[0])), scheme.name
+        with pytest.raises(stability.NoVerdictError) as scan:
+            stability.control_stability_scan(no_estimator, beta)
+        with pytest.raises(stability.NoVerdictError) as verdicts:
+            search.filter_stable(no_estimator, [beta])
+        assert str(scan.value) == str(verdicts.value) == NO_VERDICT
+
+    check()
 
 
 # the summary fields of a report: finished runs add errors, aborted ones the reason
@@ -469,6 +497,42 @@ def test_config_keys_name_flags_of_some_command(tmp_path, capsys):
     assert err.startswith("error: ") and "'tolerance_typo'" in err
 
 
+def test_config_null_keeps_the_parser_default(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"points": None, "scaled": None, "seed": None}))
+    code, out, _ = run(capsys, "stability", "--scheme", "bs3", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "stab"))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["points"] == 512 and summary["scaled_by"] == 1.0
+    flags = ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "1e-3",
+             "--budget", "4"]
+    assert run(capsys, *flags, "--config", str(cfgfile), "--out", str(tmp_path / "a"))[0] == 0
+    assert run(capsys, *flags, "--out", str(tmp_path / "b"))[0] == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("doc, key", [({"scaled": "yes"}, "scaled"),
+                                      ({"scaled": 1}, "scaled"),
+                                      ({"control-map": "true"}, "control_map"),
+                                      ({"control_map": 0}, "control_map")])
+def test_config_switches_take_only_true_or_false(tmp_path, capsys, doc, key):
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps(dict(doc, beta="0.6,-0.2")))
+    code, out, err = run(capsys, "stability", "--scheme", "bs3", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "s"))
+    assert code == 1
+    assert err == f"error: --config {cfgfile}: {key!r} takes true or false, " \
+                  f"got {json.dumps(*doc.values())}\n"
+    assert out == "" and list(tmp_path.iterdir()) == [cfgfile]
+    # true and false set the switch as the flag and its absence do
+    for value, scale in ((True, 3), (False, 1)):
+        cfgfile.write_text(json.dumps({"scaled": value}))
+        code, out, _ = run(capsys, "stability", "--scheme", "bs3", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "s"))
+        assert code == 0 and json.loads(out)["scaled_by"] == scale
+
+
 @pytest.mark.parametrize("grid, differ", [("perturbed", True), ("uniform", False)])
 def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
     snaps = []
@@ -560,6 +624,15 @@ BAD_COEFF_FILES = {
     ["stability", "--scheme", "bs3", "--grid-map", "50"],
     # a non-finite --beta wrote the boundary CSVs, then raised in the rho batch
     ["stability", "--scheme", "bs3", "--control-map", "--beta", "nan,0", "--out", "s"],
+    # an empty list flag is given, not absent: it raised or fell back to the default
+    ["sweep", "--scheme", "bs3", "--problem", "dahlquist", "--tols", ""],
+    ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tols", "", "--budget", "1"],
+    ["search", "--scheme", "bs3", "--problems", "", "--tol", "1e-3", "--budget", "1"],
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-3",
+     "--beta", ""],
+    # a config switch takes only true or false
+    ["stability", "--scheme", "bs3", "--config", "scaled.json"],
+    ["stability", "--scheme", "bs3", "--beta", "0.6,-0.2", "--config", "control_map.json"],
 ])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):
@@ -567,6 +640,8 @@ def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
     (tmp_path / "bad_policy.json").write_text(json.dumps({"policy": "bogus"}))
     (tmp_path / "typed.json").write_text(json.dumps({"points": [64]}))
     (tmp_path / "beta.json").write_text(json.dumps({"beta": 0.7}))
+    (tmp_path / "scaled.json").write_text(json.dumps({"scaled": "yes"}))
+    (tmp_path / "control_map.json").write_text(json.dumps({"control-map": 1}))
     for name, doc in BAD_COEFF_FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
     code, _, err = run(capsys, *argv)

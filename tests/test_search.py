@@ -10,7 +10,7 @@ from rkadapt.catalog import catalog_get, catalog_names
 from rkadapt.control import ControllerConfig
 from rkadapt.integrate import IntegrationAbort, integrate
 from rkadapt.problems import make_problem
-from rkadapt import search
+from rkadapt import search, stability
 from rkadapt.search import (CandidateResult, EmptyStableSetError, SearchResult,
                             SearchSpace, filter_stable, recommend, run_search)
 
@@ -211,9 +211,11 @@ def test_failed_runs_cost_infinity():
 
 
 def test_empty_stable_set_raises():
-    result = SearchResult(scheme="x", candidates=[], indeterminate=[])
-    with pytest.raises(EmptyStableSetError, match="control-stable"):
+    result = SearchResult(scheme="x", candidates=[])
+    with pytest.raises(EmptyStableSetError, match="^no control-stable candidates for x; "
+                       "step size control stability cannot be achieved on this grid$"):
         recommend(result)
+    assert issubclass(EmptyStableSetError, stability.EmptyResultError)
 
 
 def test_search_determinism():

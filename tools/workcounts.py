@@ -26,7 +26,10 @@ rhomap CSVs that
 
 writes for every catalog pair NAME.  Each of these stability commands also
 leaves a verdict line, the `stable` value and the `max_rho` (repr) of the JSON
-summary it prints.
+summary it prints.  Last, the coefficient documents of EXIT_DOCS, one whose
+boundary cannot be traced and one with no informative boundary sample, each
+go through `stability --control-map` and `search`; each of those commands
+leaves its exit status line and the sha256 of what it writes to stderr.
 
 Run it on two checkouts and compare the outputs: equal output means equal
 work and bit-identical results.  The acceptance suite takes about two
@@ -36,12 +39,13 @@ that differ only in max error or final state, says which digests changed,
 lists the stability commands whose `stable` verdict changed apart from those
 whose `max_rho` only moved (with the largest relative move), and lists the
 exit status lines (acceptance suite, each dg_sweep command, each sweep
-command, the controller_search command, each stability command) that changed or report a
-failure.  It exits 1 when anything differs and 0 when the tables match; a
-table made before verdict lines were recorded has none to compare.  Each
-table ends with `src lines: N`, the line count of CHECKOUT/src/rkadapt/*.py;
-`--diff` prints it as `src lines: OLD -> NEW`, for information only: it does
-not count toward the exit status.
+command, the controller_search command, each stability command, each
+EXIT_DOCS command) that changed or report a failure.  It exits 1 when
+anything differs and 0 when the tables match; a table made before verdict
+lines were recorded has none to compare.  Each table ends with
+`src lines: N`, the line count of CHECKOUT/src/rkadapt/*.py; `--diff`
+prints it as `src lines: OLD -> NEW`, for information only: it does not
+count toward the exit status.
 """
 
 from __future__ import annotations
@@ -69,6 +73,23 @@ SWEEPS = (("--scheme", "ssp43", "--problem", "vortex2d", "--elements", "4",
            "--t-end", "1", "--nus", "0.5,4,1"),
           ("--scheme", "bs5", "--problem", "source1d", "--t-end", "2",
            "--tols", "1e-3,1e-5,1e-7", "--beta", "0.7,-0.4,0"))
+
+# coefficient documents for the failure exits: R(z) = 1 + z^2, whose boundary
+# trace stalls at theta = 0 (exit 2), and embedded weights equal to the main
+# ones, so E = 0 and no boundary sample carries controller information (exit 3)
+EXIT_DOCS = {
+    "untraceable": {"name": "Untraceable", "class": "butcher", "s": 2, "q": 1,
+                    "qhat": 1, "fsal": False, "A": ["0", "0", "1", "0"],
+                    "b": ["-1", "1"], "c": ["0", "1"], "bhat": ["1", "0", "0"]},
+    "no-estimator": {"name": "NoEstimator", "class": "butcher", "s": 3, "q": 3,
+                     "qhat": 2, "fsal": False,
+                     "A": ["0", "0", "0", "1", "0", "0", "0.25", "0.25", "0"],
+                     "b": ["0.16666666666666666", "0.16666666666666666",
+                           "0.6666666666666666"],
+                     "c": ["0", "1", "0.5"],
+                     "bhat": ["0.16666666666666666", "0.16666666666666666",
+                              "0.6666666666666666", "0"]},
+}
 
 HEADER = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
           "| max error | sha256[:16] of `u_final` | status |")
@@ -154,10 +175,12 @@ def _src_lines(root):
 
 
 def _cli(cli, argv):
-    """cli.main(argv) with its output captured: (exit code, stdout text)."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv), out.getvalue()
+    """cli.main(argv) with its output captured: (exit code, stdout text,
+    stderr text)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 _WALL_TIME = re.compile(r'("wall_time": )[^,\n]*')
@@ -331,19 +354,19 @@ def main(argv=None):
                     else:
                         argv += ["--tol", repr(value),
                                  "--beta", ",".join(repr(b) for b in beta)]
-                    code, text = _cli(cli, argv)
+                    code, text, _ = _cli(cli, argv)
                     status.append(f"{rec.run}: exit {code}")
                     digests[f"{rec.run} solution+history.csv"] = _file_digest(*files)
                     digests[f"{rec.run} integrate.json"] = _text_digest(text)
             for i, flags in enumerate(SWEEPS):
                 rec.run = "sweep " + " ".join(flags)
-                code, text = _cli(cli, ["sweep", *flags, "--out", f"sweep{i}.csv"])
+                code, text, _ = _cli(cli, ["sweep", *flags, "--out", f"sweep{i}.csv"])
                 status.append(f"{rec.run}: exit {code}")
                 digests[f"{rec.run} sweep.csv"] = _file_digest(f"sweep{i}.csv")
                 digests[f"{rec.run} sweep.json"] = _text_digest(text)
 
             rec.run = None
-            code, _ = _cli(cli, ["search", "--scheme", workloads.SEARCH_SCHEME,
+            code, _, _ = _cli(cli, ["search", "--scheme", workloads.SEARCH_SCHEME,
                                  "--problems", workloads.SEARCH_PROBLEMS,
                                  "--tol", repr(workloads.SEARCH_TOL),
                                  "--budget", str(workloads.SEARCH_BUDGET),
@@ -352,12 +375,23 @@ def main(argv=None):
             for i, scheme in enumerate(catalog.catalog_names()):
                 argv = ["stability", "--scheme", scheme, "--scaled", "--beta", "0.6,-0.2,0",
                         "--control-map", "--grid-map", "101", "--out", f"stab{i}"]
-                exit_code, text = _cli(cli, argv)
+                exit_code, text, _ = _cli(cli, argv)
                 status.append(f"stability {scheme}: exit {exit_code}")
                 verdicts.append(f"verdict stability {scheme}: {_verdict(text)}")
                 for part in ("main", "embedded", "rho", "rhomap"):
                     digests[f"stability {scheme} {part}.csv"] = _file_digest(
                         f"stab{i}.{part}.csv")
+            for name, doc in EXIT_DOCS.items():
+                with open(f"{name}.json", "w") as fh:
+                    json.dump(doc, fh)
+                for argv in (["stability", "--beta", "0.6,-0.2,0", "--control-map"],
+                             ["search", "--problems", "dahlquist", "--tol", "1e-3",
+                              "--budget", "4"]):
+                    label = f"{argv[0]} --coeff-file {name}.json"
+                    exit_code, _, err = _cli(cli, [*argv, "--coeff-file", f"{name}.json",
+                                                   "--out", f"exit-{name}"])
+                    status.append(f"{label}: exit {exit_code}")
+                    digests[f"{label} stderr"] = hashlib.sha256(err.encode()).hexdigest()
         finally:
             os.chdir(cwd)
 
