@@ -122,12 +122,6 @@ def _make_problem(name, args, **defaults):
     return problem
 
 
-def _build_problem(args):
-    if args.problem is None:
-        raise CliError("--problem is required", EXIT_USAGE)
-    return _make_problem(args.problem, args)
-
-
 def _resolve(args):
     """The scheme of --coeff-file if given, else the catalog's --scheme."""
     try:
@@ -185,7 +179,7 @@ def _write_snapshot(path, semi, u):
 
 def cmd_integrate(args):
     scheme = _resolve(args)
-    problem = _build_problem(args)
+    problem = _make_problem(args.problem, args)
     controller = _controller(args, scheme, problem)
     try:
         report = integrate(scheme, problem.semi, controller, problem.t0, problem.t_end,
@@ -205,9 +199,7 @@ def cmd_integrate(args):
 
 def cmd_sweep(args):
     scheme = _resolve(args)
-    problem = _build_problem(args)
-    if (args.tols is None) == (args.nus is None):
-        raise CliError("give exactly one of --tols or --nus", EXIT_USAGE)
+    problem = _make_problem(args.problem, args)
     flag, text = ("--tols", args.tols) if args.tols is not None else ("--nus", args.nus)
     settings = _floats(text, flag)
     if args.nus is not None:
@@ -296,9 +288,6 @@ def cmd_search(args):
         raise CliError("--budget must be at least 1", EXIT_USAGE)
     if args.seed < 0:
         raise CliError("--seed must not be negative", EXIT_USAGE)
-    if args.policy not in search.POLICIES:     # a config file bypasses the choices
-        raise CliError(f"--policy must be one of {', '.join(search.POLICIES)}",
-                       EXIT_USAGE)
     result = search.run_search(scheme, probs, budget=args.budget,
                                tolerances=tols, seed=args.seed)
     ranked = search.recommend(result, policy=args.policy)
@@ -336,6 +325,10 @@ def cmd_search(args):
     return EXIT_OK
 
 
+COMMANDS = {"integrate": cmd_integrate, "sweep": cmd_sweep,
+            "stability": cmd_stability, "search": cmd_search}
+
+
 def build_parser():
     parser = _Parser(prog="rkadapt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -357,7 +350,7 @@ def build_parser():
 
     p_int = sub.add_parser("integrate", help="run one adaptive integration")
     common(p_int, out=False)
-    p_int.add_argument("--problem", choices=problems.PROBLEM_NAMES)
+    p_int.add_argument("--problem", choices=problems.PROBLEM_NAMES, required=True)
     p_int.add_argument("--tol", type=float)
     p_int.add_argument("--atol", type=float)
     p_int.add_argument("--rtol", type=float)
@@ -366,16 +359,15 @@ def build_parser():
     p_int.add_argument("--sigma", type=float)
     p_int.add_argument("--history-out")
     p_int.add_argument("--solution-out")
-    p_int.set_defaults(func=cmd_integrate)
 
     p_sweep = sub.add_parser("sweep", help="tolerance or CFL-number sweep")
     common(p_sweep)
-    p_sweep.add_argument("--problem", choices=problems.PROBLEM_NAMES)
-    p_sweep.add_argument("--tols")
-    p_sweep.add_argument("--nus")
+    p_sweep.add_argument("--problem", choices=problems.PROBLEM_NAMES, required=True)
+    settings = p_sweep.add_mutually_exclusive_group(required=True)
+    settings.add_argument("--tols")
+    settings.add_argument("--nus")
     p_sweep.add_argument("--beta")
     p_sweep.add_argument("--sigma", type=float)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_stab = sub.add_parser("stability", help="stability-region and control maps")
     common(p_stab, problem=False)
@@ -384,7 +376,6 @@ def build_parser():
     p_stab.add_argument("--beta")
     p_stab.add_argument("--control-map", action="store_true")
     p_stab.add_argument("--grid-map", type=int)
-    p_stab.set_defaults(func=cmd_stability)
 
     p_search = sub.add_parser("search", help="controller-parameter grid search")
     common(p_search)
@@ -393,7 +384,6 @@ def build_parser():
     p_search.add_argument("--tols")
     p_search.add_argument("--policy", default="min-max", choices=search.POLICIES)
     p_search.add_argument("--budget", type=int)
-    p_search.set_defaults(func=cmd_search)
     return parser
 
 
@@ -418,52 +408,61 @@ def _keep_freed_heap():
     mallopt(-3, 32 << 20)
 
 
+def _config_tokens(parser, argv):
+    """The --config file of argv's command as flags for that command:
+    `--flag=value` for a flag that takes a value, the bare flag for a switch
+    set true, nothing for false or null.  argv's own flags follow them and
+    so win, and the parser checks each value as it does a given one."""
+    if not argv or argv[0] not in parser.commands:
+        return []       # the parser reports a missing or unknown command
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+        if path is None:
+            return []
+        with open(path) as fh:
+            doc = json.load(fh)
+    except argparse.ArgumentError:
+        return []       # and a malformed --config
+    except (OSError, ValueError) as exc:
+        raise CliError(f"--config {path}: {exc}", EXIT_USAGE) from None
+    if not isinstance(doc, dict):
+        raise CliError(f"--config {path}: expected a JSON object", EXIT_USAGE)
+    # each command's {config key: action}: a flag's name without the dashes
+    # and its dest, "_" for "-" (t_end for --t-end; lambda and lam)
+    flags = {cmd: {name.lstrip("-").replace("-", "_"): a for a in p._actions
+                   if a.dest != "help" for name in (*a.option_strings, a.dest)}
+             for cmd, p in parser.commands.items()}
+    # a key that names no flag of any command is a typo; one that names
+    # another command's flag is ignored, so one file serves several
+    unknown = [key for key in doc
+               if not any(key.replace("-", "_") in f for f in flags.values())]
+    if unknown:
+        raise CliError(f"--config {path}: no command has a flag named "
+                       f"{', '.join(map(repr, unknown))}", EXIT_USAGE)
+    tokens = []
+    for key, value in doc.items():
+        action = flags[argv[0]].get(key.replace("-", "_"))
+        if action is None or value is None:
+            continue
+        if action.nargs != 0:
+            tokens.append(f"{action.option_strings[0]}={value}")
+        elif not isinstance(value, bool):
+            raise CliError(f"--config {path}: {key!r} takes true or false, "
+                           f"got {json.dumps(value)}", EXIT_USAGE)
+        elif value:
+            tokens.append(action.option_strings[0])
+    return tokens
+
+
 def main(argv=None):
     _keep_freed_heap()
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, remaining = parser.parse_known_args(argv)
-        if getattr(args, "config", None):
-            # the config file's values become the subcommand's defaults, so
-            # flags given on the command line win
-            try:
-                with open(args.config) as fh:
-                    defaults = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise CliError(f"--config {args.config}: {exc}", EXIT_USAGE) from None
-            if not isinstance(defaults, dict):
-                raise CliError(f"--config {args.config}: expected a JSON object",
-                               EXIT_USAGE)
-            # each command's {config key: dest}: a flag's name without the dashes
-            # and its dest, "_" for "-" (t_end for --t-end; lambda and lam)
-            flags = {cmd: {name.lstrip("-").replace("-", "_"): a.dest for a in p._actions
-                           if a.dest != "help" for name in (*a.option_strings, a.dest)}
-                     for cmd, p in parser.commands.items()}
-            # a key that names no flag of any command is a typo; one that names
-            # another command's flag is ignored, so one file serves several
-            defaults = {key.replace("-", "_"): value for key, value in defaults.items()}
-            unknown = [key for key in defaults if not any(key in f for f in flags.values())]
-            if unknown:
-                raise CliError(f"--config {args.config}: no command has a flag named "
-                               f"{', '.join(map(repr, unknown))}", EXIT_USAGE)
-            # null leaves a flag at its parser default; a flag that takes a
-            # value gets it as text, so the parser converts and checks it as it
-            # does a command-line value; a switch takes only true or false
-            command, dests = parser.commands[args.command], flags[args.command]
-            takes_value = {a.dest for a in command._actions if a.nargs != 0}
-            given = {dests[key]: value for key, value in defaults.items()
-                     if key in dests and value is not None}
-            for dest, value in given.items():
-                if dest in takes_value:
-                    given[dest] = str(value)
-                elif not isinstance(value, bool):
-                    raise CliError(f"--config {args.config}: {dest!r} takes true or "
-                                   f"false, got {json.dumps(value)}", EXIT_USAGE)
-            command.set_defaults(**given)
-            args, remaining = parser.parse_known_args(argv)
-        if remaining:
-            raise CliError(f"unrecognized arguments: {' '.join(remaining)}", EXIT_USAGE)
-        return args.func(args)
+        args = parser.parse_args(argv[:1] + _config_tokens(parser, argv) + argv[1:])
+        return COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

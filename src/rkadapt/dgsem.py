@@ -184,11 +184,33 @@ def _state_axes(nodes, nvar):
     return tuple(range(-(nodes.ndim + bool(nvar)), 0))
 
 
-class _Semidisc1d:
-    """Operator, nodes x, Jacobians dx/dxi, neighbours and quadrature in 1D."""
+class _Semidisc:
+    """Quadrature over a state's node array, from `_quadrature`: each node
+    axis's weight factors, elements first, then nodes."""
 
     nvar = None     # variables per node of a system; None for a scalar field
     batched = True
+
+    @property
+    def n_dof(self):
+        return math.prod(map(len, self._quadrature)) * (self.nvar or 1)
+
+    def integral(self, u):
+        wvol = math.prod(np.ix_(*self._quadrature))
+        if self.nvar:
+            wvol = wvol[..., None]
+        return _per_variable(np.sum(u * wvol, axis=tuple(range(len(self._quadrature)))))
+
+    def l2_error(self, u, ref):
+        labels = "efab"[:len(self._quadrature)]     # one per node axis
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (u - ref) ** 2
+            return _per_variable(np.sqrt(np.einsum(f"{labels}...,{','.join(labels)}->...",
+                                                   d, *self._quadrature)))
+
+
+class _Semidisc1d(_Semidisc):
+    """Operator, nodes x, Jacobians dx/dxi and neighbours in 1D."""
 
     def __init__(self, grid: Grid1d, p: int):
         self.grid = grid
@@ -197,29 +219,11 @@ class _Semidisc1d:
         self.x = grid.nodes(self.op)
         self._left, self._right = _neighbours(grid.nel)
         self._axes = _state_axes(self.x, self.nvar)
-
-    @property
-    def n_dof(self):
-        return self.x.size * (self.nvar or 1)
-
-    def integral(self, u):
-        wvol = self.jacobian[:, None] * self.op.weights[None, :]
-        if self.nvar:
-            wvol = wvol[..., None]
-        return _per_variable(np.sum(u * wvol, axis=(0, 1)))
-
-    def l2_error(self, u, ref):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (u - ref) ** 2
-            return _per_variable(np.sqrt(np.einsum("en...,e,n->...", d, self.jacobian,
-                                                   self.op.weights)))
+        self._quadrature = (self.jacobian, self.op.weights)
 
 
-class _Semidisc2d:
-    """Operator, nodes X, Y, Jacobians jx, jy, neighbours and quadrature in 2D."""
-
-    nvar = None     # variables per node of a system; None for a scalar field
-    batched = True
+class _Semidisc2d(_Semidisc):
+    """Operator, nodes X, Y, Jacobians jx, jy and neighbours in 2D."""
 
     def __init__(self, grid: Grid2d, p: int):
         self.grid = grid
@@ -230,25 +234,42 @@ class _Semidisc2d:
         self._lx, self._rx = _neighbours(grid.x.nel)
         self._ly, self._ry = _neighbours(grid.y.nel)
         self._axes = _state_axes(self.X, self.nvar)
-
-    @property
-    def n_dof(self):
-        return self.X.size * (self.nvar or 1)
-
-    def integral(self, u):
         w = self.op.weights
-        wvol = (self.jx[:, None, None, None] * self.jy[None, :, None, None]
-                * w[None, None, :, None] * w[None, None, None, :])
-        if self.nvar:
-            wvol = wvol[..., None]
-        return _per_variable(np.sum(u * wvol, axis=(0, 1, 2, 3)))
+        self._quadrature = (self.jx, self.jy, w, w)
 
-    def l2_error(self, u, ref):
-        w = self.op.weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (u - ref) ** 2
-            return _per_variable(np.sqrt(np.einsum("efab...,e,f,a,b->...", d, self.jx,
-                                                   self.jy, w, w)))
+
+# ---------------------------------------------------------------------------
+# interface fluxes
+
+def _upwind_face(du, u, a, first, last, nb, left, right, scale):
+    """Add the full upwind surface term for velocity a on one family of faces.
+
+    `first`/`last` pick each element's first/last node slab and `nb` is the
+    slabs' periodic element axis, from the end.  The inflow face (first for
+    a > 0, last for a < 0) takes `scale` times the jump to the upwind
+    neighbour's outflow state; a = 0 adds nothing.
+    """
+    if a > 0:
+        du[first] += scale * (u[last].take(left, axis=nb) - u[first])
+    elif a < 0:
+        du[last] += scale * (u[first].take(right, axis=nb) - u[last])
+
+
+def _llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
+    """Add the local Lax-Friedrichs surface terms on one family of faces.
+
+    The index tuples `first`/`last` pick each element's first/last node slab
+    of u, f, du and the wave speeds (with a size-1 variable axis): the face
+    states, fluxes and speeds.  `nb` is the slabs' periodic element axis,
+    from the end; `left`/`right` index each element's neighbours and jw0,
+    jwN are the Jacobian-weight scalings of its first and last node.
+    """
+    uR, fR = u[first], f[first]
+    uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
+    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
+    fstar = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
+    du[first] += (fstar - fR) / jw0
+    du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +289,8 @@ class AdvectionSemidisc1d(_Semidisc1d):
     def rhs(self, t, u):
         with np.errstate(over="ignore", invalid="ignore"):
             du = self._vol * (u @ self.op.D.T)
-            if self.a > 0:
-                du[..., 0] += self._upwind * (u[..., self._left, -1] - u[..., 0])
-            elif self.a < 0:
-                du[..., -1] += self._upwind * (u[..., self._right, 0] - u[..., -1])
+            _upwind_face(du, u, self.a, np.s_[..., 0], np.s_[..., -1], -1,
+                         self._left, self._right, self._upwind)
         return du
 
     __call__ = rhs
@@ -311,20 +330,12 @@ class AdvectionSemidisc2d(_Semidisc2d):
             du = np.zeros_like(u)
             if ax != 0.0:
                 du -= self._vol_x * np.matmul(D, u)
-                if ax > 0:
-                    jump = u[..., -1, :].take(self._lx, axis=-3) - u[..., 0, :]
-                    du[..., 0, :] += self._upwind_x * jump
-                else:
-                    jump = u[..., 0, :].take(self._rx, axis=-3) - u[..., -1, :]
-                    du[..., -1, :] += self._upwind_x * jump
+                _upwind_face(du, u, ax, np.s_[..., 0, :], np.s_[..., -1, :], -3,
+                             self._lx, self._rx, self._upwind_x)
             if ay != 0.0:
                 du -= self._vol_y * (u @ D.T)
-                if ay > 0:
-                    jump = u[..., -1].take(self._ly, axis=-2) - u[..., 0]
-                    du[..., 0] += self._upwind_y * jump
-                else:
-                    jump = u[..., 0].take(self._ry, axis=-2) - u[..., -1]
-                    du[..., -1] += self._upwind_y * jump
+                _upwind_face(du, u, ay, np.s_[..., 0], np.s_[..., -1], -2,
+                             self._ly, self._ry, self._upwind_y)
         return du
 
     __call__ = rhs
@@ -371,23 +382,6 @@ def _finite_and_positive(u, primitives, axes):
 def _sound_speed(rho, p):
     with np.errstate(invalid="ignore"):
         return np.sqrt(GAMMA * p / rho)
-
-
-def _llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
-    """Add the local Lax-Friedrichs surface terms on one family of faces.
-
-    The index tuples `first`/`last` pick each element's first/last node slab
-    of u, f, du and the wave speeds (with a size-1 variable axis): the face
-    states, fluxes and speeds.  `nb` is the slabs' periodic element axis,
-    from the end; `left`/`right` index each element's neighbours and jw0,
-    jwN are the Jacobian-weight scalings of its first and last node.
-    """
-    uR, fR = u[first], f[first]
-    uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
-    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
-    fstar = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
-    du[first] += (fstar - fR) / jw0
-    du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
 
 
 class EulerSemidisc1d(_Semidisc1d):

@@ -147,8 +147,8 @@ def _horner(c, x):
 def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
     """Trace the boundary-locus branch of |R| = 1 through the origin.
 
-    A coarse continuation in theta (damped Newton on Python complex scalars,
-    the step halved whenever Newton fails or the curve jumps) finds the
+    A coarse continuation in theta (Newton on Python complex scalars, the
+    theta step halved whenever Newton fails or the curve jumps) finds the
     branch and closes at the first multiple of 2 pi where it is back at the
     origin.  One batched Newton then solves every sample at its own theta,
     from the last traced point before it; a sample that does not converge
@@ -169,16 +169,10 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
             z0 = z + (target - Rz) / _horner(Rpl, z)
             resid = _horner(Rl, z0) - target
             for _ in range(60):
-                size = abs(resid)
-                if size < 1e-12:
+                if abs(resid) < 1e-12:
                     break
-                delta = resid / _horner(Rpl, z0)
-                lam = 1.0
-                trial = _horner(Rl, z0 - lam * delta) - target
-                while abs(trial) >= size and lam > 1e-8:
-                    lam *= 0.5
-                    trial = _horner(Rl, z0 - lam * delta) - target
-                z0, resid = z0 - lam * delta, trial
+                z0 = z0 - resid / _horner(Rpl, z0)
+                resid = _horner(Rl, z0) - target
             else:
                 z0 = None
         except (ZeroDivisionError, OverflowError):     # R' vanished or blew up

@@ -81,6 +81,20 @@ def test_cfl_sweep_fe_scales_inversely_with_nu(tmp_path, capsys):
     assert nfe[0.5] == pytest.approx(2 * nfe[1.0], rel=0.05)
 
 
+def test_a_failed_sweep_setting_keeps_its_work_in_its_row(tmp_path, capsys):
+    # nu = 4 takes the vortex out of the admissible set in its first step
+    out = tmp_path / "sweep.csv"
+    flags = ["--scheme", "ssp43", "--problem", "vortex2d", "--elements", "4",
+             "--t-end", "1"]
+    code, summary, _ = run(capsys, "sweep", *flags, "--nus", "0.5,4,1", "--out", str(out))
+    assert code == 0 and json.loads(summary)["failed_rows"] == 1
+    single, report, _ = run(capsys, "integrate", *flags, "--cfl", "4")
+    assert single == 2
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [("0.5", "ok"), ("4.0", "failed"), ("1.0", "ok")]
+    assert rows[1][1:4] == [str(json.loads(report)["nfe"]), "0", "inf"]
+
+
 # the README's sweep examples; each row must be its setting's own run
 README_SWEEPS = [
     ["--scheme", "rk510-3s+fsal", "--problem", "advection2d",
@@ -497,6 +511,28 @@ def test_config_keys_name_flags_of_some_command(tmp_path, capsys):
     assert err.startswith("error: ") and "'tolerance_typo'" in err
 
 
+def test_config_values_meet_the_parser_rules_of_given_flags(tmp_path, capsys):
+    cfgfile = tmp_path / "conf.json"
+    flags = ["integrate", "--scheme", "bs3", "--problem", "vortex2d", "--elements", "2",
+             "--t-end", "0.01", "--tol", "1e-3", "--config", str(cfgfile)]
+    # a choice the parser refuses on the command line is refused in a file
+    cfgfile.write_text(json.dumps({"grid": "hex"}))
+    code, out, err = run(capsys, *flags)
+    assert code == 1 and out == ""
+    assert err.endswith("error: argument --grid: invalid choice: 'hex' "
+                        "(choose from 'uniform', 'perturbed')\n")
+    # a key is named as the file writes it
+    cfgfile.write_text(json.dumps({"t-endd": 1}))
+    code, out, err = run(capsys, *flags)
+    assert code == 1 and out == ""
+    assert err == f"error: --config {cfgfile}: no command has a flag named 't-endd'\n"
+    # a required flag may come from the file
+    cfgfile.write_text(json.dumps({"problem": "dahlquist", "tols": "1e-3"}))
+    code, out, _ = run(capsys, "sweep", "--scheme", "bs3", "--t-end", "1",
+                       "--config", str(cfgfile), "--out", str(tmp_path / "s.csv"))
+    assert code == 0 and json.loads(out)["rows"] == 1
+
+
 def test_config_null_keeps_the_parser_default(tmp_path, capsys):
     cfgfile = tmp_path / "conf.json"
     cfgfile.write_text(json.dumps({"points": None, "scaled": None, "seed": None}))
@@ -514,7 +550,7 @@ def test_config_null_keeps_the_parser_default(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, key", [({"scaled": "yes"}, "scaled"),
                                       ({"scaled": 1}, "scaled"),
-                                      ({"control-map": "true"}, "control_map"),
+                                      ({"control-map": "true"}, "control-map"),
                                       ({"control_map": 0}, "control_map")])
 def test_config_switches_take_only_true_or_false(tmp_path, capsys, doc, key):
     cfgfile = tmp_path / "conf.json"
@@ -549,6 +585,17 @@ def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
     assert {s.split(b"\n")[0] for s in snaps} == {b"x,y,u"}
 
 
+def test_a_state_without_nodes_is_written_by_index(tmp_path, capsys):
+    snap = tmp_path / "u.csv"
+    code, _, _ = run(capsys, "integrate", "--scheme", "bs3", "--problem", "dahlquist",
+                     "--tol", "1e-6", "--t-end", "1", "--solution-out", str(snap))
+    assert code == 0
+    header, row = snap.read_text().splitlines()
+    assert header == "index,u"
+    index, u = row.split(",")
+    assert index == "0" and float(u) == pytest.approx(math.exp(-1), rel=1e-4)
+
+
 def test_fsal_file_with_zero_fsal_weight_is_a_usage_error(tmp_path, capsys):
     # fsal is declared, but bhat[s] = 1 - sum(bhat) = 0 makes the sweep skip
     # the FSAL evaluation, so the register program has one stage too few
@@ -563,19 +610,47 @@ def test_fsal_file_with_zero_fsal_weight_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# malformed coefficient files: a structural invariant, a scalar array field,
-# a document that is not an object, a non-integer stage count and a string
-# where the FSAL flag belongs
+_FORWARD_EULER_3SP = {"name": "x", "class": "3s*+", "s": 1, "q": 1, "qhat": 1,
+                      "fsal": False, "gamma1": ["0"], "gamma2": ["1"], "gamma3": ["0"],
+                      "beta": ["1"], "delta": ["1"], "bhat": ["1"]}
+
+# malformed coefficient files, each with the words of the one check that
+# refuses it; a str is the file's text
 BAD_COEFF_FILES = {
-    "gamma1.json": {"name": "x", "class": "3s*+", "s": 1, "q": 1, "qhat": 1,
-                    "fsal": False, "gamma1": ["1"], "gamma2": ["1"],
-                    "gamma3": ["0"], "beta": ["1"], "delta": ["1"],
-                    "bhat": ["1"]},
-    "scalar_a.json": dict(FORWARD_EULER_DOC, A=5),
-    "list.json": [FORWARD_EULER_DOC],
-    "stages.json": dict(FORWARD_EULER_DOC, s="two"),
-    "fsal.json": dict(FORWARD_EULER_DOC, fsal="false"),
+    "gamma1.json": (dict(_FORWARD_EULER_3SP, gamma1=["1"]), "first stage must reduce"),
+    "scalar_a.json": (dict(FORWARD_EULER_DOC, A=5), "field 'A' must be a list"),
+    "list.json": ([FORWARD_EULER_DOC], "expected a JSON object, got list"),
+    "stages.json": (dict(FORWARD_EULER_DOC, s="two"), "s must be a positive integer"),
+    "fsal.json": (dict(FORWARD_EULER_DOC, fsal="false"), "fsal must be true or false"),
+    "entries.json": (dict(FORWARD_EULER_DOC, b=["1", "0"]),
+                     "field 'b' must have 1 entries, got 2"),
+    "text.json": ('{"name": "Euler",', "text.json: line 1: Expecting property name"),
+    "class.json": (dict(FORWARD_EULER_DOC, **{"class": "rk"}), "class must be one of"),
+    "no_q.json": ({k: v for k, v in FORWARD_EULER_DOC.items() if k != "q"},
+                  "missing field 'q'"),
+    "gamma3.json": (dict(_FORWARD_EULER_3SP, s=2, gamma1=["0", "0"], gamma2=["1", "1"],
+                         gamma3=["0", "0.5"], beta=["1", "1"], delta=["1", "0"],
+                         bhat=["1", "0"]), "gamma3[1] must be zero"),
+    "bhat.json": (dict(_FORWARD_EULER_3SP, bhat=["0.5", "0.5"]),
+                  "bhat[1] must be zero for non-FSAL schemes"),
+    # S1 <- delta u + dt f: the step keeps only half of u^n
+    "weight.json": (dict(_FORWARD_EULER_3SP, delta=["0.5"]), "u_new has u^n weight 0.5"),
 }
+
+
+def _write_coeff_files(path):
+    for name, (doc, _) in BAD_COEFF_FILES.items():
+        (path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", BAD_COEFF_FILES)
+def test_a_bad_coefficient_file_is_refused_by_its_check(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    _write_coeff_files(tmp_path)
+    code, out, err = run(capsys, "stability", "--coeff-file", name)
+    assert code == 1 and out == "" and list(tmp_path.glob("*.csv")) == []
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert BAD_COEFF_FILES[name][1] in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -633,6 +708,12 @@ BAD_COEFF_FILES = {
     # a config switch takes only true or false
     ["stability", "--scheme", "bs3", "--config", "scaled.json"],
     ["stability", "--scheme", "bs3", "--beta", "0.6,-0.2", "--config", "control_map.json"],
+    # refusals of the commands' own checks
+    ["integrate", "--scheme", "bs3", "--problem", "dahlquist"],
+    ["stability", "--scheme", "bs3", "--grid-map", "-1", "--control-map",
+     "--beta", "0.6,-0.2"],
+    ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "1e-3",
+     "--budget", "0"],
 ])
 def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
                                                           capsys, argv):
@@ -642,8 +723,7 @@ def test_invalid_input_is_a_usage_error_without_traceback(tmp_path, monkeypatch,
     (tmp_path / "beta.json").write_text(json.dumps({"beta": 0.7}))
     (tmp_path / "scaled.json").write_text(json.dumps({"scaled": "yes"}))
     (tmp_path / "control_map.json").write_text(json.dumps({"control-map": 1}))
-    for name, doc in BAD_COEFF_FILES.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+    _write_coeff_files(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") or "\nerror: " in err

@@ -325,6 +325,22 @@ def test_a_vanishing_derivative_fails_the_step_instead_of_raising():
         trace_boundary(polys, n_points=64)
 
 
+def test_a_boundary_through_a_critical_point_is_traced_by_halving_the_step():
+    # R = 1 + z + z^2/8 has R'(-4) = 0 and R(-4) = -1, so the branch passes
+    # through a critical point at theta = pi: Newton fails or jumps there,
+    # and the continuation halves its theta step until it gets past
+    polys = StabilityPolynomials(main=[1.0, 1.0, 0.125], embedded=[1.0, 1.0],
+                                 diff=[0.0, 0.0, -0.125], s_eff=2)
+    trace = trace_boundary(polys, n_points=512)
+    assert (trace.winding, trace.halvings) == (1, 3)
+    assert trace.total_theta == 2 * np.pi
+    assert np.max(np.abs(np.abs(polyval(trace.points, polys.main)) - 1)) <= 1e-10
+    # the samples go round the region once; the two nearest z = -4, at
+    # theta = pi -+ pi/512, lie sqrt(8 pi / 512) = 0.22 from it
+    assert -3.85 < trace.points.real.min() < -3.8
+    assert np.max(np.abs(trace.points[::-1] - trace.points.conj())) <= 1e-10
+
+
 def test_dense_resampling_gives_distinct_points():
     polys = stability_polynomials(catalog_get("BS3(2)3 FSAL"))
     trace = trace_boundary(polys, n_points=20000)

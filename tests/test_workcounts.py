@@ -9,7 +9,7 @@ HEAD = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
 
 
 def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None,
-           sweep_digest="s0", src_lines=None, verdicts=()):
+           sweep_digest="s0", src_lines=None, verdicts=(), config_digest=None):
     lines = [f"| {i} | " + " | ".join(row) + " |" for i, row in enumerate(rows, 1)]
     stability = ("" if rho_digest is None else
                  "stability RK3(2)5 3S*+ FSAL: exit 0\n")
@@ -21,7 +21,10 @@ def _table(path, rows, csv_digest, acceptance=0, sweep=0, rho_digest=None,
                     f"dg_sweep vortex2d/bs3/pid@0.001: exit {sweep}\n" + stability +
                     "controller_search command: exit 0\n"
                     "sha256 dg_sweep vortex2d/bs3/pid@0.001 solution+history.csv: "
-                    f"{sweep_digest}\n"
+                    f"{sweep_digest}\n" +
+                    ("" if config_digest is None else
+                     "sha256 dg_sweep vortex2d/bs3/pid@0.001 via --config "
+                     f"solution+history.csv: {config_digest}\n") +
                     f"sha256 search.csv: {csv_digest}\nsha256 search.json: abc\n" + digests +
                     ("" if src_lines is None else f"src lines: {src_lines}\n"))
 
@@ -96,6 +99,23 @@ def test_diff_compares_the_stability_map_digests(tmp_path):
     done = _diff(old, new)
     assert done.returncode == 1
     assert "solution+history.csv: changed, s0 -> s1" in done.stdout
+
+
+def test_diff_names_a_config_run_that_differs_from_its_flag_run(tmp_path):
+    old, new = tmp_path / "old.md", tmp_path / "new.md"
+    rows = [_row("A", 10, 5, 1)]
+    _table(old, rows, "d1", config_digest="s0")
+    _table(new, rows, "d1", config_digest="s0")
+    done = _diff(old, new)
+    assert done.returncode == 0 and "differs from the flag run's" not in done.stdout
+    # the same in both tables, but not the flag run's
+    _table(old, rows, "d1", config_digest="s1")
+    _table(new, rows, "d1", config_digest="s1")
+    done = _diff(old, new)
+    assert done.returncode == 1
+    for side in ("OLD", "NEW"):
+        assert (f"{side}: dg_sweep vortex2d/bs3/pid@0.001 via --config solution+history.csv "
+                "differs from the flag run's\n") in done.stdout
 
 
 def test_diff_lists_verdict_changes_apart_from_radius_moves(tmp_path):

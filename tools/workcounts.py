@@ -17,7 +17,9 @@ version that runs the same integrations in another order (one ensemble
 instead of separate runs) prints the same table.  Last come the sha256
 digests of what the commands write: one per dg_sweep command over its
 --solution-out and --history-out files and one over the JSON report it
-prints, with its `wall_time` value blanked, one over each sweep's CSV and one
+prints, with its `wall_time` value blanked, the same two for the first PID
+dg_sweep command run again with every flag, output paths included, from a
+`--config` file (labelled `via --config`), one over each sweep's CSV and one
 over the JSON it prints, then search.csv and search.json of
 the benchmark's controller_search command, and the main, embedded, rho and
 rhomap CSVs that
@@ -40,9 +42,10 @@ lists the stability commands whose `stable` verdict changed apart from those
 whose `max_rho` only moved (with the largest relative move), and lists the
 exit status lines (acceptance suite, each dg_sweep command, each sweep
 command, the controller_search command, each stability command, each
-EXIT_DOCS command) that changed or report a failure.  It exits 1 when
-anything differs and 0 when the tables match; a table made before verdict
-lines were recorded has none to compare.  Each table ends with
+EXIT_DOCS command) that changed or report a failure, and names every
+`via --config` digest that differs from its flag run's in the same table.
+It exits 1 when anything differs and 0 when the tables match; a table made
+before verdict lines were recorded has none to compare.  Each table ends with
 `src lines: N`, the line count of CHECKOUT/src/rkadapt/*.py; `--diff`
 prints it as `src lines: OLD -> NEW`, for information only: it does not
 count toward the exit status.
@@ -90,6 +93,8 @@ EXIT_DOCS = {
                      "bhat": ["0.16666666666666666", "0.16666666666666666",
                               "0.6666666666666666", "0"]},
 }
+
+VIA_CONFIG = " via --config"
 
 HEADER = ("| # | run | problem | scheme | controller | nfe | accepted | rejected "
           "| max error | sha256[:16] of `u_final` | status |")
@@ -305,9 +310,16 @@ def diff(old_path, new_path):
     for label, exit_line in sorted(new_status.items()):
         if label not in changed and exit_line.split()[-1] != "0":
             print(f"    {label}: {exit_line} in both")
+    # a run whose flags come from a config file must match its flag run
+    config_differs = False
+    for side, table in (("OLD", old_digests), ("NEW", new_digests)):
+        for name, digest in table.items():
+            if VIA_CONFIG in name and table.get(name.replace(VIA_CONFIG, "")) != digest:
+                print(f"{side}: {name} differs from the flag run's")
+                config_differs = True
     print(f"src lines: {old_src} -> {new_src}")
     return int(bool(moved or rounding or only_old or only_new or changed
-                    or old_digests != new_digests or verdicts_moved))
+                    or old_digests != new_digests or verdicts_moved or config_differs))
 
 
 def main(argv=None):
@@ -337,7 +349,7 @@ def main(argv=None):
                             os.path.join(root, "tests", "test_acceptance.py")])
     status = [f"acceptance suite: pytest exit {int(code)}"]
 
-    digests, verdicts = {}, []
+    digests, verdicts, pid_command = {}, [], None
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -358,6 +370,20 @@ def main(argv=None):
                     status.append(f"{rec.run}: exit {code}")
                     digests[f"{rec.run} solution+history.csv"] = _file_digest(*files)
                     digests[f"{rec.run} integrate.json"] = _text_digest(text)
+                    if beta is not None and pid_command is None:
+                        pid_command = rec.run, argv
+            # the first PID command again, each of its flags a config key
+            run, argv = pid_command
+            rec.run, label = None, run + VIA_CONFIG
+            files = ["config.u.csv", "config.history.csv"]
+            config = dict(zip((flag[2:] for flag in argv[1::2]), argv[2::2]))
+            config.update({"solution-out": files[0], "history-out": files[1]})
+            with open("config.json", "w") as fh:
+                json.dump(config, fh)
+            code, text, _ = _cli(cli, [argv[0], "--config", "config.json"])
+            status.append(f"{label}: exit {code}")
+            digests[f"{label} solution+history.csv"] = _file_digest(*files)
+            digests[f"{label} integrate.json"] = _text_digest(text)
             for i, flags in enumerate(SWEEPS):
                 rec.run = "sweep " + " ".join(flags)
                 code, text, _ = _cli(cli, ["sweep", *flags, "--out", f"sweep{i}.csv"])
