@@ -32,8 +32,9 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EMPTY = 3
 
-# rows a CSV writer formats and writes at a time, so a large map never holds
-# its whole text at once
+# rows a CSV writer joins and writes at a time, so a large map never holds its
+# whole text at once; one string per distinct value of each column is held
+# while its file is written
 _CSV_BLOCK = 1024
 
 
@@ -63,22 +64,28 @@ def _open_out(path):
 
 
 def _fields(col):
-    """A column's CSV fields: a float64 array's by repr of its Python floats,
-    the bytes _fmt writes for each, at one call per column."""
+    """A column's CSV fields, the bytes _fmt writes for each.  A float64
+    array's values are keyed by their bits, which keep 0.0 and -0.0 apart,
+    and each distinct one is formatted once."""
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return map(repr, col.tolist())
-    return map(_fmt, col)
+        bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        return text[inv].tolist()
+    return list(map(_fmt, col))
 
 
 def _write_csv(path, header, columns):
-    """CSV of equal-length columns (arrays or sequences), _CSV_BLOCK rows at a
-    time; just the header when the columns hold no rows."""
+    """CSV of equal-length columns (arrays or sequences); just the header when
+    the columns hold no rows.  Each column's fields are formatted once for the
+    whole file, one string per distinct value; the row text is joined and
+    written _CSV_BLOCK rows at a time."""
     n = len(columns[0]) if columns else 0
+    fields = [_fields(col) for col in columns]
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK):
-            block = [_fields(col[start:start + _CSV_BLOCK]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            rows = zip(*(f[start:start + _CSV_BLOCK] for f in fields))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _floats(text, flag):
@@ -188,9 +195,12 @@ def cmd_integrate(args):
     except IntegrationAbort as exc:
         report = exc.report
     if args.history_out:
-        rows = [(t, dt, "accepted" if accepted else "rejected")
-                for t, dt, accepted in report.history]
-        _write_csv(args.history_out, ["t", "dt", "kind"], list(zip(*rows)))
+        # (0, 2) for an empty history, so it still gives two columns
+        steps = np.array([(t, dt) for t, dt, _ in report.history],
+                         dtype=float).reshape(-1, 2)
+        _write_csv(args.history_out, ["t", "dt", "kind"],
+                   [steps[:, 0], steps[:, 1],
+                    ["accepted" if ok else "rejected" for _, _, ok in report.history]])
     if args.solution_out and not report.aborted:
         _write_snapshot(args.solution_out, problem.semi, report.u_final)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=1))
@@ -408,6 +418,13 @@ def _keep_freed_heap():
     mallopt(-3, 32 << 20)
 
 
+class _PreParser(argparse.ArgumentParser):
+    """Raises each error, for the command's own parser to report."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _config_tokens(parser, argv):
     """The --config file of argv's command as flags for that command:
     `--flag=value` for a flag that takes a value, the bare flag for a switch
@@ -415,8 +432,12 @@ def _config_tokens(parser, argv):
     so win, and the parser checks each value as it does a given one."""
     if not argv or argv[0] not in parser.commands:
         return []       # the parser reports a missing or unknown command
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
+    # the command's option strings, so that a prefix names --config exactly
+    # when the command's parser takes it for --config
+    pre = _PreParser(add_help=False)
+    for a in parser.commands[argv[0]]._actions:
+        pre.add_argument(*a.option_strings,
+                         **({"action": "store_true"} if a.nargs == 0 else {}))
     try:
         path = pre.parse_known_args(argv[1:])[0].config
         if path is None:
@@ -424,7 +445,7 @@ def _config_tokens(parser, argv):
         with open(path) as fh:
             doc = json.load(fh)
     except argparse.ArgumentError:
-        return []       # and a malformed --config
+        return []       # and a malformed or ambiguous --config
     except (OSError, ValueError) as exc:
         raise CliError(f"--config {path}: {exc}", EXIT_USAGE) from None
     if not isinstance(doc, dict):

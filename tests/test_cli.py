@@ -196,6 +196,11 @@ def test_rhomap_has_a_row_for_each_finite_rho(tmp_path, capsys):
     assert np.array_equal(rows[:, 0], Z[finite].real / scale)
     assert np.array_equal(rows[:, 1], Z[finite].imag / scale)
     assert np.array_equal(rows[:, 2], rho[finite])
+    # array_equal takes -0.0 for 0.0: the bytes pin each sign too
+    reference = "re,im,value\n" + "".join(
+        ",".join(map(_fmt, row)) + "\n"
+        for row in zip(Z[finite].real / scale, Z[finite].imag / scale, rho[finite]))
+    assert (tmp_path / "bs5.rhomap.csv").read_text() == reference
 
 
 # floats whose repr is easy to get wrong: the signed zeros and infinities,
@@ -233,6 +238,25 @@ def test_csv_writer_writes_the_bytes_of_a_per_row_reference(tmp_path, n, floats,
     nan = np.isnan(col_f)
     assert np.array_equal(np.isnan(parsed), nan)
     assert np.array_equal(parsed[~nan].view(np.int64), col_f[~nan].view(np.int64))
+
+
+def test_csv_writer_formats_a_strided_column_by_its_bits(tmp_path):
+    n = 2 * _CSV_BLOCK + 3
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                     -0x0008000000000000, -0x0000000000000001]).view(np.float64)
+    # repeats on both sides of both block boundaries, the signed zeros and
+    # infinities, and NaNs of both signs and of several payloads
+    pattern = np.concatenate([[0.0, -0.0] * 3, nans, [math.inf, -math.inf, 0.1, -0.1]])
+    state = np.zeros((n, 3))
+    state[:, 1] = np.resize(pattern, n)
+    state[_CSV_BLOCK - 2:_CSV_BLOCK + 2, 1] = [0.0, -0.0, -0.0, 0.0]
+    column = state[:, 1]        # as _write_snapshot passes vals[:, k]
+    assert not column.flags.contiguous
+    path = tmp_path / "u.csv"
+    cli._write_csv(str(path), ["u"], [column])
+    assert path.read_text() == "u\n" + "".join(_fmt(v) + "\n" for v in column)
+    cli._write_csv(str(path), ["u"], [np.empty(0)])
+    assert path.read_text() == "u\n"
 
 
 def test_search_small_budget_recommends_a_candidate(tmp_path, capsys):
@@ -531,6 +555,30 @@ def test_config_values_meet_the_parser_rules_of_given_flags(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--scheme", "bs3", "--t-end", "1",
                        "--config", str(cfgfile), "--out", str(tmp_path / "s.csv"))
     assert code == 0 and json.loads(out)["rows"] == 1
+
+
+@pytest.mark.parametrize("given", [["--conf", "run.json"], ["--config=run.json"]])
+def test_a_config_prefix_the_command_takes_reads_the_file(tmp_path, monkeypatch, capsys,
+                                                          given):
+    monkeypatch.chdir(tmp_path)
+    flags = ["integrate", "--scheme", "bs3", "--tol", "1e-3", "--t-end", "2"]
+    _, expected, _ = run(capsys, *flags, "--problem", "dahlquist", "--lambda", "-3")
+    # the required --problem comes from the file only if the file is read
+    (tmp_path / "run.json").write_text(json.dumps({"problem": "dahlquist", "lambda": -3}))
+    code, out, _ = run(capsys, *flags, *given)
+    assert code == 0 and json.loads(out)["nfe"] == json.loads(expected)["nfe"]
+
+
+def test_an_ambiguous_config_prefix_opens_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")    # refused if it were read
+    for path in ("missing.json", "list.json"):
+        code, out, err = run(capsys, "integrate", "--scheme", "bs3", "--problem",
+                             "dahlquist", "--tol", "1e-3", "--co", path)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ")
+        assert err.endswith("error: ambiguous option: --co could match "
+                            "--coeff-file, --config\n")
 
 
 def test_config_null_keeps_the_parser_default(tmp_path, capsys):
