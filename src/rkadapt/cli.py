@@ -32,9 +32,8 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_EMPTY = 3
 
-# rows a CSV writer joins and writes at a time, so a large map never holds its
-# whole text at once; one string per distinct value of each column is held
-# while its file is written
+# rows a CSV writer formats and writes at a time, so a large map never holds
+# its whole text at once
 _CSV_BLOCK = 1024
 
 
@@ -71,21 +70,19 @@ def _fields(col):
         bits, inv = np.unique(col.view(np.int64), return_inverse=True)
         text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
         return text[inv].tolist()
-    return list(map(_fmt, col))
+    return map(_fmt, col)
 
 
 def _write_csv(path, header, columns):
-    """CSV of equal-length columns (arrays or sequences); just the header when
-    the columns hold no rows.  Each column's fields are formatted once for the
-    whole file, one string per distinct value; the row text is joined and
-    written _CSV_BLOCK rows at a time."""
+    """CSV of equal-length columns (arrays or sequences), _CSV_BLOCK rows at a
+    time, so each distinct value is formatted once per block; just the header
+    when the columns hold no rows."""
     n = len(columns[0]) if columns else 0
-    fields = [_fields(col) for col in columns]
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK):
-            rows = zip(*(f[start:start + _CSV_BLOCK] for f in fields))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+            block = [_fields(col[start:start + _CSV_BLOCK]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _floats(text, flag):
@@ -195,12 +192,9 @@ def cmd_integrate(args):
     except IntegrationAbort as exc:
         report = exc.report
     if args.history_out:
-        # (0, 2) for an empty history, so it still gives two columns
-        steps = np.array([(t, dt) for t, dt, _ in report.history],
-                         dtype=float).reshape(-1, 2)
-        _write_csv(args.history_out, ["t", "dt", "kind"],
-                   [steps[:, 0], steps[:, 1],
-                    ["accepted" if ok else "rejected" for _, _, ok in report.history]])
+        rows = [(t, dt, "accepted" if accepted else "rejected")
+                for t, dt, accepted in report.history]
+        _write_csv(args.history_out, ["t", "dt", "kind"], list(zip(*rows)))
     if args.solution_out and not report.aborted:
         _write_snapshot(args.solution_out, problem.semi, report.u_final)
     print(json.dumps(report.as_dict(), sort_keys=True, indent=1))
