@@ -244,26 +244,20 @@ def cmd_stability(args):
     if args.control_map and args.beta is None:
         raise CliError("--control-map requires --beta", EXIT_USAGE)
     beta = _parse_beta(args.beta) if args.beta is not None else None
-    code = EXIT_OK
-    # the embedded boundary is traced as the main boundary of its polynomial
-    for part, region in (("main", polys),
-                         ("embedded", dataclasses.replace(polys, main=polys.embedded))):
-        try:
-            pts = stability._boundary(region, args.points).points
-        except stability.TraceError:
-            pts = stability.grid_boundary(region, n_points=args.points)
-            code = EXIT_NUMERICAL
-        vals = np.abs(np.polynomial.polynomial.polyval(pts, region.main))
-        _write_csv(f"{out}.{part}.csv", ["re", "im", "value"],
-                   [pts.real / scale, pts.imag / scale, vals])
-
+    # every trace, scan and map is computed before the first file is written,
+    # so a failure leaves no partial output; the embedded boundary is traced
+    # as the main boundary of its polynomial
+    csvs = {}
+    for part, main in (("main", polys.main), ("embedded", polys.embedded)):
+        pts = stability._boundary(dataclasses.replace(polys, main=main), args.points).points
+        csvs[part] = [pts.real / scale, pts.imag / scale,
+                      np.abs(np.polynomial.polynomial.polyval(pts, main))]
     summary = {"out": out, "scaled_by": scale, "points": int(args.points)}
     if args.control_map:
         report = stability.control_stability_scan(scheme, beta, n_points=args.points)
         zs = np.array([z for z, _ in report.samples], dtype=complex)
         rhos = np.array([rho for _, rho in report.samples], dtype=float)
-        _write_csv(out + ".rho.csv", ["re", "im", "value"],
-                   [zs.real / scale, zs.imag / scale, rhos])
+        csvs["rho"] = [zs.real / scale, zs.imag / scale, rhos]
         summary["max_rho"] = report.max_rho
         summary["stable"] = report.stable
         summary["skipped_samples"] = report.n_skipped
@@ -273,10 +267,11 @@ def cmd_stability(args):
             Z, rho = Z[finite], rho[finite]
             # real and imaginary parts divided apart, as complex Z / scale rounds
             # differently
-            _write_csv(out + ".rhomap.csv", ["re", "im", "value"],
-                       [Z.real / scale, Z.imag / scale, rho])
+            csvs["rhomap"] = [Z.real / scale, Z.imag / scale, rho]
+    for part, columns in csvs.items():
+        _write_csv(f"{out}.{part}.csv", ["re", "im", "value"], columns)
     print(json.dumps(summary, sort_keys=True, indent=1))
-    return code
+    return EXIT_OK
 
 
 def cmd_search(args):
@@ -284,8 +279,7 @@ def cmd_search(args):
     names = problems.SEARCH_DEFAULTS if args.problems is None else args.problems.split(",")
     probs = [_make_problem(name, args, **problems.SEARCH_DEFAULTS.get(name, {}))
              for name in names]
-    tols = (_floats(args.tols, "--tols") if args.tols is not None else
-            [args.tol] if args.tol is not None else search.DEFAULT_TOLERANCES)
+    tols = search.DEFAULT_TOLERANCES if args.tols is None else _floats(args.tols, "--tols")
     for tol in tols:        # the controller's own checks, before any run
         _usage_errors(ControllerConfig.for_scheme, scheme, tol=tol)
     if args.budget is not None and args.budget < 1:
@@ -384,8 +378,7 @@ def build_parser():
     p_search = sub.add_parser("search", help="controller-parameter grid search")
     common(p_search)
     p_search.add_argument("--problems")
-    p_search.add_argument("--tol", type=float)
-    p_search.add_argument("--tols")
+    p_search.add_argument("--tols", "--tol", dest="tols")
     p_search.add_argument("--policy", default="min-max", choices=search.POLICIES)
     p_search.add_argument("--budget", type=int)
     return parser
@@ -428,12 +421,14 @@ def _config_tokens(parser, argv):
         return []       # the parser reports a missing or unknown command
     # the command's option strings, so that a prefix names --config exactly
     # when the command's parser takes it for --config
+    command = parser.commands[argv[0]]
     pre = _PreParser(add_help=False)
-    for a in parser.commands[argv[0]]._actions:
-        pre.add_argument(*a.option_strings,
+    for a in command._actions:
+        pre.add_argument(*a.option_strings, dest=a.dest,
                          **({"action": "store_true"} if a.nargs == 0 else {}))
     try:
-        path = pre.parse_known_args(argv[1:])[0].config
+        given = pre.parse_known_args(argv[1:])[0]
+        path = given.config
         if path is None:
             return []
         with open(path) as fh:
@@ -456,10 +451,15 @@ def _config_tokens(parser, argv):
     if unknown:
         raise CliError(f"--config {path}: no command has a flag named "
                        f"{', '.join(map(repr, unknown))}", EXIT_USAGE)
+    # a given flag also overrides the file's value of a flag it excludes
+    excluded = {a for group in command._mutually_exclusive_groups
+                if any(getattr(given, g.dest) not in (None, False)
+                       for g in group._group_actions)
+                for a in group._group_actions}
     tokens = []
     for key, value in doc.items():
         action = flags[argv[0]].get(key.replace("-", "_"))
-        if action is None or value is None:
+        if action is None or value is None or action in excluded:
             continue
         if action.nargs != 0:
             tokens.append(f"{action.option_strings[0]}={value}")

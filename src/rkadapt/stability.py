@@ -222,10 +222,10 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
 
 
 def grid_boundary(polys: StabilityPolynomials, n_points=512):
-    """Fallback boundary sampling by radial bisection of |R| = 1 from the
-    origin, out to radius 4 s_eff.
-
-    Works for star-shaped regions; used when Newton continuation fails.
+    """Radial bisection of |R| = 1 from the origin out to radius 4 s_eff (star-
+    shaped regions).  Nothing in the package calls it; it stays only while
+    perfbench/tracing.py patches it, as tests/test_tracing.py requires every
+    patched name to exist, and ROADMAP item 15 deletes it with that patch.
     """
     R = polys.main
     r_max = 4.0 * polys.s_eff
@@ -450,5 +450,8 @@ def control_stability_map(scheme, beta, n_grid=101):
     ok = (np.abs(Rz) >= DEGENERATE_TOL) & (np.abs(Ez) >= DEGENERATE_TOL)
     rho = np.full(Z.shape, np.nan)
     if np.any(ok):
-        rho[ok] = _rho_batch(r[ok], e[ok], beta, scheme.k)
+        # 64 * _BLOCK samples at a time, to bound _rho_batch's temporaries
+        r, e, n = r[ok], e[ok], 64 * _BLOCK
+        rho[ok] = np.concatenate([_rho_batch(r[i:i + n], e[i:i + n], beta, scheme.k)
+                                  for i in range(0, len(r), n)])
     return Z, rho

@@ -336,8 +336,7 @@ def test_control_map_without_an_informative_sample_exits_3(tmp_path, capsys, fla
     assert code == 3
     assert err == f"error: {NO_VERDICT}\n"
     assert out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bad.json", "s.embedded.csv", "s.main.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 def test_scan_and_filter_give_one_verdict(tmp_path):
@@ -388,16 +387,19 @@ UNTRACEABLE_DOC = {"name": "Untraceable", "class": "butcher", "s": 2, "q": 1,
 
 
 @pytest.mark.parametrize("flags", [["--control-map"],
-                                   ["--control-map", "--grid-map", "21"]])
-def test_control_map_of_an_untraceable_boundary_exits_2(tmp_path, capsys, flags):
+                                   ["--control-map", "--grid-map", "21"], []])
+def test_stability_on_an_untraceable_boundary_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                          flags):
     coeff = tmp_path / "untraceable.json"
     coeff.write_text(json.dumps(UNTRACEABLE_DOC))
     code, out, err = run(capsys, "stability", "--coeff-file", str(coeff),
                          "--beta", "0.6,-0.2", *flags, "--out", str(tmp_path / "s"))
     assert code == 2
-    assert err.startswith("error: ") and "could not be traced" in err
+    assert err.startswith("error: the stability boundary could not be traced: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert out == ""
     assert not (tmp_path / "s.rho.csv").exists()
+    assert list(tmp_path.iterdir()) == [coeff]
 
 
 def test_search_on_an_untraceable_boundary_exits_2(tmp_path, capsys):
@@ -555,6 +557,38 @@ def test_config_values_meet_the_parser_rules_of_given_flags(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--scheme", "bs3", "--t-end", "1",
                        "--config", str(cfgfile), "--out", str(tmp_path / "s.csv"))
     assert code == 0 and json.loads(out)["rows"] == 1
+
+
+def test_a_given_tolerance_wins_over_the_config_list(tmp_path, capsys):
+    # --tol and --tols are one setting of search, so the given one wins
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"tols": "1e-5,1e-6"}))
+    code, _, _ = run(capsys, "search", "--scheme", "bs3", "--problems", "dahlquist",
+                     "--t-end", "1", "--budget", "4", "--config", str(cfgfile),
+                     "--tol", "1e-3", "--out", str(tmp_path / "s"))
+    assert code == 0
+    rows = [r.split(",") for r in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert {r[4] for r in rows if r[-1] != "unstable"} == {"0.001"}
+
+
+def test_a_given_flag_drops_the_config_value_it_excludes(tmp_path, capsys):
+    # the file's tols would clash with the given --nus; the given flag wins
+    cfgfile = tmp_path / "conf.json"
+    cfgfile.write_text(json.dumps({"tols": "1e-3"}))
+    code, out, err = run(capsys, "sweep", "--scheme", "ssp43", "--problem", "vortex2d",
+                         "--elements", "2", "--t-end", "0.1", "--config", str(cfgfile),
+                         "--nus", "1", "--out", str(tmp_path / "s.csv"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"] == 1
+    assert (tmp_path / "s.csv").read_text().startswith("nu,nfe,")
+    # the file's value alone still runs, and both flags given still clash
+    code, out, _ = run(capsys, "sweep", "--scheme", "ssp43", "--problem", "vortex2d",
+                       "--elements", "2", "--t-end", "0.1", "--config", str(cfgfile),
+                       "--out", str(tmp_path / "s.csv"))
+    assert code == 0 and (tmp_path / "s.csv").read_text().startswith("tol,nfe,")
+    code, _, err = run(capsys, "sweep", "--scheme", "ssp43", "--problem", "vortex2d",
+                       "--tols", "1e-3", "--nus", "1")
+    assert code == 1 and err.endswith("argument --nus: not allowed with argument --tols\n")
 
 
 @pytest.mark.parametrize("given", [["--conf", "run.json"], ["--config=run.json"]])

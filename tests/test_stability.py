@@ -511,6 +511,18 @@ def test_a_stacks_radii_are_its_samples_radii(monkeypatch):
     assert stack.tobytes() == np.array(one_by_one).tobytes()
 
 
+def test_dense_map_in_chunks_equals_one_batch(monkeypatch):
+    # _BLOCK = 2 cuts a 41 x 41 map into batches of 128 samples
+    beta = (0.6, -0.2, 0.0)
+    whole = [stability.control_stability_map(catalog_get(name), beta, n_grid=41)
+             for name in catalog_names()]
+    monkeypatch.setattr(stability, "_BLOCK", 2)
+    for name, (Z, rho) in zip(catalog_names(), whole):
+        Zc, rhoc = stability.control_stability_map(catalog_get(name), beta, n_grid=41)
+        assert Zc.tobytes() == Z.tobytes(), name
+        assert rhoc.tobytes() == rho.tobytes(), name
+
+
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(stability._BLOCK + 1, 2500))
 def test_filter_stable_across_chunks_equals_one_call_per_candidate(seed, n):

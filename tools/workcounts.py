@@ -30,8 +30,11 @@ writes for every catalog pair NAME.  Each of these stability commands also
 leaves a verdict line, the `stable` value and the `max_rho` (repr) of the JSON
 summary it prints.  Last, the coefficient documents of EXIT_DOCS, one whose
 boundary cannot be traced and one with no informative boundary sample, each
-go through `stability --control-map` and `search`; each of those commands
-leaves its exit status line and the sha256 of what it writes to stderr.
+go through `stability --control-map`, `search` and plain `stability`
+(labelled `plain stability`); each of those commands leaves its exit status
+line, the sha256 of what it writes to stderr and the sha256 of the sorted
+names of the files it writes, one per line (labelled `files written`), so a
+failure that leaves partial output shows.
 
 Run it on two checkouts and compare the outputs: equal output means equal
 work and bit-identical results.  The acceptance suite takes about two
@@ -410,14 +413,21 @@ def main(argv=None):
             for name, doc in EXIT_DOCS.items():
                 with open(f"{name}.json", "w") as fh:
                     json.dump(doc, fh)
-                for argv in (["stability", "--beta", "0.6,-0.2,0", "--control-map"],
-                             ["search", "--problems", "dahlquist", "--tol", "1e-3",
-                              "--budget", "4"]):
-                    label = f"{argv[0]} --coeff-file {name}.json"
+                for command, argv in (
+                        ("stability", ["stability", "--beta", "0.6,-0.2,0", "--control-map"]),
+                        ("search", ["search", "--problems", "dahlquist", "--tol", "1e-3",
+                                    "--budget", "4"]),
+                        ("plain stability", ["stability"])):
+                    label = f"{command} --coeff-file {name}.json"
+                    outdir = f"exit{len(digests)}"     # each command's own directory
+                    os.mkdir(outdir)
                     exit_code, _, err = _cli(cli, [*argv, "--coeff-file", f"{name}.json",
-                                                   "--out", f"exit-{name}"])
+                                                   "--out", f"{outdir}/exit-{name}"])
+                    written = "\n".join(sorted(os.listdir(outdir)))
                     status.append(f"{label}: exit {exit_code}")
                     digests[f"{label} stderr"] = hashlib.sha256(err.encode()).hexdigest()
+                    digests[f"{label} files written"] = hashlib.sha256(
+                        written.encode()).hexdigest()
         finally:
             os.chdir(cwd)
 
