@@ -15,6 +15,7 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -55,11 +56,20 @@ def _fmt(x):
     return str(x)
 
 
-def _open_out(path):
+def _open_out(path, mode="w"):
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_USAGE) from None
+
+
+def _check_out(path):
+    """_open_out's error for a path it cannot open, found by opening it to
+    append: an existing file is left as it is, and a new one is removed."""
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _fields(col):
@@ -191,6 +201,10 @@ def cmd_integrate(args):
                            record_history=args.history_out is not None)
     except IntegrationAbort as exc:
         report = exc.report
+    # every output is checked before the first is written
+    outputs = [args.history_out, None if report.aborted else args.solution_out]
+    for path in filter(None, outputs):
+        _check_out(path)
     if args.history_out:
         rows = [(t, dt, "accepted" if accepted else "rejected")
                 for t, dt, accepted in report.history]
@@ -251,7 +265,7 @@ def cmd_stability(args):
     for part, main in (("main", polys.main), ("embedded", polys.embedded)):
         pts = stability._boundary(dataclasses.replace(polys, main=main), args.points).points
         csvs[part] = [pts.real / scale, pts.imag / scale,
-                      np.abs(np.polynomial.polynomial.polyval(pts, main))]
+                      np.abs(stability._polyval(pts, main))]
     summary = {"out": out, "scaled_by": scale, "points": int(args.points)}
     if args.control_map:
         report = stability.control_stability_scan(scheme, beta, n_points=args.points)

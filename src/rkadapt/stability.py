@@ -136,43 +136,53 @@ def stability_polynomials(scheme) -> StabilityPolynomials:
                                 s_eff=pair.s)
 
 
-def _horner(c, x):
-    """polyval(x, c) for a Python complex x and a list of float coefficients."""
+def _polyval(x, c):
+    """polyval(x, c), bit for bit, for an array x: numpy's Horner recurrence
+    with each product and sum formed in place, in polyval's operand order.
+    A 0-d x takes polyval itself."""
+    if np.ndim(x) == 0:
+        return polyval(x, c)
     y = c[-1] + x * 0
     for ci in c[-2::-1]:
+        np.multiply(y, x, out=y)
+        np.add(ci, y, out=y)
+    return y
+
+
+def _horner(lead, rest, x):
+    """polyval(x, c) for a Python complex x, with lead = c[-1] and rest =
+    c[-2::-1] as Python floats."""
+    y = lead + x * 0
+    for ci in rest:
         y = ci + y * x
     return y
 
 
-def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
-    """Trace the boundary-locus branch of |R| = 1 through the origin.
-
-    A coarse continuation in theta (Newton on Python complex scalars, the
-    theta step halved whenever Newton fails or the curve jumps) finds the
-    branch and closes at the first multiple of 2 pi where it is back at the
-    origin.  One batched Newton then solves every sample at its own theta,
-    from the last traced point before it; a sample that does not converge
-    or leaves the traced step spanning it raises TraceError.
-    """
-    if n_points < 64:
-        raise ValueError("n_points must be at least 64")
-    R, Rp = polys.main, polyder(polys.main)
-    Rl, Rpl = R.tolist(), Rp.tolist()
+def _continuation(R):
+    """The coarse continuation of the branch of R(z) = e^{i theta} through
+    the origin: (zs, ths, winding, halvings), the traced points and their
+    thetas from 0 to 2 pi winding."""
+    # each Horner's coefficients, reversed once per trace
+    Rp = polyder(R)
+    R_lead, R_rest = R[-1].item(), R[-2::-1].tolist()
+    Rp_lead, Rp_rest = Rp[-1].item(), Rp[-2::-1].tolist()
     zs, ths = [0j], [0.0]
     z, th, Rz = 0.0 + 0.0j, 0.0, 1.0 + 0.0j     # R(z) = e^{i th} on the branch
     step, halvings, winding = DTHETA, 0, 0
+    turn = 2 * math.pi * (winding + 1)
     while True:
-        turn = 2 * math.pi * (winding + 1)
-        th_new = min(th + step, turn)
+        th_new = th + step      # min(th + step, turn); the call costs more
+        if turn < th_new:
+            th_new = turn
         target = cmath.exp(1j * th_new)
         try:
-            z0 = z + (target - Rz) / _horner(Rpl, z)
-            resid = _horner(Rl, z0) - target
+            z0 = z + (target - Rz) / _horner(Rp_lead, Rp_rest, z)
+            resid = _horner(R_lead, R_rest, z0) - target
             for _ in range(60):
                 if abs(resid) < 1e-12:
                     break
-                z0 = z0 - resid / _horner(Rpl, z0)
-                resid = _horner(Rl, z0) - target
+                z0 = z0 - resid / _horner(Rp_lead, Rp_rest, z0)
+                resid = _horner(R_lead, R_rest, z0) - target
             else:
                 z0 = None
         except (ZeroDivisionError, OverflowError):     # R' vanished or blew up
@@ -188,33 +198,60 @@ def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
         zs.append(z)
         ths.append(th)
         if dz < 0.05:
-            step = min(step * 1.5, DTHETA)
+            step *= 1.5
+            if DTHETA < step:
+                step = DTHETA
         if th == turn:
             winding += 1
             if abs(z) < 1e-6:
                 break
             if winding == MAX_WINDING:
                 raise TraceError("boundary trace did not close", th)
+            turn = 2 * math.pi * (winding + 1)
     zs, ths = np.asarray(zs), np.asarray(ths)
+    _freeze(zs, ths)
+    return zs, ths, winding, halvings
+
+
+def trace_boundary(polys: StabilityPolynomials, n_points=512) -> BoundaryTrace:
+    """Trace the boundary-locus branch of |R| = 1 through the origin.
+
+    A coarse continuation in theta (Newton on Python complex scalars, the
+    theta step halved whenever Newton fails or the curve jumps) finds the
+    branch and closes at the first multiple of 2 pi where it is back at the
+    origin; it depends on R alone and is kept in _SAMPLE_CACHE, so every
+    sample count of one polynomial starts from one continuation.  One
+    batched Newton then solves every sample at its own theta, from the last
+    traced point before it; a sample that does not converge or leaves the
+    traced step spanning it raises TraceError.
+    """
+    if n_points < 64:
+        raise ValueError("n_points must be at least 64")
+    R, Rp = polys.main, polyder(polys.main)
+    key = R.tobytes()
+    coarse = _SAMPLE_CACHE.get(key)
+    if coarse is None:
+        coarse = _SAMPLE_CACHE[key] = _continuation(R)
+    zs, ths, winding, halvings = coarse
     t_out = ths[-1] * (np.arange(n_points) + 0.5) / n_points
     j = np.searchsorted(ths, t_out, side="right") - 1
     start = zs[j]
     target = np.exp(1j * t_out)
     with np.errstate(all="ignore"):
-        pts = start + (target - np.exp(1j * ths[j])) / polyval(start, Rp)
+        pts = start + (target - np.exp(1j * ths[j])) / _polyval(start, Rp)
         for _ in range(60):
-            resid = polyval(pts, R) - target
+            resid = _polyval(pts, R) - target
             live = ~(np.abs(resid) < 1e-12)
             if not live.any():
                 break
-            pts = np.where(live, pts - resid / polyval(pts, Rp), pts)
+            pts = np.where(live, pts - resid / _polyval(pts, Rp), pts)
         # the ends of a traced step solve R = e^{i theta} to 1e-12 / |R'| each
-        slack = 2e-12 / np.abs(polyval(pts, Rp))
+        slack = 2e-12 / np.abs(_polyval(pts, Rp))
     bad = live | ~(np.abs(pts - start) <= np.abs(zs[j + 1] - start) + slack)
     if np.any(bad):
         raise TraceError("a sample did not converge within its traced step",
                          float(t_out[np.argmax(bad)]))
-    resid = np.abs(np.abs(polyval(pts, R)) - 1.0)
+    resid = np.abs(np.abs(_polyval(pts, R)) - 1.0)
     if np.max(resid) > BOUNDARY_TOL:
         raise TraceError("traced points violate |R| = 1", float(t_out[np.argmax(resid)]))
     return BoundaryTrace(points=pts, thetas=t_out, total_theta=ths[-1],
@@ -255,30 +292,33 @@ def _region_box(polys: StabilityPolynomials, n_grid):
 
 def contains_region(outer: StabilityPolynomials, inner: StabilityPolynomials,
                     n_grid=400):
-    """True iff every grid z inside the inner (main) region satisfies
-    |R_outer(z)| <= 1 + 1e-12; the grid covers the inner region's bounding box."""
+    """True iff every grid z inside the inner (main) region, |R_inner(z)| <= 1,
+    satisfies |outer.embedded(z)| <= 1 + 1e-12: the embedded polynomial of
+    outer, evaluated only at the grid points inside the inner region.  The
+    grid covers the inner region's bounding box; the violations are the grid
+    points that fail, in row-major order."""
     Z = _region_box(inner, n_grid)
-    inside = np.abs(polyval(Z, inner.main)) <= 1.0
-    ok = np.abs(polyval(Z, outer.embedded)) <= 1.0 + 1e-12
-    bad = inside & ~ok
-    violations = Z[bad]
+    Z = Z[np.abs(_polyval(Z, inner.main)) <= 1.0]
+    ok = np.abs(_polyval(Z, outer.embedded)) <= 1.0 + 1e-12
+    violations = Z[~ok]
     return not violations.size, violations
 
 
 def _log_derivatives(polys: StabilityPolynomials, z):
     """R(z), E(z), and r, e = Re(z R'/R), Re(z E'/E) (0 where R or E is 0)."""
-    Rz = polyval(z, polys.main)
-    Ez = polyval(z, polys.diff)
+    Rz = _polyval(z, polys.main)
+    Ez = _polyval(z, polys.diff)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(np.abs(Rz) > 0, (z * polyval(z, polyder(polys.main)) / Rz).real, 0.0)
-        e = np.where(np.abs(Ez) > 0, (z * polyval(z, polyder(polys.diff)) / Ez).real, 0.0)
+        r = np.where(np.abs(Rz) > 0, (z * _polyval(z, polyder(polys.main)) / Rz).real, 0.0)
+        e = np.where(np.abs(Ez) > 0, (z * _polyval(z, polyder(polys.diff)) / Ez).real, 0.0)
     return Rz, Ez, r, e
 
 
-# Boundary traces and boundary samples, memoised by polynomial value: the
-# stability command, the control scan, the dense map, the stability filter
-# and the containment check all start from the same traces.  Cached arrays
-# are read-only, so no caller can change what the next one gets.
+# Coarse continuations, boundary traces and boundary samples, memoised by
+# polynomial value: the stability command, the control scan, the dense map,
+# the stability filter and the containment check all start from the same
+# traces.  Cached arrays are read-only, so no caller can change what the
+# next one gets.
 _SAMPLE_CACHE = {}
 
 
@@ -288,7 +328,8 @@ def _freeze(*arrays):
 
 
 def _boundary(polys: StabilityPolynomials, n_points) -> BoundaryTrace:
-    """trace_boundary(polys, n_points), traced once per main polynomial."""
+    """trace_boundary(polys, n_points), solved once per main polynomial and
+    sample count."""
     key = (polys.main.tobytes(), n_points)
     trace = _SAMPLE_CACHE.get(key)
     if trace is None:

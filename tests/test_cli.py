@@ -454,6 +454,22 @@ def test_history_of_an_aborted_run_lists_its_attempts(tmp_path, capsys):
     assert float(rows[0][0]) == 0.0
 
 
+def test_an_unwritable_solution_path_leaves_no_history(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "integrate", "--scheme", "bs3", "--problem", "dahlquist",
+                         "--tol", "1e-3", "--t-end", "1", "--history-out", "h.csv",
+                         "--solution-out", "missing/s.csv")
+    assert code == 1 and out == ""
+    assert err == "error: cannot write missing/s.csv: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+    # an existing history file is left as it was
+    (tmp_path / "h.csv").write_text("old\n")
+    code, _, _ = run(capsys, "integrate", "--scheme", "bs3", "--problem", "dahlquist",
+                     "--tol", "1e-3", "--t-end", "1", "--history-out", "h.csv",
+                     "--solution-out", "missing/s.csv")
+    assert code == 1 and (tmp_path / "h.csv").read_text() == "old\n"
+
+
 def test_integrate_solution_snapshot_csv(tmp_path, capsys):
     snap = tmp_path / "final.csv"
     code, _, _ = run(capsys, "integrate", "--scheme", "bs3",

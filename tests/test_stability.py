@@ -353,25 +353,79 @@ def test_horner_matches_polyval(c, xr, xi):
     x = complex(xr, xi)
     with np.errstate(all="ignore"):
         want = complex(polyval(x, np.array(c)))
-    got = stability._horner(c, x)
+    got = stability._horner(c[-1], c[-2::-1], x)
     assert _same(got.real, want.real) and _same(got.imag, want.imag)
 
 
-def test_stability_command_traces_each_polynomial_once(tmp_path, monkeypatch, capsys):
-    traced = []
-    trace = stability.trace_boundary
+_special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_entries = st.one_of(_special, st.floats(-1e3, 1e3), st.floats())
+_complex = st.builds(complex, _entries, _entries)
 
-    def counted(polys, *args, **kwargs):
+
+@st.composite
+def _points(draw):
+    """A Python complex, or a 0-d, 1-D or 2-D complex array."""
+    shape = draw(st.sampled_from([None, (), (7,), (3, 4)]))
+    if shape is None:
+        return draw(_complex)
+    size = math.prod(shape)
+    values = draw(st.lists(_complex, min_size=size, max_size=size))
+    return np.array(values, dtype=complex).reshape(shape)
+
+
+@given(c=st.lists(st.one_of(_special, st.floats()), min_size=1, max_size=13),
+       x=_points())
+def test_in_place_polyval_matches_polyval_bit_for_bit(c, x):
+    c = np.array(c)
+    with np.errstate(all="ignore"):
+        want = polyval(x, c)
+        got = stability._polyval(x, c)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("n_grid", [400, 137])
+def test_containment_equals_the_full_grid_mask(n_grid):
+    # the embedded polynomial, evaluated only inside the main region, finds
+    # the points of Z[inside & ~ok] over the whole box, in the same order
+    for name in catalog_names():
+        polys = stability_polynomials(catalog_get(name))
+        ok, violations = contains_region(polys, polys, n_grid=n_grid)
+        Z = stability._region_box(polys, n_grid)
+        inside = np.abs(polyval(Z, polys.main)) <= 1.0
+        good = np.abs(polyval(Z, polys.embedded)) <= 1.0 + 1e-12
+        want = Z[inside & ~good]
+        assert ok == (want.size == 0), name
+        assert violations.tobytes() == want.tobytes(), name
+
+
+def test_stability_command_traces_each_polynomial_once(tmp_path, monkeypatch, capsys):
+    continued, traced = [], []
+    continuation, trace = stability._continuation, stability.trace_boundary
+
+    def counted_continuation(R):
+        continued.append(R.tobytes())
+        return continuation(R)
+
+    def counted_trace(polys, *args, **kwargs):
         traced.append(polys.main.tobytes())
         return trace(polys, *args, **kwargs)
 
-    monkeypatch.setattr(stability, "trace_boundary", counted)
-    monkeypatch.setattr(stability, "_SAMPLE_CACHE", {})
-    code = main(["stability", "--scheme", "bs3", "--beta", "0.6,-0.2",
-                 "--control-map", "--grid-map", "21", "--out", str(tmp_path / "s")])
-    assert code == 0
-    # the main and the embedded polynomial, once each
-    assert len(traced) == 2 and traced[0] != traced[1]
+    monkeypatch.setattr(stability, "_continuation", counted_continuation)
+    monkeypatch.setattr(stability, "trace_boundary", counted_trace)
+    # with --points 128 the region box solves the main polynomial's 512
+    # samples too, from the same continuation
+    for flags, n_traces in (([], 2), (["--points", "128"], 3)):
+        continued.clear()
+        traced.clear()
+        monkeypatch.setattr(stability, "_SAMPLE_CACHE", {})
+        code = main(["stability", "--scheme", "bs3", "--beta", "0.6,-0.2", *flags,
+                     "--control-map", "--grid-map", "21", "--out", str(tmp_path / "s")])
+        assert code == 0
+        # the main and the embedded polynomial, each continued once
+        assert len(continued) == 2 and continued[0] != continued[1], flags
+        assert len(traced) == n_traces and set(traced) == set(continued), flags
 
 
 def test_cached_boundary_arrays_are_read_only(monkeypatch):

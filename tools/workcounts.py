@@ -26,15 +26,19 @@ rhomap CSVs that
 
     rkadapt stability --scheme NAME --scaled --beta 0.6,-0.2,0 --control-map --grid-map 101
 
-writes for every catalog pair NAME.  Each of these stability commands also
-leaves a verdict line, the `stable` value and the `max_rho` (repr) of the JSON
-summary it prints.  Last, the coefficient documents of EXIT_DOCS, one whose
-boundary cannot be traced and one with no informative boundary sample, each
-go through `stability --control-map`, `search` and plain `stability`
-(labelled `plain stability`); each of those commands leaves its exit status
-line, the sha256 of what it writes to stderr and the sha256 of the sorted
-names of the files it writes, one per line (labelled `files written`), so a
-failure that leaves partial output shows.
+writes for every catalog pair NAME, and the same four CSVs of POINTS_128,
+whose 128 samples are solved apart from the 512 of the region box.  Each of
+these stability commands also leaves a verdict line, the `stable` value and
+the `max_rho` (repr) of the JSON summary it prints.  For every catalog pair,
+`contains_region(polys, polys, n_grid=400)` leaves two lines in the digest
+format: its verdict as written (`True` or `False`) and the sha256 of the
+bytes of its violation array.  Last, the coefficient documents of
+EXIT_DOCS, one whose boundary cannot be traced and one with no informative
+boundary sample, each go through `stability --control-map`, `search` and
+plain `stability` (labelled `plain stability`); each of those commands
+leaves its exit status line, the sha256 of what it writes to stderr and the
+sha256 of the sorted names of the files it writes, one per line (labelled
+`files written`), so a failure that leaves partial output shows.
 
 Run it on two checkouts and compare the outputs: equal output means equal
 work and bit-identical results.  The acceptance suite takes about two
@@ -96,6 +100,10 @@ EXIT_DOCS = {
                      "bhat": ["0.16666666666666666", "0.16666666666666666",
                               "0.6666666666666666", "0"]},
 }
+
+# stability samples at a count other than the 512 of the region box
+POINTS_128 = ("stability", "--scheme", "bs5", "--points", "128", "--beta", "0.6,-0.2,0",
+              "--control-map", "--grid-map", "21")
 
 VIA_CONFIG = " via --config"
 
@@ -410,6 +418,20 @@ def main(argv=None):
                 for part in ("main", "embedded", "rho", "rhomap"):
                     digests[f"stability {scheme} {part}.csv"] = _file_digest(
                         f"stab{i}.{part}.csv")
+            code_128, text, _ = _cli(cli, [*POINTS_128, "--out", "points128"])
+            status.append(f"{' '.join(POINTS_128)}: exit {code_128}")
+            verdicts.append(f"verdict {' '.join(POINTS_128)}: {_verdict(text)}")
+            for part in ("main", "embedded", "rho", "rhomap"):
+                digests[f"{' '.join(POINTS_128)} {part}.csv"] = _file_digest(
+                    f"points128.{part}.csv")
+            stability = importlib.import_module("rkadapt.stability")
+            for scheme in catalog.catalog_names():
+                polys = stability.stability_polynomials(catalog.catalog_get(scheme))
+                ok, violations = stability.contains_region(polys, polys, n_grid=400)
+                label = f"contains_region {scheme} n_grid=400"
+                digests[f"{label} verdict"] = str(ok)
+                digests[f"{label} violations"] = hashlib.sha256(
+                    violations.tobytes()).hexdigest()
             for name, doc in EXIT_DOCS.items():
                 with open(f"{name}.json", "w") as fh:
                     json.dump(doc, fh)
