@@ -405,7 +405,7 @@ def _keep_freed_heap():
     each on the 20x20 p=2 vortex.  At glibc's start-up thresholds the heap
     top is given back once 128 KiB of it is free and larger blocks are
     mapped afresh, so every call faults its temporaries' pages in again:
-    124 page faults per vortex2d call, which then takes about 1.5x as long.
+    108 page faults per vortex2d call, which then takes about 1.3x as long.
     Does nothing where the C library has no `mallopt`.
     """
     try:

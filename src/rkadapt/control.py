@@ -85,16 +85,25 @@ def error_norm(u_new, uhat_new, cfg: ControllerConfig) -> float:
 def error_norms(u_new, uhat_new, atol, rtol) -> np.ndarray:
     """error_norm of each member of two stacks of states, with a tolerance
     pair per member.  Each member reduces along one contiguous axis, so its
-    norm is bit for bit the norm of its state alone."""
+    norm is bit for bit the norm of its state alone.  Formed in place, with
+    np.mean's sum and division by the count."""
     m = len(u_new)
     u_new = np.asarray(u_new, dtype=float).reshape(m, -1)
     uhat_new = np.asarray(uhat_new, dtype=float).reshape(m, -1)
     atol = np.asarray(atol, dtype=float)[:, None]
     rtol = np.asarray(rtol, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = atol + rtol * np.maximum(np.abs(u_new), np.abs(uhat_new))
-        ratio = (u_new - uhat_new) / scale
-        w = np.sqrt(np.mean(ratio * ratio, axis=1))
+        scale = np.abs(u_new)
+        ratio = np.abs(uhat_new)
+        np.maximum(scale, ratio, out=scale)
+        np.multiply(rtol, scale, out=scale)
+        np.add(atol, scale, out=scale)
+        np.subtract(u_new, uhat_new, out=ratio)
+        ratio /= scale
+        ratio *= ratio
+        w = np.add.reduce(ratio, axis=1)
+        w /= u_new.shape[1]
+        np.sqrt(w, out=w)
     w[np.isnan(w)] = math.inf
     return w
 

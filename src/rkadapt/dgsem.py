@@ -13,6 +13,12 @@ calls do.  Each volume derivative is one matrix product led by the node
 axis: slices whose last two axes are (node, rest), or the node-major
 working layout of `EulerSemidisc2d`.  Every column is the same product
 whatever the stack, so a stack's rows equal the per-member products.
+
+The Euler kernels form their products and sums in place: the same float
+operations, on the same operands in the same order as the plain
+expressions in their comments, written only into arrays the call created.
+So the bits are the expressions', and a kernel never writes into its input;
+its result is a fresh C-contiguous array.
 """
 
 from __future__ import annotations
@@ -255,6 +261,17 @@ def _upwind_face(du, u, a, first, last, nb, left, right, scale):
         du[last] += scale * (u[first].take(right, axis=nb) - u[last])
 
 
+def _roll(x, by, axis):
+    """np.roll(x, by, axis) for by = 1 or -1: each slab's periodic left (1)
+    or right (-1) neighbour along the negative `axis`, as `take` of the
+    rolled indices gathers it, by two slice copies."""
+    out = np.empty(x.shape, dtype=x.dtype)
+    rest = (slice(None),) * (-1 - axis)
+    out[(..., slice(by, None), *rest)] = x[(..., slice(None, -by), *rest)]
+    out[(..., slice(None, by), *rest)] = x[(..., slice(-by, None), *rest)]
+    return out
+
+
 def _llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
     """Add the local Lax-Friedrichs surface terms on one family of faces.
 
@@ -262,14 +279,33 @@ def _llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
     of u, f, du and the wave speeds (with a size-1 variable axis): the face
     states, fluxes and speeds.  `nb` is the slabs' periodic element axis,
     from the end; `left`/`right` index each element's neighbours and jw0,
-    jwN are the Jacobian-weight scalings of its first and last node.
+    jwN are the Jacobian-weight scalings of its first and last node.  On the
+    innermost axis `_roll` gathers the neighbours, faster there than `take`.
+    The arithmetic runs in place on the gathered arrays and on views of du.
     """
-    uR, fR = u[first], f[first]
-    uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
-    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
-    fstar = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
-    du[first] += (fstar - fR) / jw0
-    du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
+    uR, fR, uL, fL, lam = u[first], f[first], u[last], f[last], speed[last]
+    if nb == -1:
+        uL, fL, lam = _roll(uL, 1, nb), _roll(fL, 1, nb), _roll(lam, 1, nb)
+    else:
+        uL, fL, lam = uL.take(left, axis=nb), fL.take(left, axis=nb), lam.take(left, axis=nb)
+    np.maximum(lam, speed[first], out=lam)
+    # fstar = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL), in fL
+    fL += fR
+    np.multiply(0.5, fL, out=fL)
+    np.multiply(0.5, lam, out=lam)
+    np.subtract(uR, uL, out=uL)
+    np.multiply(lam, uL, out=uL)
+    fL -= uL
+    fN = _roll(fL, -1, nb) if nb == -1 else fL.take(right, axis=nb)
+    # du[first] += (fstar - fR) / jw0; du[last] -= (fstar[right] - f[last]) / jwN
+    fL -= fR
+    fL /= jw0
+    face = du[first]
+    face += fL
+    fN -= f[last]
+    fN /= jwN
+    face = du[last]
+    face -= fN
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +402,14 @@ def euler_primitives_2d(u):
     rho = u[..., 0]
     vx = u[..., 1] / rho
     vy = u[..., 2] / rho
-    p = (GAMMA - 1.0) * (u[..., 3] - 0.5 * rho * (vx * vx + vy * vy))
+    # p = (GAMMA - 1) * (E - 0.5 * rho * (vx * vx + vy * vy))
+    kinetic = np.multiply(vx, vx)
+    p = np.multiply(vy, vy)
+    kinetic += p
+    np.multiply(0.5, rho, out=p)
+    p *= kinetic
+    np.subtract(u[..., 3], p, out=p)
+    np.multiply(GAMMA - 1.0, p, out=p)
     return rho, vx, vy, p
 
 
@@ -457,20 +500,30 @@ class EulerSemidisc2d(_Semidisc2d):
         q = np.ascontiguousarray(np.transpose(u, axes))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             rho, vx, vy, p = euler_primitives_2d(np.moveaxis(q, 2, -1))
-            c = np.sqrt(GAMMA * p / rho)
+            c = np.multiply(GAMMA, p)       # c = sqrt(GAMMA * p / rho)
+            c /= rho
+            np.sqrt(c, out=c)
             # u * v_n is the flux of mass and momentum; p and the energy
             # flux (E + p) v_n complete it
-            fx = q * vx[:, :, None]
-            fx[:, :, 1] += p
-            fx[:, :, 3] = (q[:, :, 3] + p) * vx
-            fy = q * vy[:, :, None]
-            fy[:, :, 2] += p
-            fy[:, :, 3] = (q[:, :, 3] + p) * vy
-            du = self._vol_x * (D @ fx.reshape(len(D), -1)).reshape(q.shape)
-            du += self._vol_y * (D @ fy.reshape(len(D), len(D), -1)).reshape(q.shape)
-            _llf_surface(du, q, fx, (np.abs(vx) + c)[:, :, None], (0,), (-1,), -2,
+            fx, fy = q * vx[:, :, None], q * vy[:, :, None]
+            for f, v, normal in ((fx, vx, 1), (fy, vy, 2)):
+                momentum, energy = f[:, :, normal], f[:, :, 3]
+                momentum += p
+                np.add(q[:, :, 3], p, out=energy)
+                energy *= v
+            # du = vol_x * (D fx) + vol_y * (D fy)
+            du = (D @ fx.reshape(len(D), -1)).reshape(q.shape)
+            np.multiply(self._vol_x, du, out=du)
+            dy = (D @ fy.reshape(len(D), len(D), -1)).reshape(q.shape)
+            du += np.multiply(self._vol_y, dy, out=dy)
+            del dy          # freed before the face terms and the result allocate
+            # the wave speeds |v_n| + c, in vx and vy
+            for v in (vx, vy):
+                np.abs(v, out=v)
+                v += c
+            _llf_surface(du, q, fx, vx[:, :, None], (0,), (-1,), -2,
                          self._lx, self._rx, self._jw0_x, self._jwN_x)
-            _llf_surface(du, q, fy, (np.abs(vy) + c)[:, :, None], np.s_[:, 0], np.s_[:, -1],
+            _llf_surface(du, q, fy, vy[:, :, None], np.s_[:, 0], np.s_[:, -1],
                          -1, self._ly, self._ry, self._jw0_y, self._jwN_y)
         return np.ascontiguousarray(np.transpose(du, np.argsort(axes)))
 

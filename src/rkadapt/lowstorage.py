@@ -135,13 +135,36 @@ def _combine(*terms):
     """sum of c * x over the terms (c, x), left to right from the first term
     kept.  A term with c = 0, or with x None (a register still zero), adds
     nothing, and c = 1 adds x itself; with every term skipped the sum is
-    0 * x of the last term.  Generic over the state algebra."""
+    0 * x of the last term.  Generic over the state algebra.  The sum is
+    formed in place once this call has created it, never in a term's x."""
     total = None
     for c, x in terms:
         if c != 0 and x is not None:
-            term = x if c == 1 else c * x
-            total = term if total is None else total + term
+            if c != 1:
+                x = c * x
+            if total is None:
+                total, own = x, c != 1
+            elif own:
+                total += x
+            else:
+                total, own = total + x, True
     return 0 * x if total is None else total
+
+
+def _accumulate(acc, own, c, x):
+    """_combine((1, acc), (c, x)) for an x that is not None, and whether the
+    result is the caller's own: `own` says that the caller created `acc` and
+    no other register holds it, and only then is the sum formed in it."""
+    if c == 0:
+        return (0 * x, True) if acc is None else (acc, own)
+    if c != 1:
+        x = c * x
+    if acc is None:
+        return x, c != 1
+    if own:
+        acc += x
+        return acc, True
+    return acc + x, True
 
 
 def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True,
@@ -151,23 +174,28 @@ def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True,
     `f0`, when given, is the first-stage value f(t, u).  Returns (u_new, err,
     fsal_f), where fsal_f = f(t+dt, u_new) is the FSAL evaluation when the
     estimate makes one.  `coefficients`, when given, replaces the scheme's
-    (gamma1, gamma2, gamma3, beta, delta, bhat, stage_increments, c).
+    (gamma1, gamma2, gamma3, beta, delta, bhat, stage_increments, c).  Each is
+    read once into a list, whose float64 entries promote a state as the
+    arrays' do.  Registers are updated in place only where the sweep created
+    them, never in u, f0 or an RHS result.
     """
     if coefficients is None:
         coefficients = (scheme.gamma1, scheme.gamma2, scheme.gamma3, scheme.beta,
                         scheme.delta, scheme.bhat, scheme.stage_increments, scheme.c)
-    g1, g2, g3, be, de, bh, w, c = coefficients
+    g1, g2, g3, be, de, bh, w, c = (list(x) for x in coefficients)
     s = scheme.s
     S1 = S3 = u
     S2 = E = None
+    own2 = ownE = False
     plus = scheme.scheme_class == "3s*+"
     for i in range(s):
-        S2 = _combine((1, S2), (de[i], S1))
+        S2, own2 = _accumulate(S2, own2, de[i], S1)
         f = f0 if (i == 0 and f0 is not None) else rhs(t + c[i] * dt, S1)
         k = dt * f
         if plus and with_estimate:
-            E = _combine((1, E), (be[i] - bh[i], k))
+            E, ownE = _accumulate(E, ownE, be[i] - bh[i], k)
         S1 = _combine((g1[i], S1), (g2[i], S2), (g3[i], S3), (w[i], k))
+        own2 = own2 and S1 is not S2
     u_new = S1
     if not with_estimate:
         return u_new, None, None
@@ -175,7 +203,7 @@ def _lowstorage_core(scheme, rhs, t, dt, u, f0=None, with_estimate=True,
         err = E
     else:
         uhat = _combine((1, S2), (de[s - 1], S1), (de[s], S3)) / np.sum(de)
-        err = u_new - uhat
+        err = np.subtract(u_new, uhat, out=uhat)
     fsal_f = None
     if scheme.fsal and bh[s] != 0:
         fsal_f = rhs(t + dt, u_new)

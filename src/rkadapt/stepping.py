@@ -6,7 +6,9 @@ ButcherPair the dense tableau sweep, a 3S*/3S*+ set its register sweep
 sweeps build every linear combination with `lowstorage._combine`, which
 skips zero coefficients and the multiply by a coefficient of 1; on finite
 states that is bit for bit the sum with every term, up to the sign of an
-exact zero.
+exact zero.  Sums and products are formed in place, with the same
+operations in the same operand order, but only in arrays the sweep created:
+never in u, f0, an RHS result or a coefficient array.
 
 Both forms share the FSAL contract: the error estimator of an FSAL pair ends
 with an evaluation f(t+dt, u_new) that doubles as the first stage of the next
@@ -84,12 +86,13 @@ class _Stack:
     a broadcasting column (or a vector) for several.  `rows`, when given,
     names the members a partial stack holds."""
 
-    __slots__ = ("rhs", "batched", "nfe", "live")
+    __slots__ = ("rhs", "batched", "calls", "partial", "live")
 
     def __init__(self, rhs, m):
         self.rhs = rhs
         self.batched = getattr(rhs, "batched", False)
-        self.nfe = [0] * m                   # evaluations per member
+        self.calls = 0                       # evaluations of the whole stack
+        self.partial = np.zeros(m, dtype=np.int64)  # of some members, per member
         self.live = None                     # per-member mask once one has died
 
     def _eval(self, times, u):
@@ -98,18 +101,18 @@ class _Stack:
 
     def __call__(self, t, u, rows=None):
         times = t.reshape(len(u)) if isinstance(t, np.ndarray) else np.array([t])
-        rows = range(len(u)) if rows is None else rows
         if self.live is None and np.isfinite(u).all():
-            for j in rows:
-                self.nfe[j] += 1
+            if rows is None:
+                self.calls += 1
+            else:
+                self.partial[rows] += 1
             return self._eval(times, u)
         if self.live is None:
-            self.live = np.ones(len(self.nfe), dtype=bool)
-        rows = np.asarray(rows)
+            self.live = np.ones(len(self.partial), dtype=bool)
+        rows = np.arange(len(u)) if rows is None else np.asarray(rows)
         self.live[rows] &= _finite_members(u)
         keep = self.live[rows]
-        for j in rows[keep]:
-            self.nfe[j] += 1
+        self.partial[rows[keep]] += 1
         out = np.full(u.shape, np.nan, dtype=np.result_type(u.dtype, float))
         if keep.any():
             out[keep] = self._eval(times[keep], u[keep])
@@ -186,11 +189,11 @@ def step(scheme, rhs, t, dt, u, f0=None, need_estimate=True) -> StepResult:
     if not finite.all():
         u_new = u_new.copy()       # a scheme with zero weights returns u itself
         u_new[~finite] = np.nan
-    finite = finite.tolist()
+    finite, nfe = finite.tolist(), (cr.partial + cr.calls).tolist()
     if single:
-        return StepResult(u_new[0], None if err is None else err[0], cr.nfe[0],
+        return StepResult(u_new[0], None if err is None else err[0], nfe[0],
                           None if fsal_f is None else fsal_f[0], finite[0])
-    return StepResult(u_new, err, cr.nfe, fsal_f, finite)
+    return StepResult(u_new, err, nfe, fsal_f, finite)
 
 
 butcher_step = lowstorage_step = step

@@ -67,6 +67,38 @@ def test_error_norms_row_by_row(stacks):
                 assert w[j] == math.inf, j
 
 
+def _mean_formula(u, uhat, atol, rtol):
+    """error_norms as the expression it forms in place, with np.mean."""
+    m = len(u)
+    u, uhat = u.reshape(m, -1), uhat.reshape(m, -1)
+    atol, rtol = np.asarray(atol)[:, None], np.asarray(rtol)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = atol + rtol * np.maximum(np.abs(u), np.abs(uhat))
+        ratio = (u - uhat) / scale
+        w = np.sqrt(np.mean(ratio * ratio, axis=1))
+    w[np.isnan(w)] = math.inf
+    return w
+
+
+@given(n=st.sampled_from([1, 7, 180, 576, 2304]), m=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), spread=st.sampled_from([1e-12, 1e-6, 1e-2, 1e3]),
+       special=st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0]),
+       rtol=st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_error_norms_equal_the_mean_formula(n, m, seed, spread, special, rtol):
+    # the sum np.mean takes, divided by the count, bit for bit; a member with
+    # NaN (or inf - inf) in its ratio gets +inf
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4, (m, n))
+    uhat = u + spread * rng.standard_normal((m, n))
+    if special is not None:
+        uhat[-1, rng.integers(n)] = special
+    atol = 10.0 ** rng.uniform(-10, -2, m)
+    w = error_norms(u, uhat, atol, [rtol] * m)
+    assert w.tobytes() == _mean_formula(u, uhat, atol, [rtol] * m).tobytes()
+    if special is not None and math.isnan(special):
+        assert w[-1] == math.inf
+
+
 def test_error_norm_scale_consistency():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(20)

@@ -660,3 +660,133 @@ def test_volume_derivatives_within_4_ulp_of_exact_sums(m, nel, p, amplitude, see
         exact = np.apply_along_axis(math.fsum, -1, terms)
         scale = np.apply_along_axis(math.fsum, -1, np.abs(terms))
         assert np.all(np.abs(got - exact) <= 4.0 * np.spacing(scale)), type(semi)
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against their expression form, bit for bit
+#
+# The functions below are the Euler kernels as plain expressions, each
+# product and sum a fresh array.  The library forms the same operations, on
+# the same operands in the same order, in arrays of its own; so the bytes
+# must agree, signs of zero included.
+
+def _expr_primitives_1d(u):
+    rho = u[..., 0]
+    v = u[..., 1] / rho
+    p = (GAMMA - 1.0) * (u[..., 2] - 0.5 * rho * v * v)
+    return rho, v, p
+
+
+def _expr_primitives_2d(u):
+    rho = u[..., 0]
+    vx = u[..., 1] / rho
+    vy = u[..., 2] / rho
+    p = (GAMMA - 1.0) * (u[..., 3] - 0.5 * rho * (vx * vx + vy * vy))
+    return rho, vx, vy, p
+
+
+def _expr_llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
+    uR, fR = u[first], f[first]
+    uL, fL = u[last].take(left, axis=nb), f[last].take(left, axis=nb)
+    lam = np.maximum(speed[last].take(left, axis=nb), speed[first])
+    fstar = 0.5 * (fL + fR) - 0.5 * lam * (uR - uL)
+    du[first] += (fstar - fR) / jw0
+    du[last] -= (fstar.take(right, axis=nb) - f[last]) / jwN
+
+
+def _expr_rhs_1d(semi, t, u):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        rho, v, p = _expr_primitives_1d(u)
+        f = np.empty_like(u)
+        f[..., 0] = u[..., 1]
+        f[..., 1] = u[..., 1] * v + p
+        f[..., 2] = (u[..., 2] + p) * v
+        speed = (np.abs(v) + np.sqrt(GAMMA * p / rho))[..., None]
+        du = semi._vol * np.matmul(semi.op.D, f)
+        _expr_llf_surface(du, u, f, speed, np.s_[..., 0, :], np.s_[..., -1, :],
+                          -2, semi._left, semi._right, semi._jw0, semi._jwN)
+    if semi.energy_source is not None:
+        if np.ndim(t):
+            du[..., 2] += np.array([semi.energy_source(float(tm))
+                                    for tm in t])[:, None, None]
+        else:
+            du[..., 2] += semi.energy_source(t)
+    return du
+
+
+def _expr_rhs_2d(semi, t, u):
+    D, lead = semi.op.D, np.ndim(u) - 5
+    axes = (lead + 2, lead + 3, lead + 4, *range(lead), lead, lead + 1)
+    q = np.ascontiguousarray(np.transpose(u, axes))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        rho, vx, vy, p = _expr_primitives_2d(np.moveaxis(q, 2, -1))
+        c = np.sqrt(GAMMA * p / rho)
+        fx = q * vx[:, :, None]
+        fx[:, :, 1] += p
+        fx[:, :, 3] = (q[:, :, 3] + p) * vx
+        fy = q * vy[:, :, None]
+        fy[:, :, 2] += p
+        fy[:, :, 3] = (q[:, :, 3] + p) * vy
+        du = semi._vol_x * (D @ fx.reshape(len(D), -1)).reshape(q.shape)
+        du += semi._vol_y * (D @ fy.reshape(len(D), len(D), -1)).reshape(q.shape)
+        _expr_llf_surface(du, q, fx, (np.abs(vx) + c)[:, :, None], (0,), (-1,), -2,
+                          semi._lx, semi._rx, semi._jw0_x, semi._jwN_x)
+        _expr_llf_surface(du, q, fy, (np.abs(vy) + c)[:, :, None], np.s_[:, 0],
+                          np.s_[:, -1], -1, semi._ly, semi._ry, semi._jw0_y, semi._jwN_y)
+    return np.ascontiguousarray(np.transpose(du, np.argsort(axes)))
+
+
+def _still_state(shape, dim, seed, amplitude, still):
+    """_euler_state with the momentum of the nodes in `still` ("none",
+    "some" or "all") set to an exact zero of either sign."""
+    u = _euler_state(shape, dim, seed, amplitude)
+    if still != "none":
+        rng = np.random.default_rng(seed + 1)
+        mask = rng.random(shape) < 0.5 if still == "some" else np.ones(shape, dtype=bool)
+        kinetic = 0.5 * np.sum(u[..., 1:-1] ** 2, axis=-1) / u[..., 0]
+        for k in range(1, dim + 1):
+            u[..., k][mask] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[mask]
+        u[..., -1][mask] -= kinetic[mask]
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(nel=st.sampled_from([1, 2, 3, 5]), p=st.sampled_from([1, 2, 3]),
+       m=st.sampled_from([None, 1, 3]), kind=_kinds, amplitude=_amplitudes,
+       seed=_seeds, still=st.sampled_from(["none", "some", "all"]),
+       source=st.booleans())
+def test_euler_kernels_equal_their_expression_form(nel, p, m, kind, amplitude, seed,
+                                                   still, source):
+    g1 = _grid1d(nel, kind, seed)
+    g2 = Grid2d(g1, _grid1d(nel, kind, seed + 1, 0.0, 3.0))
+    n = p + 1
+    members = 1 if m is None else m
+    times = 0.4 if m is None else np.linspace(0.1, 0.9, m)
+    cases = ((EulerSemidisc1d(g1, p, energy_source=_python_float_source if source else None),
+              _expr_rhs_1d, (nel, n), 1),
+             (EulerSemidisc2d(g2, p), _expr_rhs_2d, (nel, nel, n, n), 2))
+    for semi, expr, shape, dim in cases:
+        u = np.stack([_still_state(shape, dim, seed + k, amplitude, still)
+                      for k in range(members)])
+        if m is None:
+            u = u[0]
+        assert np.all(semi.is_admissible(u))
+        before = u.tobytes()
+        got, want = semi.rhs(times, u), expr(semi, times, u)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), type(semi).__name__
+        assert u.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("axis", [-1, -2, -3])
+@pytest.mark.parametrize("by", [1, -1])
+def test_periodic_shift_equals_take_of_the_rolled_indices(n, axis, by):
+    shape = [3, 2, 4, 5]
+    shape[axis] = n
+    x = np.random.default_rng(n).standard_normal(shape)
+    x[x < -1.0] = -0.0
+    want = x.take(np.roll(np.arange(n), by), axis=axis)
+    got = dgsem._roll(x, by, axis)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and not np.shares_memory(got, x)

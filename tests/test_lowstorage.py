@@ -300,3 +300,16 @@ def test_zero_skipping_is_bit_identical_on_catalog_sets(name):
 @given(scheme=threestar_sets(), seed=st.integers(0, 2**16), dt=st.floats(1e-3, 0.5))
 def test_zero_skipping_is_bit_identical_on_random_sets(scheme, seed, dt):
     _assert_zero_skipping_is_bit_identical(scheme, seed, dt)
+
+
+def test_a_register_that_becomes_another_is_not_added_into():
+    # stage 2 keeps only S1 <- S2 (gamma2 = 1, its weight 0), so S1 is the
+    # sweep's own S2 array; stage 3's S2 <- S2 + delta S1 must then build a
+    # new S2 rather than add into the array S1 still names
+    scheme = LowStorageScheme(
+        name="alias", scheme_class="3s*+", gamma1=[0.0, 0.25, 0.0, 0.25],
+        gamma2=[1.0, 0.5, 1.0, 0.5], gamma3=[0.0, 0.0, 0.0, 0.0],
+        beta=[0.3, 0.3, 0.0, 0.4], delta=[1.0, 0.5, -0.5, 0.5],
+        bhat=[0.25, 0.25, 0.25, 0.25, 0.0], q=1, qhat=1)
+    for seed, dt in ((0, 0.01), (1, 0.1)):
+        _assert_zero_skipping_is_bit_identical(scheme, seed, dt)

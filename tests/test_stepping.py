@@ -247,3 +247,46 @@ def test_an_inadmissible_result_is_not_finite(name):
         assert res.err_diff[j].tobytes() == alone.err_diff.tobytes(), j
     alone = step(scheme, _RefusingRhs(row, cap=4.0), t[1], dt[1], u[1])
     assert alone.finite is False and np.all(np.isnan(alone.u_new))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("m", [None, 1, 3])
+@pytest.mark.parametrize("cache", ["none", "given", "mixed"])
+@pytest.mark.parametrize("dead", [False, True])
+def test_a_step_writes_into_none_of_its_inputs(name, m, cache, dead):
+    """The sweeps form their sums and products in place, but only in arrays
+    they created: u, each f0 row, t and dt keep their bytes, and the FSAL
+    stage shares no memory with u_new, the error estimate or u.  m = None
+    steps a single state; with `dead`, the last member's state holds NaN."""
+    scheme = catalog_get(name)
+    row = quadratic_rhs(seed=2)
+    members = 1 if m is None else m
+    u = np.random.default_rng(8).standard_normal((members, 10))
+    if dead:
+        u[-1, 3] = np.nan
+    t, dt = np.linspace(0.0, 0.2, members), np.full(members, 0.05)
+    f0 = {"none": [None] * members,
+          "given": [row(tm, um) for tm, um in zip(t, u)],
+          "mixed": [row(t[0], u[0])] + [None] * (members - 1)}[cache]
+    if m is None:
+        args = (float(t[0]), float(dt[0]), u[0], f0[0])
+    else:
+        args = (t, dt, u, f0)
+    before = [np.asarray(x).tobytes() for x in (t, dt, u)]
+    before_f0 = [None if f is None else f.tobytes() for f in f0]
+    res = step(scheme, _RowwiseRhs(row), *args)
+    assert [np.asarray(x).tobytes() for x in (t, dt, u)] == before
+    assert [None if f is None else f.tobytes() for f in f0] == before_f0
+    if res.fsal_f is not None:
+        for other in (res.u_new, res.err_diff, u):
+            assert not np.shares_memory(res.fsal_f, other)
+    assert (m is None) == (type(res.nfe) is int)
+
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_float32_state_steps_in_float64(name):
+    # the coefficients are float64 scalars in both sweeps, and they promote
+    # a float32 state; Python floats would keep it in float32
+    res = step(catalog_get(name), lambda t, u: -u, 0.0, 0.1, np.ones(3, dtype=np.float32))
+    assert res.u_new.dtype == res.err_diff.dtype == np.float64
