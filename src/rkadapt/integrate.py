@@ -1,16 +1,20 @@
 """Adaptive time integration loop with PID or CFL step size control.
 
 The loop advances an ensemble: m members of one problem from one initial
-state, each under its own controller, in lockstep.  Every member keeps its
-own time, step size, error history, FSAL cache, clipped last step, finite
-guard, accept/reject decisions, RHS count and report, so each report is bit
-for bit the report of the member's run alone.  The member states advance as
-one stack; members that finish or abort leave the stack.  `integrate` is
-the one-member ensemble.
+state, each under its own controller, in lockstep.  A member's run lives in
+its RunReport, whose t_final is the end of its last accepted step (t0 before
+one), its ControllerState (step size, error history) and its FSAL cache slot,
+so each report is bit for bit the report of the member's run alone.  The
+member states advance as one stack.  `integrate` is the one-member ensemble.
 
 The loop only schedules: it clips steps, calls `step` (which decides whether
 each result is usable), applies each member's verdict (`control.pid_decide`)
-and retires members.  The CFL timescale follows `stepping.per_member`.
+and retires members.  The CFL timescale follows `stepping.per_member`.  Each
+pass notes which members end and why, and one block retires them, with
+u_final the state at t_final.  A run ends at t_end or aborts with one of
+"attempt budget exhausted", "CFL control undefined: ...", "solution left the
+admissible set under CFL control", "step size underflow" and "step size
+underflow after bounds rejection".
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ def integrate(scheme, rhs, controller, t0, t_end, u0, dt0=None,
     with rejections) or a CflConfig (wave-speed-proportional steps, no error
     estimate; a non-finite or inadmissible step, or a timescale that is not
     finite and positive, aborts the run).  The final step is clipped to land
-    on t_end bitwise.  Raises IntegrationAbort if dt underflows below 1e-14
-    times the horizon.
+    on t_end bitwise.  Raises IntegrationAbort, with the partial report, if
+    the run aborts (dt below 1e-14 times the horizon is one reason).
     """
     report, = integrate_ensemble(scheme, rhs, [controller], t0, t_end, u0, dt0=dt0,
                                  record_history=record_history,
@@ -115,115 +119,91 @@ def integrate_ensemble(scheme, rhs, controllers, t0, t_end, u0, dt0=None,
     start = time.perf_counter()
     name = getattr(scheme, "name", type(scheme).__name__)
     horizon = t_end - t0
-    members = [_Member(controller, RunReport(scheme=name, controller=controller.describe(),
-                                             t0=t0, t_end=t_end), t0)
-               for controller in controllers]
-    for member in members:
+    reports, states = [], []
+    for controller in controllers:
+        report = RunReport(scheme=name, controller=controller.describe(), t0=t0,
+                           t_end=t_end, t_final=t0)
         dt = dt0
         if not cfl and dt is None:
-            def counted(t, u, report=member.report):
+            def counted(t, u, report=report):
                 report.nfe += 1
                 return rhs(t, u)
 
-            dt = ctrl.initial_step(counted, t0, u0, member.controller, q=scheme.q,
+            dt = ctrl.initial_step(counted, t0, u0, controller, q=scheme.q,
                                    horizon=horizon, admissible=admissible)
-        member.state = ControllerState(dt_current=None if cfl else min(dt, horizon))
+        reports.append(report)
+        states.append(ControllerState(dt_current=None if cfl else min(dt, horizon)))
+    fcache = [None] * len(controllers)
 
     batched = getattr(rhs, "batched", False)
-    live, u = members, np.repeat(u0[None], len(members), axis=0)
-    attempts = 0
+    live = list(range(len(controllers)))
+    u = np.repeat(u0[None], len(live), axis=0)
+    attempts, sized = 0, False    # sized: CFL steps set for the next attempt
     while live:
-        attempts += 1
-        if attempts > max_attempts:
-            for j, member in enumerate(live):
-                member.leave(u[j], "attempt budget exhausted")
-            break
-        if cfl:
+        ends = {}    # position in live -> abort reason, or None at t_end
+        if attempts >= max_attempts:
+            ends = dict.fromkeys(range(len(live)), "attempt budget exhausted")
+        elif cfl and not sized:
+            sized = True
             timescales = per_member(rhs.cfl_timescale, batched, u)
-            for j, (member, ts) in enumerate(zip(live, timescales)):
+            for j, (i, ts) in enumerate(zip(live, timescales)):
                 try:
-                    member.state.dt_current = ctrl.cfl_step(ts, member.controller)
+                    states[i].dt_current = ctrl.cfl_step(ts, controllers[i])
                 except ctrl._CflUndefined as exc:
-                    member.leave(u[j], str(exc))
-            live, u = _remaining(live, u)
-            if not live:
-                break
-        for member in live:
-            member.clipped = member.t + member.state.dt_current >= t_end
-            if member.clipped:
-                member.state.dt_current = t_end - member.t
+                    ends[j] = str(exc)
+        if not ends:    # else this pass only retires; the rest step in the next
+            attempts, sized = attempts + 1, False
+            t = [reports[i].t_final for i in live]
+            dt = [states[i].dt_current for i in live]
+            clipped = [tj + dtj >= t_end for tj, dtj in zip(t, dt)]
+            for j, i in enumerate(live):
+                if clipped[j]:
+                    dt[j] = states[i].dt_current = t_end - t[j]
 
-        res = step(scheme, rhs, np.array([m.t for m in live]),
-                   np.array([m.state.dt_current for m in live]), u,
-                   f0=[m.fcache for m in live], need_estimate=not cfl)
-        norms = _error_norms(res, [m.controller for m in live])
-
-        accepted = [False] * len(live)
-        for j, (member, w) in enumerate(zip(live, norms)):
-            report = member.report
-            report.nfe += int(res.nfe[j])
-            ok = w < math.inf
-            if cfl and not ok:
-                member.leave(u[j], "solution left the admissible set under CFL control")
-                continue
-            dt = member.state.dt_current
-            accept = accepted[j] = cfl or ctrl.pid_decide(member.state, w, member.controller)
-            if record_history:
-                report.history.append((member.t, dt, accept))
-            if accept:
-                member.t = t_end if member.clipped else member.t + dt
-                member.fcache = None if res.fsal_f is None else res.fsal_f[j]
-                report.n_accepted += 1
-            else:
-                report.n_rejected += 1
-            if member.t >= t_end:
-                member.leave(res.u_new[j] if accept else u[j])
-            elif member.state.dt_current < DT_UNDERFLOW * horizon:
-                member.leave(res.u_new[j] if accept else u[j],
-                             "step size underflow" if ok else
-                             "step size underflow after bounds rejection")
-        if all(accepted):
-            u = res.u_new
-        elif any(accepted):
-            u[accepted] = res.u_new[accepted]
-        live, u = _remaining(live, u)
+            res = step(scheme, rhs, np.array(t), np.array(dt), u,
+                       f0=[fcache[i] for i in live], need_estimate=not cfl)
+            norms = _error_norms(res, [controllers[i] for i in live])
+            accepted = [False] * len(live)
+            for j, (i, w) in enumerate(zip(live, norms)):
+                report, state = reports[i], states[i]
+                report.nfe += int(res.nfe[j])
+                ok = w < math.inf
+                if cfl and not ok:
+                    ends[j] = "solution left the admissible set under CFL control"
+                    continue
+                accept = accepted[j] = cfl or ctrl.pid_decide(state, w, controllers[i])
+                if record_history:
+                    report.history.append((t[j], dt[j], accept))
+                if accept:
+                    report.t_final = t_end if clipped[j] else t[j] + dt[j]
+                    fcache[i] = None if res.fsal_f is None else res.fsal_f[j]
+                    report.n_accepted += 1
+                else:
+                    report.n_rejected += 1
+                if report.t_final >= t_end:
+                    ends[j] = None
+                elif state.dt_current < DT_UNDERFLOW * horizon:
+                    ends[j] = ("step size underflow" if ok else
+                               "step size underflow after bounds rejection")
+            if all(accepted):
+                u = res.u_new
+            elif any(accepted):
+                u[accepted] = res.u_new[accepted]
+        if ends:    # the one place a run ends, at its row of the stack
+            for j, reason in ends.items():
+                report = reports[live[j]]
+                report.u_final = u[j].copy()
+                report.aborted = reason is not None
+                report.abort_reason = reason
+            keep = [j for j in range(len(live)) if j not in ends]
+            live, u = [live[j] for j in keep], u[keep]
 
     wall_time = max(time.perf_counter() - start, 1e-9)
-    for member in members:
-        report = member.report
+    for report in reports:
         report.wall_time = wall_time
         if error_fn is not None and not report.aborted:
             report.errors = error_fn(report.t_final, report.u_final)
-    return [member.report for member in members]
-
-
-class _Member:
-    """One run of an ensemble: its controller, report and loop state."""
-
-    __slots__ = ("controller", "report", "t", "state", "fcache", "clipped", "done")
-
-    def __init__(self, controller, report, t0):
-        self.controller, self.report, self.t = controller, report, t0
-        self.state = self.fcache = None
-        self.done = False
-
-    def leave(self, u, abort_reason=None):
-        """Finish at u, or abort there with the reason."""
-        report = self.report
-        report.t_final = self.t
-        report.u_final = u.copy()
-        if abort_reason is not None:
-            report.aborted = True
-            report.abort_reason = abort_reason
-        self.done = True
-
-
-def _remaining(live, u):
-    """The members still running and their rows of the state stack."""
-    keep = [j for j, member in enumerate(live) if not member.done]
-    if len(keep) == len(live):
-        return live, u
-    return [live[j] for j in keep], u[keep]
+    return reports
 
 
 def _error_norms(res, controllers):

@@ -522,3 +522,8 @@ def test_ensemble_needs_one_kind_of_controller():
                            0.0, 1.0, prob.u0)
     with pytest.raises(ValueError, match="at least one"):
         integrate_ensemble(scheme, prob.semi, [], 0.0, 1.0, prob.u0)
+    with pytest.raises(TypeError, match="unsupported controller object"):
+        integrate_ensemble(scheme, prob.semi, [object()], 0.0, 1.0, prob.u0)
+    with pytest.raises(ValueError, match="initial state is not admissible"):
+        integrate_ensemble(scheme, prob.semi, [cfg_for(scheme, 1e-6)], 0.0, 1.0,
+                           np.array([math.nan]))

@@ -160,9 +160,13 @@ def _integrated_row(scheme, problem, beta, tol):
     return (problem.name, tol, rep.nfe, rep.n_rejected, err, False)
 
 
-def test_search_rows_equal_one_candidate_runs():
+@pytest.mark.parametrize("max_attempts", [search.MAX_ATTEMPTS, 30])
+def test_search_rows_equal_one_candidate_runs(monkeypatch, max_attempts):
     # each (problem, tol) runs its stable candidates as one ensemble; every
-    # row must be the candidate's own run's
+    # row must be the candidate's own run's.  At 30 attempts every source1d
+    # member and one dahlquist 1e-5 member leave on the budget while the
+    # other members of that ensemble finish.
+    monkeypatch.setattr(search, "MAX_ATTEMPTS", max_attempts)
     scheme = catalog_get("rk35-3s+fsal")
     probs = [make_problem("source1d", t_end=0.5), make_problem("dahlquist", t_end=3.0)]
     space = SearchSpace(beta1=(0.1, 0.47, 1.0), beta2=(-0.4, -0.24), beta3=(0.0, 0.1))
@@ -174,6 +178,13 @@ def test_search_rows_equal_one_candidate_runs():
         alone = [_integrated_row(scheme, p, cand.beta, tol)
                  for p in probs for tol in tolerances]
         assert repr(cand.runs) == repr(alone), cand.beta
+    failed = sorted((run[0], run[1], cand.beta) for cand in stable
+                    for run in cand.runs if run[5])
+    if max_attempts == 30:
+        assert failed == [("dahlquist", 1e-5, (0.47, -0.4, 0.0))] + sorted(
+            ("source1d", tol, cand.beta) for tol in tolerances for cand in stable)
+    else:
+        assert not failed
 
 
 def test_median_aggregate_arithmetic():

@@ -3,12 +3,11 @@
     python tools/workcounts.py [--root CHECKOUT] > counts.md
     python tools/workcounts.py --diff OLD.md NEW.md
 
-Imports the package from CHECKOUT/src (default: this checkout) and wraps its
-integration entry point, `integrate_ensemble` where the version has one and
-`integrate` otherwise, in every module that imported it.  Then it runs
-CHECKOUT/tests/test_acceptance.py in-process and every dg_sweep integration
-that CHECKOUT/perfbench/workloads.py specifies, through `rkadapt integrate`,
-and the two `rkadapt sweep` ensembles of SWEEPS.
+Imports the package from CHECKOUT/src (default: this checkout) and wraps
+`integrate_ensemble`, which `integrate` runs through, in every module that
+imported it.  Then it runs CHECKOUT/tests/test_acceptance.py in-process and
+every dg_sweep integration that CHECKOUT/perfbench/workloads.py specifies,
+through `rkadapt integrate`, and the two `rkadapt sweep` ensembles of SWEEPS.
 It prints one table row per integration: problem (with a digest of its grid's
 element boundaries, which tells a perturbed grid from a uniform one), scheme,
 controller, nfe, accepted and rejected counts, max error (repr, so every bit
@@ -132,19 +131,11 @@ class Recorder:
         self.run = None          # label of the rows being recorded; None records nothing
 
     def install(self):
-        integrate_mod = importlib.import_module("rkadapt.integrate")
-        ensemble = hasattr(integrate_mod, "integrate_ensemble")
-        name = "integrate_ensemble" if ensemble else "integrate"
-        original = getattr(integrate_mod, name)
-        abort = integrate_mod.IntegrationAbort
+        original = importlib.import_module("rkadapt.integrate").integrate_ensemble
 
         def wrapped(scheme, rhs, controllers, t0, t_end, u0, *args, **kwargs):
-            try:
-                out = original(scheme, rhs, controllers, t0, t_end, u0, *args, **kwargs)
-            except abort as exc:
-                self.record(rhs, u0, exc.report)
-                raise
-            for report in (out if ensemble else [out]):
+            out = original(scheme, rhs, controllers, t0, t_end, u0, *args, **kwargs)
+            for report in out:
                 self.record(rhs, u0, report)
             return out
 
