@@ -154,11 +154,17 @@ def order_residuals(pair: ButcherPair, up_to: int):
     return out
 
 
+def claimed_order_residuals(pair: ButcherPair):
+    """(side, order, residual) of each condition the pair claims to meet:
+    the main ones through q and the embedded ones through qhat."""
+    for _, side, order, r in order_residuals(pair, max(pair.q, pair.qhat)):
+        if order <= (pair.q if side == "main" else pair.qhat):
+            yield side, order, r
+
+
 def max_order_residual(pair: ButcherPair) -> float:
     """Largest residual over main conditions through q and embedded through qhat."""
     worst = 0.0
-    for _, side, order, r in order_residuals(pair, max(pair.q, pair.qhat)):
-        lim = pair.q if side == "main" else pair.qhat
-        if order <= lim:
-            worst = max(worst, abs(r))
+    for _, _, r in claimed_order_residuals(pair):
+        worst = max(worst, abs(r))
     return worst

@@ -5,7 +5,7 @@ decimal strings of their published tables; the SSP pairs (as 3S*+ sets) and
 the Bogacki-Shampine pairs are exact rationals.  Coefficient files are JSON
 documents against the schema documented in the README (decimal strings, A
 row-major); the loader rejects unknown fields and enforces all structural
-invariants.
+invariants and the order conditions of the orders a file claims.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .butcher import ButcherPair, InvariantViolation
-from .lowstorage import _COEFFICIENTS, LowStorageScheme
+from .butcher import (MAX_ORDER, ButcherPair, InvariantViolation,
+                      claimed_order_residuals)
+from .lowstorage import _COEFFICIENTS, LowStorageScheme, to_butcher
 
 log = logging.getLogger(__name__)
 
@@ -335,8 +336,26 @@ def _float(field, v):
         raise CoefficientParseError(f"field {field}: cannot parse {v!r}") from None
 
 
+def _meets_claimed_orders(path, scheme):
+    """The scheme, if its tableau meets every order condition through its
+    claimed q (main weights) and qhat (embedded weights) to 1e-10, the bound
+    of the catalog pairs' own residuals."""
+    pair = to_butcher(scheme)
+    if max(pair.q, pair.qhat) > MAX_ORDER:
+        raise CoefficientParseError(f"{path}: order conditions are checked through "
+                                    f"{MAX_ORDER}, got q = {pair.q}, qhat = {pair.qhat}")
+    for side, order, r in claimed_order_residuals(pair):
+        if not abs(r) <= 1e-10:
+            field, claimed = ("q", pair.q) if side == "main" else ("qhat", pair.qhat)
+            raise CoefficientParseError(
+                f"{path}: {field} = {claimed}, but the {side} weights miss an "
+                f"order-{order} condition with residual {r!r}")
+    return scheme
+
+
 def load_coefficients(path):
-    """Load a ButcherPair or LowStorageScheme from a JSON coefficient file."""
+    """Load a ButcherPair or LowStorageScheme from a JSON coefficient file;
+    its tableau must meet the order conditions of the q and qhat it claims."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -365,8 +384,9 @@ def load_coefficients(path):
     if cls == "butcher":
         flat = _floats(doc, "A", s * s)
         A = np.array(flat, dtype=float).reshape(s, s)
-        return ButcherPair(name=name, A=A, b=_floats(doc, "b", s), c=_floats(doc, "c", s),
-                           bhat=_floats(doc, "bhat", s + 1), q=q, qhat=qhat, fsal=fsal)
+        return _meets_claimed_orders(path, ButcherPair(
+            name=name, A=A, b=_floats(doc, "b", s), c=_floats(doc, "c", s),
+            bhat=_floats(doc, "bhat", s + 1), q=q, qhat=qhat, fsal=fsal))
     ndelta = s + 1 if cls == "3s*" else s
     kwargs = dict(
         name=name, scheme_class=cls,
@@ -375,11 +395,11 @@ def load_coefficients(path):
         delta=_floats(doc, "delta", ndelta), q=q, qhat=qhat, fsal=fsal)
     if cls == "3s*":
         tail = _float("'bhat_fsal'", doc.get("bhat_fsal", 0.0))
-        return LowStorageScheme(bhat=[0.0] * s + [tail], **kwargs)
+        return _meets_claimed_orders(path, LowStorageScheme(bhat=[0.0] * s + [tail], **kwargs))
     bh = _floats(doc, "bhat", s, s + 1)
     if len(bh) == s:
         bh = _with_fsal_weight(bh, fsal)
-    return LowStorageScheme(bhat=bh, **kwargs)
+    return _meets_claimed_orders(path, LowStorageScheme(bhat=bh, **kwargs))
 
 
 def export_coefficients(scheme, path):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -419,11 +420,31 @@ def _keep_freed_heap():
     mallopt(-3, 32 << 20)
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built once per process, when _keep_freed_heap
+    also runs."""
+    _keep_freed_heap()
+    return build_parser()
+
+
 class _PreParser(argparse.ArgumentParser):
     """Raises each error, for the command's own parser to report."""
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _pre_parser(command):
+    """A parser of the option strings of `command`, a command's parser, that
+    finds its --config: a prefix names --config exactly when the command's
+    parser takes it for --config.  Built once per command's parser."""
+    pre = _PreParser(add_help=False)
+    for a in command._actions:
+        pre.add_argument(*a.option_strings, dest=a.dest,
+                         **({"action": "store_true"} if a.nargs == 0 else {}))
+    return pre
 
 
 def _config_tokens(parser, argv):
@@ -433,15 +454,9 @@ def _config_tokens(parser, argv):
     so win, and the parser checks each value as it does a given one."""
     if not argv or argv[0] not in parser.commands:
         return []       # the parser reports a missing or unknown command
-    # the command's option strings, so that a prefix names --config exactly
-    # when the command's parser takes it for --config
     command = parser.commands[argv[0]]
-    pre = _PreParser(add_help=False)
-    for a in command._actions:
-        pre.add_argument(*a.option_strings, dest=a.dest,
-                         **({"action": "store_true"} if a.nargs == 0 else {}))
     try:
-        given = pre.parse_known_args(argv[1:])[0]
+        given = _pre_parser(command).parse_known_args(argv[1:])[0]
         path = given.config
         if path is None:
             return []
@@ -486,8 +501,7 @@ def _config_tokens(parser, argv):
 
 
 def main(argv=None):
-    _keep_freed_heap()
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv[:1] + _config_tokens(parser, argv) + argv[1:])

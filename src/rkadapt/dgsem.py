@@ -18,7 +18,9 @@ The Euler kernels form their products and sums in place: the same float
 operations, on the same operands in the same order as the plain
 expressions in their comments, written only into arrays the call created.
 So the bits are the expressions', and a kernel never writes into its input;
-its result is a fresh C-contiguous array.
+its result is a fresh C-contiguous array.  The 2D kernels store each metric
+factor at the full extent of the array it scales, so each product with it
+runs one contiguous loop, with the bits of the broadcast one-axis factor.
 """
 
 from __future__ import annotations
@@ -185,6 +187,12 @@ def _per_member(x):
     return x.item() if np.ndim(x) == 0 else x
 
 
+def _full(factor, shape):
+    """A metric factor's values copied out to the full `shape` it scales, so
+    each product with it runs one contiguous loop, not a broadcast one."""
+    return np.ascontiguousarray(np.broadcast_to(factor, shape))
+
+
 def _state_axes(nodes, nvar):
     """The negative axes of one state: its node array's, then the variables'."""
     return tuple(range(-(nodes.ndim + bool(nvar)), 0))
@@ -264,12 +272,10 @@ def _upwind_face(du, u, a, first, last, nb, left, right, scale):
 def _roll(x, by, axis):
     """np.roll(x, by, axis) for by = 1 or -1: each slab's periodic left (1)
     or right (-1) neighbour along the negative `axis`, as `take` of the
-    rolled indices gathers it, by two slice copies."""
-    out = np.empty(x.shape, dtype=x.dtype)
+    rolled indices gathers it, as one concatenation of two slices."""
     rest = (slice(None),) * (-1 - axis)
-    out[(..., slice(by, None), *rest)] = x[(..., slice(None, -by), *rest)]
-    out[(..., slice(None, by), *rest)] = x[(..., slice(-by, None), *rest)]
-    return out
+    return np.concatenate((x[(..., slice(-by, None), *rest)],
+                           x[(..., slice(None, -by), *rest)]), axis=axis)
 
 
 def _llf_surface(du, u, f, speed, first, last, nb, left, right, jw0, jwN):
@@ -352,12 +358,13 @@ class AdvectionSemidisc2d(_Semidisc2d):
         super().__init__(grid, p)
         self.a = np.asarray(velocity, dtype=float)
         ax, ay = self.a
-        w = self.op.weights
+        w, n = self.op.weights, self.op.n
         jx, jy = self.jx[:, None, None], self.jy[None, :, None]
-        self._vol_x = ax / jx[..., None]
-        self._vol_y = ay / jy[..., None]
-        self._upwind_x = ax / (jx * w[0]) if ax > 0 else -ax / (jx * w[-1])
-        self._upwind_y = ay / (jy * w[0]) if ay > 0 else -ay / (jy * w[-1])
+        face = (grid.x.nel, grid.y.nel, n)      # (element x, element y, node)
+        self._vol_x = _full(ax / jx[..., None], face + (n,))
+        self._vol_y = _full(ay / jy[..., None], face + (n,))
+        self._upwind_x = _full(ax / (jx * w[0]) if ax > 0 else -ax / (jx * w[-1]), face)
+        self._upwind_y = _full(ay / (jy * w[0]) if ay > 0 else -ay / (jy * w[-1]), face)
 
     def rhs(self, t, u):
         ax, ay = self.a
@@ -486,20 +493,20 @@ class EulerSemidisc2d(_Semidisc2d):
     def __init__(self, grid: Grid2d, p: int):
         super().__init__(grid, p)
         w = self.op.weights
-        jx, jy = self.jx[:, None], self.jy      # (element x, element y) last
-        self._vol_x, self._vol_y = -(1.0 / jx), -(1.0 / jy)
-        self._jw0_x, self._jwN_x = jx * w[0], jx * w[-1]
-        self._jw0_y, self._jwN_y = jy * w[0], jy * w[-1]
+        jx, jy = self.jx[:, None], self.jy
+        elements = (grid.x.nel, grid.y.nel)     # (element x, element y) last
+        self._vol_x, self._vol_y = _full(-(1.0 / jx), elements), _full(-(1.0 / jy), elements)
+        self._jw0_x, self._jwN_x = _full(jx * w[0], elements), _full(jx * w[-1], elements)
+        self._jw0_y, self._jwN_y = _full(jy * w[0], elements), _full(jy * w[-1], elements)
 
     def is_admissible(self, u):
         return _finite_and_positive(u, euler_primitives_2d, self._axes)
 
     def rhs(self, t, u):
-        D, lead = self.op.D, np.ndim(u) - 5
-        axes = (lead + 2, lead + 3, lead + 4, *range(lead), lead, lead + 1)
-        q = np.ascontiguousarray(np.transpose(u, axes))
+        D, end = self.op.D, u.ndim      # the state's axes are (*members, 5 more)
+        q = np.ascontiguousarray(u.transpose(*range(end - 3, end), *range(end - 3)))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            rho, vx, vy, p = euler_primitives_2d(np.moveaxis(q, 2, -1))
+            rho, vx, vy, p = euler_primitives_2d(q.transpose(0, 1, *range(3, end), 2))
             c = np.multiply(GAMMA, p)       # c = sqrt(GAMMA * p / rho)
             c /= rho
             np.sqrt(c, out=c)
@@ -525,7 +532,7 @@ class EulerSemidisc2d(_Semidisc2d):
                          self._lx, self._rx, self._jw0_x, self._jwN_x)
             _llf_surface(du, q, fy, vy[:, :, None], np.s_[:, 0], np.s_[:, -1],
                          -1, self._ly, self._ry, self._jw0_y, self._jwN_y)
-        return np.ascontiguousarray(np.transpose(du, np.argsort(axes)))
+        return np.ascontiguousarray(du.transpose(*range(3, end), 0, 1, 2))
 
     __call__ = rhs
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -380,10 +381,16 @@ def test_integrate_json_has_the_report_fields(capsys):
     assert set(json.loads(out)) == REPORT_KEYS | {"abort_reason"}
 
 
-# R(z) = 1 + z^2, whose stability boundary trace stalls at theta = 0
-UNTRACEABLE_DOC = {"name": "Untraceable", "class": "butcher", "s": 2, "q": 1,
-                   "qhat": 1, "fsal": False, "A": ["0", "0", "1", "0"],
-                   "b": ["-1", "1"], "c": ["0", "1"], "bhat": ["1", "0", "0"]}
+# R(z) = -1 + 2 (1 + z/14)^7 of an order-1 method: its boundary runs into
+# the sixfold critical point z = -14 at theta = pi, where the trace stalls
+_UNTRACEABLE_SUB = [i / (14 * (8 - i)) for i in range(1, 7)]      # A[i][i - 1]
+UNTRACEABLE_DOC = {
+    "name": "Untraceable", "class": "butcher", "s": 7, "q": 1, "qhat": 1, "fsal": False,
+    "A": [repr(_UNTRACEABLE_SUB[j] if j == i - 1 else 0.0)
+          for i in range(7) for j in range(7)],
+    "b": ["0"] * 6 + ["1"], "c": ["0"] + [repr(x) for x in _UNTRACEABLE_SUB],
+    "bhat": ["1"] + ["0"] * 7,
+}
 
 
 @pytest.mark.parametrize("flags", [["--control-map"],
@@ -667,6 +674,48 @@ def test_config_switches_take_only_true_or_false(tmp_path, capsys, doc, key):
         assert code == 0 and json.loads(out)["scaled_by"] == scale
 
 
+def _calls_in_sequence(capsys, directory, calls):
+    """Each call's (exit code, stdout without the wall time, stderr), then
+    the bytes of every file in `directory`."""
+    done = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        done.append((code, re.sub(r'"wall_time": [^,\n]*', '"wall_time"', out), err))
+    return done, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_reused_parsers_answer_as_freshly_built_ones(tmp_path, monkeypatch, capsys):
+    # main builds its parsers once per process and reuses them on every call
+    calls = [
+        ["integrate", "--scheme", "bs3", "--problem", "dahlquist", "--tol", "1e-5",
+         "--t-end", "2", "--history-out", "h.csv"],
+        ["stability", "--scheme", "ssp43", "--points", "64", "--beta", "0.6,-0.2",
+         "--control-map", "--out", "s"],
+        ["integrate", "--scheme", "bs3", "--problem", "nope", "--tol", "1e-5"],
+        ["search", "--scheme", "bs3", "--problems", "dahlquist", "--tol", "1e-3",
+         "--budget", "4", "--out", "x"],
+        ["integrate", "--config", "conf.json", "--solution-out", "u.csv"],
+        # --co is a prefix of --config and of --coeff-file; --conf of --config only
+        ["integrate", "--co", "conf.json"],
+        ["integrate", "--conf", "conf.json", "--tol", "1e-7"],
+    ]
+    runs = []
+    for name in ("reused", "fresh"):
+        if name == "fresh":     # each call builds its parsers anew
+            monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+            monkeypatch.setattr(cli, "_pre_parser", cli._pre_parser.__wrapped__)
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "conf.json").write_text(json.dumps(
+            {"scheme": "bs3", "problem": "source1d", "tol": 1e-4, "t-end": 0.5}))
+        monkeypatch.chdir(directory)
+        runs.append(_calls_in_sequence(capsys, directory, calls))
+    reused, fresh = runs
+    assert [code for code, _, _ in reused[0]] == [0, 0, 1, 0, 0, 1, 0]
+    assert "ambiguous option: --co" in reused[0][5][2]
+    assert reused == fresh
+
+
 @pytest.mark.parametrize("grid, differ", [("perturbed", True), ("uniform", False)])
 def test_seed_selects_the_perturbed_grid(tmp_path, capsys, grid, differ):
     snaps = []
@@ -733,6 +782,14 @@ BAD_COEFF_FILES = {
                   "bhat[1] must be zero for non-FSAL schemes"),
     # S1 <- delta u + dt f: the step keeps only half of u^n
     "weight.json": (dict(_FORWARD_EULER_3SP, delta=["0.5"]), "u_new has u^n weight 0.5"),
+    # every beta zero: the step returns u^n, a method of no order
+    "beta.json": (dict(_FORWARD_EULER_3SP, beta=["0"]),
+                  "q = 1, but the main weights miss an order-1 condition with residual -1.0"),
+    "order.json": (dict(FORWARD_EULER_DOC, q=2),
+                   "q = 2, but the main weights miss an order-2 condition with residual -0.5"),
+    "embedded.json": (dict(FORWARD_EULER_DOC, bhat=["0.5", "0"]), "qhat = 1, but the "
+                      "embedded weights miss an order-1 condition with residual -0.5"),
+    "q6.json": (dict(FORWARD_EULER_DOC, q=6), "order conditions are checked through 5"),
 }
 
 

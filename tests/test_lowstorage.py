@@ -176,9 +176,10 @@ def test_catalog_lowstorage_roundtrip_c_is_consistent():
 
 
 @st.composite
-def threestar_sets(draw):
+def threestar_sets(draw, orders=False):
     """Random consistent 3S* and 3S*+ sets, FSAL or not, with well-conditioned
-    stage increments."""
+    stage increments; with `orders`, sets whose main and embedded weights
+    each sum to 1, the order-1 condition, and which claim q = qhat = 1."""
     cls = draw(st.sampled_from(["3s*", "3s*+"]))
     s = draw(st.integers(2, 6))
     fsal = draw(st.booleans())
@@ -199,22 +200,43 @@ def threestar_sets(draw):
             g1[1] = 1.0 - g2[1] * s2_weight
         g3.append(0.0 if i < 2 else 1.0 - g1[i] - g2[i] * s2_weight)
     beta = [draw(st.floats(0.05, 1.0)) for _ in range(s)]
+    if orders:      # the main weights b are beta
+        beta = [b / sum(beta) for b in beta]
     if cls == "3s*":
         delta.append(draw(st.floats(0.5, 1.5)))
         assume(abs(sum(delta)) >= 0.5)
         bhat = [0.0] * s + [draw(st.floats(0.05, 1.0)) if fsal else 0.0]
     else:
         bhat = [draw(st.floats(0.0, 1.0)) for _ in range(s)]
+        if orders and not fsal:
+            assume(sum(bhat) >= 0.05)
+            bhat = [b / sum(bhat) for b in bhat]
         bhat.append(1.0 - sum(bhat) if fsal else 0.0)
-    # a zero FSAL weight skips the FSAL evaluation, and the constructor
-    # refuses such a set (ReconstructionError), as a coefficient file
-    assume(not fsal or bhat[-1] != 0.0)
-    try:
-        scheme = LowStorageScheme(
-            name="random", scheme_class=cls, gamma1=g1, gamma2=g2, gamma3=g3,
-            beta=beta, delta=delta, bhat=bhat, q=2, qhat=1, fsal=fsal)
-    except InvariantViolation:
-        assume(False)
+
+    def build():
+        # a zero FSAL weight skips the FSAL evaluation, and the constructor
+        # refuses such a set (ReconstructionError), as a coefficient file
+        assume(not fsal or bhat[-1] != 0.0)
+        try:
+            return LowStorageScheme(
+                name="random", scheme_class=cls, gamma1=g1, gamma2=g2, gamma3=g3,
+                beta=beta, delta=delta, bhat=bhat, q=1 if orders else 2, qhat=1, fsal=fsal)
+        except InvariantViolation:
+            assume(False)
+
+    scheme = build()
+    if orders and cls == "3s*":
+        # delta implies the embedded weights but the FSAL one, and they sum
+        # to sigma / sum(delta) with sigma fixed by the other coefficients:
+        # the FSAL weight, or else the last delta, makes the sum 1
+        total = sum(scheme.bhat[:s])
+        if fsal:
+            bhat[-1] = 1.0 - total
+        else:
+            sigma = total * sum(delta)
+            assume(abs(sigma) >= 0.05)
+            delta[-1] = sigma - sum(delta[:-1])
+        scheme = build()
     assume(np.max(np.abs(scheme.stage_increments)) < 20.0)
     return scheme
 
@@ -239,7 +261,7 @@ def test_random_register_sweep_equals_reconstructed_dense_step(scheme, seed, dt)
 
 
 @settings(max_examples=60, deadline=None)
-@given(scheme=threestar_sets())
+@given(scheme=threestar_sets(orders=True))
 def test_random_set_export_load_roundtrip_bit_identical(scheme):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "method.json")

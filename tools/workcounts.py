@@ -83,13 +83,18 @@ SWEEPS = (("--scheme", "ssp43", "--problem", "vortex2d", "--elements", "4",
           ("--scheme", "bs5", "--problem", "source1d", "--t-end", "2",
            "--tols", "1e-3,1e-5,1e-7", "--beta", "0.7,-0.4,0"))
 
-# coefficient documents for the failure exits: R(z) = 1 + z^2, whose boundary
-# trace stalls at theta = 0 (exit 2), and embedded weights equal to the main
+# coefficient documents for the failure exits: the order-1 method with
+# R(z) = -1 + 2 (1 + z/14)^7, whose boundary trace stalls at R's sixfold
+# critical point z = -14 (exit 2), and embedded weights equal to the main
 # ones, so E = 0 and no boundary sample carries controller information (exit 3)
+_UNTRACEABLE_SUB = [i / (14 * (8 - i)) for i in range(1, 7)]      # A[i][i - 1]
 EXIT_DOCS = {
-    "untraceable": {"name": "Untraceable", "class": "butcher", "s": 2, "q": 1,
-                    "qhat": 1, "fsal": False, "A": ["0", "0", "1", "0"],
-                    "b": ["-1", "1"], "c": ["0", "1"], "bhat": ["1", "0", "0"]},
+    "untraceable": {"name": "Untraceable", "class": "butcher", "s": 7, "q": 1,
+                    "qhat": 1, "fsal": False,
+                    "A": [repr(_UNTRACEABLE_SUB[j] if j == i - 1 else 0.0)
+                          for i in range(7) for j in range(7)],
+                    "b": ["0"] * 6 + ["1"], "c": ["0"] + [repr(x) for x in _UNTRACEABLE_SUB],
+                    "bhat": ["1"] + ["0"] * 7},
     "no-estimator": {"name": "NoEstimator", "class": "butcher", "s": 3, "q": 3,
                      "qhat": 2, "fsal": False,
                      "A": ["0", "0", "0", "1", "0", "0", "0.25", "0.25", "0"],
